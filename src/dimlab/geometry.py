@@ -273,26 +273,53 @@ def moran_dimension(ratios_or_ifs) -> float:
 # vectorized composition folding
 
 
+def _identity_maps(n: int, d: int):
+    """n copies of the empty-word composition as (ratios, angles, trans)."""
+    return np.ones(n), np.zeros(n), np.zeros((n, d))
+
+
+def _extend(ratios, angles, trans, ifs: IFS, rows, syms):
+    """Per-row one-symbol extensions: maps[rows[i]] o f_{syms[i] + 1}.
+
+    syms are 0-based.  Every composition fold (stopping sets, sample cell
+    clouds, word batches, iterated systems) goes through this step, so a
+    word's composed map is bitwise the same whichever fold built it.
+    """
+    r, th, a = ifs.ratios, ifs.angles, ifs.translations
+    # the gathered parent ratios and angles are fresh arrays: once the
+    # translations are built from them they become the outputs in place
+    pr = ratios[rows]
+    pth = angles[rows]
+    # np.take gathers rows of a 2-d array much faster than fancy indexing
+    if ifs.ambient_dim == 2 and np.any(pth != 0.0):
+        ca, sa = np.cos(pth), np.sin(pth)
+        ax, ay = np.take(a, syms, axis=0).T
+        out_t = np.take(trans, rows, axis=0)
+        out_t[:, 0] += pr * (ca * ax - sa * ay)
+        out_t[:, 1] += pr * (sa * ax + ca * ay)
+    else:
+        out_t = np.take(a, syms, axis=0)
+        out_t *= pr[:, None]
+        out_t += np.take(trans, rows, axis=0)
+    pr *= r[syms]
+    pth += th[syms]
+    return pr, pth, out_t
+
+
 def _compose_step(ratios, angles, trans, ifs: IFS):
     """All one-symbol extensions of composed maps, row-major (word, symbol)."""
-    m, d = ifs.m, ifs.ambient_dim
-    r, th, a = ifs.ratios, ifs.angles, ifs.translations
-    n = len(ratios)
-    out_r = (ratios[:, None] * r[None, :]).ravel()
-    out_th = (angles[:, None] + th[None, :]).ravel()
-    if d == 2 and np.any(angles != 0.0):
-        ca, sa = np.cos(angles), np.sin(angles)
-        ax, ay = a[:, 0], a[:, 1]
-        tx = ratios[:, None] * (ca[:, None] * ax[None, :] - sa[:, None] * ay[None, :])
-        ty = ratios[:, None] * (sa[:, None] * ax[None, :] + ca[:, None] * ay[None, :])
-        out_t = np.empty((n * m, 2))
-        out_t[:, 0] = (tx + trans[:, 0][:, None]).ravel()
-        out_t[:, 1] = (ty + trans[:, 1][:, None]).ravel()
-    else:
-        out_t = (ratios[:, None, None] * a[None, :, :] + trans[:, None, :]).reshape(
-            n * m, d
-        )
-    return out_r, out_th, out_t
+    n, m = len(ratios), ifs.m
+    rows = np.repeat(np.arange(n), m)
+    syms = np.tile(np.arange(m), n)
+    return _extend(ratios, angles, trans, ifs, rows, syms)
+
+
+def _all_compositions(ifs: IFS, q: int):
+    """Composed maps of all m^q words of length q, lexicographic order."""
+    maps = _identity_maps(1, ifs.ambient_dim)
+    for _ in range(q):
+        maps = _compose_step(*maps, ifs)
+    return maps
 
 
 def _apply_composed(ratios, angles, trans, point):
@@ -308,33 +335,25 @@ def _apply_composed(ratios, angles, trans, point):
     return ratios[:, None] * np.asarray(point)[None, :] + trans
 
 
+def _cell_disks(ifs: IFS, ratios, angles, trans):
+    """(centers, radii) of the images of the enclosing ball under composed maps."""
+    centers = _apply_composed(ratios, angles, trans, ifs.ball_center)
+    return centers, ifs.ball_radius * ratios
+
+
 def word_geometry(ifs: IFS, symbols: np.ndarray):
     """Centers and radii for a batch of equal-length words.
 
-    symbols: (n, k) array of symbols 1..m.  Folds right to left so the cost
-    is O(n k) regardless of prefix sharing.
+    symbols: (n, k) array of symbols 1..m, composed first symbol first, so
+    the cost is O(n k) and the result matches every other fold bitwise.
     """
     symbols = np.asarray(symbols)
     n, k = symbols.shape
-    r, th, a = ifs.ratios, ifs.angles, ifs.translations
-    center = ifs.ball_center
-    p = np.broadcast_to(center, (n, ifs.ambient_dim)).copy()
-    rotating = ifs.ambient_dim == 2 and np.any(th != 0.0)
-    if rotating:
-        cth, sth = np.cos(th), np.sin(th)
-    for j in range(k - 1, -1, -1):
-        s = symbols[:, j] - 1
-        if rotating:
-            x, y = p[:, 0].copy(), p[:, 1]
-            p[:, 0] = r[s] * (cth[s] * x - sth[s] * y) + a[s, 0]
-            p[:, 1] = r[s] * (sth[s] * x + cth[s] * y) + a[s, 1]
-        else:
-            p = r[s, None] * p + a[s]
-    if k:
-        radii = ifs.ball_radius * np.prod(r[symbols - 1], axis=1)
-    else:
-        radii = np.full(n, ifs.ball_radius)
-    return p, radii
+    maps = _identity_maps(n, ifs.ambient_dim)
+    rows = np.arange(n)
+    for j in range(k):
+        maps = _extend(*maps, ifs, rows, symbols[:, j] - 1)
+    return _cell_disks(ifs, *maps)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +428,7 @@ def stopping_set(ifs: IFS, rho: float, budget: int = DEFAULT_BUDGET) -> Stopping
 
     # level 0: the empty word
     act_sym = np.zeros((1, 0), dtype=np.uint16)
-    act_r = np.array([1.0])
-    act_th = np.array([0.0])
-    act_t = np.zeros((1, ifs.ambient_dim))
+    act_r, act_th, act_t = _identity_maps(1, ifs.ambient_dim)
     if c0 < cut:
         emit(act_sym, act_r, act_th, act_t)
         act_sym = act_sym[:0]
@@ -455,8 +472,7 @@ def stopping_set(ifs: IFS, rho: float, budget: int = DEFAULT_BUDGET) -> Stopping
         lengths, symbols = lengths[order], symbols[order]
         ratios, angles, trans = ratios[order], angles[order], trans[order]
 
-    centers = _apply_composed(ratios, angles, trans, ifs.ball_center)
-    radii = ifs.ball_radius * ratios
+    centers, radii = _cell_disks(ifs, ratios, angles, trans)
     return StoppingSet(
         ifs=ifs,
         rho=rho,
@@ -490,12 +506,7 @@ def attractor_points(ifs: IFS, depth: int, budget: int = DEFAULT_BUDGET) -> np.n
     count = ifs.m ** depth
     if count > budget:
         raise BudgetExceededError(count, budget)
-    r = np.array([1.0])
-    th = np.array([0.0])
-    t = np.zeros((1, ifs.ambient_dim))
-    for _ in range(depth):
-        r, th, t = _compose_step(r, th, t, ifs)
-    return _apply_composed(r, th, t, ifs.ball_center)
+    return _apply_composed(*_all_compositions(ifs, depth), ifs.ball_center)
 
 
 def iterate_system(ifs: IFS, q: int, budget: int = DEFAULT_BUDGET) -> IFS:
@@ -510,11 +521,7 @@ def iterate_system(ifs: IFS, q: int, budget: int = DEFAULT_BUDGET) -> IFS:
     count = ifs.m ** q
     if count > budget:
         raise BudgetExceededError(count, budget)
-    r = np.array([1.0])
-    th = np.array([0.0])
-    t = np.zeros((1, ifs.ambient_dim))
-    for _ in range(q):
-        r, th, t = _compose_step(r, th, t, ifs)
+    r, th, t = _all_compositions(ifs, q)
     maps = tuple(
         Similarity(ratio=float(r[i]), angle=float(th[i]), translation=t[i])
         for i in range(count)
@@ -528,6 +535,27 @@ def iterate_system(ifs: IFS, q: int, budget: int = DEFAULT_BUDGET) -> IFS:
         label=f"{ifs.label}^iter{q}" if ifs.label else f"iterated_{q}",
         dense_rotations=ifs.dense_rotations,
     )
+
+
+def _distinct_permutations(items):
+    """Distinct orderings of a multiset as tuples, in lexicographic order.
+
+    Walks the next-permutation successor from the sorted order, so each
+    ordering is produced once however many repeated items there are.
+    """
+    seq = sorted(items)
+    while True:
+        yield tuple(seq)
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1 :] = seq[:i:-1]
 
 
 @dataclass(eq=False)
@@ -548,8 +576,6 @@ def equal_rotation_subsystem(
     subsystem is an equal-ratio, equal-rotation IFS.  Ratio and angle are
     canonicalized to one shared float so the equality is exact.
     """
-    from sympy.utilities.iterables import multiset_permutations
-
     counts = [int(c) for c in counts]
     if len(counts) != ifs.m or any(c < 0 for c in counts) or sum(counts) < 1:
         raise ParameterError("counts must be non-negative with positive sum")
@@ -569,7 +595,7 @@ def equal_rotation_subsystem(
     multiset = []
     for i, c in enumerate(counts):
         multiset.extend([i + 1] * c)
-    words = [tuple(w) for w in multiset_permutations(multiset)]
+    words = list(_distinct_permutations(multiset))
     maps = []
     for w in words:
         comp = compose(ifs, w)
@@ -594,13 +620,7 @@ def verify_ssc(ifs: IFS, depth: int = 1, budget: int = DEFAULT_BUDGET) -> bool:
     n = ifs.m ** depth
     if n > budget or n * (n - 1) // 2 > budget:
         raise BudgetExceededError(n * (n - 1) // 2, budget, what="disk pairs")
-    r = np.array([1.0])
-    th = np.array([0.0])
-    t = np.zeros((1, ifs.ambient_dim))
-    for _ in range(depth):
-        r, th, t = _compose_step(r, th, t, ifs)
-    centers = _apply_composed(r, th, t, ifs.ball_center)
-    radii = ifs.ball_radius * r
+    centers, radii = _cell_disks(ifs, *_all_compositions(ifs, depth))
     diff = centers[:, None, :] - centers[None, :, :]
     dist = np.sqrt(np.sum(diff ** 2, axis=2))
     need = radii[:, None] + radii[None, :]

@@ -20,7 +20,7 @@ from .errors import (
     ParameterError,
     UnsupportedLawError,
 )
-from .geometry import IFS, _compose_step
+from .geometry import IFS, _all_compositions
 from .sections import Direction
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "DecayEstimate",
     "fourier_decay",
 ]
-
-_REPRESENTABLE = float(2 ** 53)
 
 
 def _compensate(w: np.ndarray) -> np.ndarray:
@@ -270,12 +268,7 @@ def block_weights(sample: MeasureSample, q: int, n: int) -> np.ndarray:
 
 def block_translations(ifs: IFS, q: int) -> np.ndarray:
     """Translations of the q-fold compositions, lexicographic order."""
-    r = np.array([1.0])
-    th = np.array([0.0])
-    t = np.zeros((1, ifs.ambient_dim))
-    for _ in range(q):
-        r, th, t = _compose_step(r, th, t, ifs)
-    return t
+    return _all_compositions(ifs, q)[2]
 
 
 def _check_fourier_system(sample: MeasureSample, ifs: IFS, q: int):

@@ -19,9 +19,15 @@ from .errors import (
     BudgetExceededError,
     ParameterError,
     SubcriticalLawError,
-    UnsupportedLawError,
 )
-from .geometry import DEFAULT_BUDGET, IFS, Similarity, word_geometry
+from .geometry import (
+    DEFAULT_BUDGET,
+    IFS,
+    Similarity,
+    _cell_disks,
+    _extend,
+    _identity_maps,
+)
 
 __all__ = [
     "OffspringLaw",
@@ -137,44 +143,59 @@ def table_law(masks, probs) -> OffspringLaw:
 
 @dataclass(eq=False)
 class _Generation:
-    symbols: np.ndarray            # (n, k) uint16, symbols 1..m
-    parent: np.ndarray | None      # (n,) int64 rows into previous generation
-    hashes: np.ndarray | None      # (n,) uint64 path hashes
+    parent: np.ndarray   # (n,) int32 rows into the previous generation, -1 at the root
+    symbol: np.ndarray   # (n,) last symbol of each word, 1..m (0 at the root)
+
+
+def _symbol_dtype(m: int):
+    return np.uint8 if m < 256 else np.uint16
 
 
 @dataclass(eq=False)
 class PercolationSample:
-    """Surviving words per depth; word in gen k iff its whole path retained."""
+    """Surviving words per depth; word in gen k iff its whole path retained.
+
+    Each generation stores only parent links and last symbols; whole words
+    are rebuilt on demand by walking the links.  Composed cylinder maps are
+    folded top-down through the generations, once per IFS, and kept so that
+    later clouds of the same sample reuse them.
+    """
 
     law: OffspringLaw | None
     seed: object
     depth: int
     generations: list
+    _maps: dict = field(default_factory=dict, repr=False)
 
     def counts(self) -> np.ndarray:
-        return np.array([len(g.symbols) for g in self.generations], dtype=np.int64)
+        return np.array([len(g.parent) for g in self.generations], dtype=np.int64)
 
     @property
     def extinct(self) -> bool:
-        return len(self.generations[-1].symbols) == 0
+        return len(self.generations[-1].parent) == 0
 
     def symbols_at(self, k: int) -> np.ndarray:
-        return self.generations[k].symbols
+        """(n, k) uint16 words of generation k, lexicographic order."""
+        n = len(self.generations[k].parent)
+        out = np.empty((n, k), dtype=np.uint16)
+        rows = np.arange(n)
+        for j in range(k, 0, -1):
+            gen = self.generations[j]
+            out[:, j - 1] = gen.symbol[rows]
+            rows = gen.parent[rows]
+        return out
 
     def words_at(self, k: int) -> list:
-        return [tuple(int(s) for s in row) for row in self.generations[k].symbols]
+        return [tuple(row) for row in self.symbols_at(k).tolist()]
 
     def persistent_masks(self) -> list:
         """Per generation, which words have descendants in the deepest one."""
         masks = [None] * len(self.generations)
-        masks[-1] = np.ones(len(self.generations[-1].symbols), dtype=bool)
+        masks[-1] = np.ones(len(self.generations[-1].parent), dtype=bool)
         for k in range(len(self.generations) - 1, 0, -1):
-            gen = self.generations[k]
-            if gen.parent is None:
-                raise UnsupportedLawError("sample lacks parent links")
-            prev = np.zeros(len(self.generations[k - 1].symbols), dtype=bool)
+            prev = np.zeros(len(self.generations[k - 1].parent), dtype=bool)
             if masks[k].any():
-                prev[gen.parent[masks[k]]] = True
+                prev[self.generations[k].parent[masks[k]]] = True
             masks[k - 1] = prev
         return masks
 
@@ -185,10 +206,14 @@ class PercolationSample:
         """(centers, radii) of the surviving depth-k cylinder disks."""
         if ifs.m != (self.law.m if self.law is not None else ifs.m):
             raise ParameterError("law arity does not match the IFS")
-        sym = self.generations[k].symbols
+        maps = self._maps.setdefault(ifs, [_identity_maps(1, ifs.ambient_dim)])
+        for gen in self.generations[len(maps) : k + 1]:
+            maps.append(_extend(*maps[-1], ifs, gen.parent, gen.symbol - 1))
+        centers, radii = _cell_disks(ifs, *maps[k])
         if persistent:
-            sym = sym[self.persistent_masks()[k]]
-        return word_geometry(ifs, sym)
+            keep = self.persistent_masks()[k]
+            centers, radii = centers[keep], radii[keep]
+        return centers, radii
 
 
 def _expected_nodes(mean: float, depth: int) -> float:
@@ -222,45 +247,32 @@ def sample_tree(
         raise BudgetExceededError(expected, budget, what="expected nodes")
 
     m = law.m
-    root = _Generation(
-        symbols=np.zeros((1, 0), dtype=np.uint16),
-        parent=np.full(1, -1, dtype=np.int64),
-        hashes=rng.root_hash(np.uint64(seed)).reshape(1),
-    )
-    gens = [root]
+    dtype = _symbol_dtype(m)
+    gens = [_Generation(parent=np.full(1, -1, dtype=np.int32), symbol=np.zeros(1, dtype))]
+    # path hashes of the current frontier only; no later layer reads them
+    hashes = rng.root_hash(np.uint64(seed)).reshape(1)
     total = 1
     for k in range(depth):
-        prev = gens[-1]
-        n = len(prev.symbols)
+        n = len(hashes)
         if n == 0:
             gens.append(
-                _Generation(
-                    symbols=np.zeros((0, k + 1), dtype=np.uint16),
-                    parent=np.zeros(0, dtype=np.int64),
-                    hashes=np.zeros(0, dtype=np.uint64),
-                )
+                _Generation(parent=np.zeros(0, dtype=np.int32), symbol=np.zeros(0, dtype))
             )
             continue
         if total + n * m > budget:
             raise BudgetExceededError(total + n * m, budget, what="nodes")
-        child_h = rng.child_hashes(prev.hashes, m)
+        child_h = rng.child_hashes(hashes, m)
         if law.independent:
             u = rng.uniform_from_hash(child_h, rng.SALT_RETAIN)
             keep = u < law.retain[None, :]
         else:
-            keep = _mask_rows(law, prev.hashes)
+            keep = _mask_rows(law, hashes)
         rows, cols = np.nonzero(keep)
         total += len(rows)
-        symbols = np.empty((len(rows), k + 1), dtype=np.uint16)
-        symbols[:, :k] = prev.symbols[rows]
-        symbols[:, k] = (cols + 1).astype(np.uint16)
         gens.append(
-            _Generation(
-                symbols=symbols,
-                parent=rows.astype(np.int64),
-                hashes=child_h[rows, cols],
-            )
+            _Generation(parent=rows.astype(np.int32), symbol=(cols + 1).astype(dtype))
         )
+        hashes = child_h[rows, cols]
     return PercolationSample(law=law, seed=seed, depth=depth, generations=gens)
 
 
@@ -283,21 +295,13 @@ def sample_surviving_tree(
     raise ParameterError(f"no surviving sample in {max_tries} tries (law too thin?)")
 
 
-def _pack_codes(symbols: np.ndarray, m: int) -> np.ndarray:
-    k = symbols.shape[1]
-    if k * math.log2(max(m, 2)) > 62:
-        raise BudgetExceededError(k * math.log2(m), 62, what="code bits")
-    codes = np.zeros(len(symbols), dtype=np.int64)
-    for j in range(k):
-        codes = codes * m + (symbols[:, j].astype(np.int64) - 1)
-    return codes
-
-
 def intersect_samples(a: PercolationSample, b: PercolationSample) -> PercolationSample:
     """Per-depth intersection of two samples over the same alphabet.
 
-    The result is again downward closed (a prefix of a common word is a
-    common word), so parent links are rebuilt.
+    Words are matched by base-m codes built down the parent links
+    (code = parent_code * m + symbol - 1).  The result is again downward
+    closed (a prefix of a common word is a common word), so parent links
+    are rebuilt.
     """
     law = a.law if a.law is not None else b.law
     if law is None:
@@ -307,24 +311,22 @@ def intersect_samples(a: PercolationSample, b: PercolationSample) -> Percolation
     ):
         raise ParameterError("samples must share alphabet and depth")
     m = law.m
-    gens = []
-    prev_codes = None
-    for k in range(a.depth + 1):
-        ca = _pack_codes(a.generations[k].symbols, m)
-        cb = _pack_codes(b.generations[k].symbols, m)
-        common = np.intersect1d(ca, cb)
-        symbols = np.empty((len(common), k), dtype=np.uint16)
-        rem = common.copy()
-        for j in range(k - 1, -1, -1):
-            symbols[:, j] = (rem % m + 1).astype(np.uint16)
-            rem //= m
-        parent = (
-            np.searchsorted(prev_codes, common // m).astype(np.int64)
-            if k
-            else np.full(len(common), -1, dtype=np.int64)
+    if a.depth * math.log2(max(m, 2)) > 62:
+        raise BudgetExceededError(a.depth * math.log2(m), 62, what="code bits")
+    dtype = _symbol_dtype(m)
+    gens = [_Generation(parent=np.full(1, -1, dtype=np.int32), symbol=np.zeros(1, dtype))]
+    ca = cb = common = np.zeros(1, dtype=np.int64)
+    for k in range(1, a.depth + 1):
+        ga, gb = a.generations[k], b.generations[k]
+        ca = ca[ga.parent] * m + (ga.symbol.astype(np.int64) - 1)
+        cb = cb[gb.parent] * m + (gb.symbol.astype(np.int64) - 1)
+        prev, common = common, np.intersect1d(ca, cb)
+        gens.append(
+            _Generation(
+                parent=np.searchsorted(prev, common // m).astype(np.int32),
+                symbol=(common % m + 1).astype(dtype),
+            )
         )
-        gens.append(_Generation(symbols=symbols, parent=parent, hashes=None))
-        prev_codes = common
     return PercolationSample(
         law=None, seed=(a.seed, b.seed), depth=a.depth, generations=gens
     )

@@ -212,23 +212,12 @@ def section_dim(
 
 def interval_union_length(lo, hi) -> float:
     """Total length of a union of intervals [lo_i, hi_i] (sweep merge)."""
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if len(lo) == 0:
-        return 0.0
-    order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
-    run_hi = np.maximum.accumulate(hi)
-    # component starts where the next interval opens past everything seen
-    new_comp = np.empty(len(lo), dtype=bool)
-    new_comp[0] = True
-    new_comp[1:] = lo[1:] > run_hi[:-1]
-    starts = np.flatnonzero(new_comp)
-    ends = np.append(starts[1:], len(lo)) - 1
-    return float(np.sum(run_hi[ends] - lo[starts]))
+    mlo, mhi = _merged_intervals(lo, hi)
+    return float(np.sum(mhi - mlo))
 
 
 def _merged_intervals(lo, hi):
+    """Disjoint components (starts, ends) of a union of intervals, sorted."""
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     if len(lo) == 0:
@@ -236,6 +225,7 @@ def _merged_intervals(lo, hi):
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
     run_hi = np.maximum.accumulate(hi)
+    # component starts where the next interval opens past everything seen
     new_comp = np.empty(len(lo), dtype=bool)
     new_comp[0] = True
     new_comp[1:] = lo[1:] > run_hi[:-1]

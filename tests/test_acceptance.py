@@ -6,6 +6,7 @@ the captured output when a run fails).  Tolerances are fixed here, not
 derived at runtime; seeds are fixed so every run sees the same streams.
 """
 
+import hashlib
 import math
 import time
 
@@ -433,4 +434,36 @@ def test_15_reports_thread_count_invariant(monkeypatch):
         f"all {len(REDUCED)} scenarios byte-identical"
         if not mismatched
         else f"mismatch in {mismatched}",
+    )
+
+
+# sha256 of canonical_report_bytes for each REDUCED run at seed 7.  "version"
+# is dropped before hashing: it reads "unknown" when dimlab is not installed,
+# so keeping it would tie the digest to the install.  A digest that moves is
+# a numerical change and has to be re-pinned here on purpose.
+GOLDEN_DIGESTS = {
+    "moran": "9306396baa8282f179b9fe33a616309423cdf065ed81a166c66e8d7680c5f0af",
+    "percolate-dim": "14e8843dc6390cb57cc357ddaf21dafa363847baa7f82945c379aea0e9b2ef56",
+    "projection-positivity": "e465002f6ad653b320cda1d0a62a03eacf3164990955837f71ca4e414f4567f6",
+    "sections-conservation": "f30387e2351a898d3b9d031c3ce330c90eab3059a144dba689e785073dff0b35",
+    "mandelbrot-slices": "90e9fb146bfdf713d2d0e25ea894e754cf624be6b7d62dd2d545ef7d381bf756",
+    "probe": "87226093f4682d8f56377acba3d3609252d91538e66679a9ffbe68822a3216a0",
+    "exceptional-scan": "8b61ed33b50ea8f334d738d66478cbbe7b39353f6534bb51df48b84a0a4ef76f",
+    "fourier-decay": "a9d5253c62d7b3a6358fcf1d734c619fcd9c3eb93380a45b065866fc6a5a714b",
+}
+
+
+def test_16_reduced_reports_match_golden_digests():
+    assert set(GOLDEN_DIGESTS) == set(REDUCED)
+    moved = []
+    for name, params in REDUCED.items():
+        report = run_scenario(name, params=params, seed=7)
+        report.pop("version")
+        digest = hashlib.sha256(canonical_report_bytes(report)).hexdigest()
+        if digest != GOLDEN_DIGESTS[name]:
+            moved.append(name)
+    verdict(
+        "16 reduced reports match their golden digests",
+        not moved,
+        f"all {len(REDUCED)} digests pinned" if not moved else f"moved: {moved}",
     )

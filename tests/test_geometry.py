@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -283,6 +284,14 @@ def test_equal_rotation_subsystem_counts_and_canonical_maps(triangle, rot3):
     for w, f in zip(sub2.words, sub2.ifs.maps):
         g = oracles.compose_word(rot3, w)
         assert np.allclose(f.translation, g.translation, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "items", [[], [2], [1, 1, 1], [1, 1, 2, 3], [3, 1, 2, 1], [1, 2, 2, 3, 3, 3]]
+)
+def test_distinct_permutations_are_lexicographic_and_unique(items):
+    got = list(dl.geometry._distinct_permutations(items))
+    assert got == sorted(set(itertools.permutations(items)))
 
 
 def test_equal_rotation_subsystem_rejects_bad_counts(triangle):

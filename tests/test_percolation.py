@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -196,6 +197,83 @@ def test_cell_cloud_sizes_and_radii(carpet):
     assert np.allclose(radii, carpet.ball_radius * carpet.ratios[0] ** 3)
     pcenters, _ = sample.cell_cloud(carpet, 3, persistent=True)
     assert len(pcenters) == sample.persistent_counts()[3]
+
+
+def _surviving_words_by_brute_force(law, depth, seed):
+    """Per depth, every word whose whole path path_survival keeps, in lex order."""
+    out = []
+    for k in range(depth + 1):
+        words = itertools.product(range(1, law.m + 1), repeat=k)
+        out.append([w for w in words if dl.path_survival(law, w, [seed])[0]])
+    return out
+
+
+@pytest.mark.parametrize(
+    "law, depth",
+    [
+        (dl.standard_law(dl.load_ifs("sierpinski_carpet"), 0.5), 3),
+        (dl.table_law([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]], [0.25, 0.25, 0.5]), 4),
+    ],
+)
+def test_parent_links_rebuild_the_surviving_words(law, depth):
+    for seed in (3, 11):
+        sample = dl.sample_tree(law, depth, seed)
+        want = _surviving_words_by_brute_force(law, depth, seed)
+        for k in range(depth + 1):
+            assert sample.words_at(k) == want[k]
+            sym = sample.symbols_at(k)
+            assert sym.dtype == np.uint16 and sym.shape == (len(want[k]), k)
+            assert [tuple(r) for r in sym.tolist()] == want[k]
+
+
+def _same_words_stopping_set(ifs, k):
+    """Stopping set whose words are exactly all words of length k."""
+    r = float(ifs.ratios[0])
+    ss = dl.stopping_set(ifs, ifs.diameter_proxy * r ** k * (1.0 + r) / 2.0)
+    assert np.all(ss.lengths == k)
+    return ss
+
+
+@pytest.mark.parametrize("name", ["rot3", "carpet"])
+def test_cell_cloud_is_bitwise_the_word_fold_and_stopping_set(name, request):
+    ifs = request.getfixturevalue(name)
+    law = dl.uniform_law(ifs.m, 0.8)
+    sample = dl.sample_tree(law, 4, seed=13)
+    for k in range(5):
+        centers, radii = sample.cell_cloud(ifs, k)
+        sym = sample.symbols_at(k)
+        wc, wr = dl.word_geometry(ifs, sym)
+        assert np.array_equal(centers, wc) and np.array_equal(radii, wr)
+        if k == 0:
+            continue
+        ss = _same_words_stopping_set(ifs, k)
+        # all words of length k in lex order: a word's row is its base-m code
+        code = np.zeros(len(sym), dtype=np.int64)
+        for j in range(k):
+            code = code * ifs.m + (sym[:, j].astype(np.int64) - 1)
+        assert np.array_equal(centers, ss.centers[code])
+        assert np.array_equal(radii, ss.radii[code])
+
+
+def test_cell_cloud_order_of_requests_does_not_matter(carpet):
+    law = dl.standard_law(carpet, 0.3)
+    late = dl.sample_tree(law, 6, seed=8)
+    five = late.cell_cloud(carpet, 5)
+    two = late.cell_cloud(carpet, 2)
+    for k, got in ((5, five), (2, two)):
+        want = dl.sample_tree(law, 6, seed=8).cell_cloud(carpet, k)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_persistent_cloud_is_the_masked_full_cloud(carpet):
+    law = dl.standard_law(carpet, 0.6)
+    sample = dl.sample_tree(law, 5, seed=21)
+    masks = sample.persistent_masks()
+    for k in range(6):
+        centers, radii = sample.cell_cloud(carpet, k)
+        pc, pr = sample.cell_cloud(carpet, k, persistent=True)
+        assert np.array_equal(pc, centers[masks[k]])
+        assert np.array_equal(pr, radii[masks[k]])
 
 
 # ---------------------------------------------------------------------------
