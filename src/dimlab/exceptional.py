@@ -9,11 +9,20 @@ Distance to the nearest integer is only meaningful while the value itself
 is exactly representable; beyond 2^53 every float is an integer and the
 distance degenerates to 0.  Terms that large are therefore counted as not
 aligned rather than trivially aligned.
+
+Only the columns that can be decided are evaluated.  The value at (tau, n)
+is (b tau) c_n with c_n = r^{q-qk(N-n)} cos(beta + gamma - nqk theta),
+b >= 0, and tau >= tau_0, the first point of the grid.  Rounding is
+monotone, so |(b tau) c_n| >= |(b tau_0) c_n| at every tau: a column whose
+tau_0 value is 2^53 or more, infinite or NaN is not aligned at any tau and
+adds 0 to every fraction.  Such columns are dropped before the tau x N
+product is formed; the rest are evaluated elementwise exactly as a dense
+matrix would be, so the fractions are bit for bit those of the dense scan.
+At the catalog defaults only the last ~13-16 of the N terms survive.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,27 +94,40 @@ class MembershipResult:
     fractions: np.ndarray  # per tau grid point
 
 
-def _term_matrix(params: AlignmentParams, beta: float) -> np.ndarray:
-    """Values b tau r^{q-qk(N-n)} cos(beta+gamma-nqk theta), shape (taus, N)."""
+def _decidable_columns(bt: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Indices n whose value (b tau_0) c_n is finite and below 2^53.
+
+    bt holds b tau over the grid, smallest tau first; any other column fails
+    the representability test at every tau (see the module docstring).
+    """
+    return np.flatnonzero(np.abs(bt[0] * c) < _REPRESENTABLE)
+
+
+def _alignment_fractions(params: AlignmentParams, betas):
+    """Per beta, the aligned fraction of the N terms at each tau of the grid."""
     n = np.arange(1, params.big_n + 1, dtype=np.float64)
     qk = params.q * params.k
     exponents = params.q - qk * (params.big_n - n)
-    cosines = np.cos(beta + params.gamma - n * qk * params.theta)
     with np.errstate(over="ignore"):
         scales = params.r ** exponents
-        return params.b * params.taus()[:, None] * (scales * cosines)[None, :]
-
-
-def _aligned(values: np.ndarray, threshold: float) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        dist = np.abs(values - np.round(values))
-        return (np.abs(values) < _REPRESENTABLE) & (dist <= threshold)
+    phase = params.gamma - n * qk * params.theta
+    bt = params.b * params.taus()
+    threshold = params.threshold
+    for beta in betas:
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = scales * np.cos(beta + phase)
+            cols = _decidable_columns(bt, c)
+            vals = bt[:, None] * c[cols][None, :]
+            ok = np.abs(vals) < _REPRESENTABLE
+            np.subtract(vals, np.round(vals), out=vals)
+            np.abs(vals, out=vals)
+            ok &= vals <= threshold
+        yield np.count_nonzero(ok, axis=1) / params.big_n
 
 
 def membership_fraction(params: AlignmentParams, beta: float) -> MembershipResult:
     """Best alignment fraction over the tau grid for one direction."""
-    values = _term_matrix(params, beta)
-    fractions = _aligned(values, params.threshold).mean(axis=1)
+    (fractions,) = _alignment_fractions(params, [beta])
     best = int(np.argmax(fractions))
     max_fraction = float(fractions[best])
     return MembershipResult(
@@ -139,19 +161,9 @@ def scan_directions(params: AlignmentParams, betas) -> ScanResult:
     if betas.ndim != 1 or len(betas) == 0:
         raise ParameterError("betas must be a non-empty 1-d array")
     taus = params.taus()
-    n = np.arange(1, params.big_n + 1, dtype=np.float64)
-    qk = params.q * params.k
-    exponents = params.q - qk * (params.big_n - n)
-    with np.errstate(over="ignore"):
-        scales = params.r ** exponents
-    phase = params.gamma - n * qk * params.theta
-    threshold = params.threshold
     max_fractions = np.zeros(len(betas))
     witness_taus = np.zeros(len(betas))
-    for i, beta in enumerate(betas):
-        with np.errstate(over="ignore"):
-            vals = params.b * taus[:, None] * (scales * np.cos(beta + phase))[None, :]
-        fractions = _aligned(vals, threshold).mean(axis=1)
+    for i, fractions in enumerate(_alignment_fractions(params, betas)):
         best = int(np.argmax(fractions))
         max_fractions[i] = fractions[best]
         witness_taus[i] = taus[best]

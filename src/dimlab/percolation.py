@@ -188,16 +188,22 @@ class PercolationSample:
     def words_at(self, k: int) -> list:
         return [tuple(row) for row in self.symbols_at(k).tolist()]
 
+    def _persistent_walk(self, k: int):
+        """Masks of words with descendants in the deepest generation, from
+        the deepest generation down to generation k, one at a time."""
+        mask = np.ones(len(self.generations[-1].parent), dtype=bool)
+        yield mask
+        for j in range(len(self.generations) - 1, k, -1):
+            parent = self.generations[j].parent
+            prev = np.zeros(len(self.generations[j - 1].parent), dtype=bool)
+            # an all-true mask (always the deepest one) needs no gathered copy
+            prev[parent if mask.all() else parent[mask]] = True
+            mask = prev
+            yield mask
+
     def persistent_masks(self) -> list:
         """Per generation, which words have descendants in the deepest one."""
-        masks = [None] * len(self.generations)
-        masks[-1] = np.ones(len(self.generations[-1].parent), dtype=bool)
-        for k in range(len(self.generations) - 1, 0, -1):
-            prev = np.zeros(len(self.generations[k - 1].parent), dtype=bool)
-            if masks[k].any():
-                prev[self.generations[k].parent[masks[k]]] = True
-            masks[k - 1] = prev
-        return masks
+        return list(self._persistent_walk(0))[::-1]
 
     def persistent_counts(self) -> np.ndarray:
         return np.array([int(m.sum()) for m in self.persistent_masks()], dtype=np.int64)
@@ -211,7 +217,8 @@ class PercolationSample:
             maps.append(_extend(*maps[-1], ifs, gen.parent, gen.symbol - 1))
         centers, radii = _cell_disks(ifs, *maps[k])
         if persistent:
-            keep = self.persistent_masks()[k]
+            for keep in self._persistent_walk(k):
+                pass  # the last mask is generation k's; earlier ones are dropped
             centers, radii = centers[keep], radii[keep]
         return centers, radii
 

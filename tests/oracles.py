@@ -116,6 +116,32 @@ def alignment_fractions_naive(r, theta, b, gamma, q, k, big_n, taus, beta):
     return out
 
 
+def alignment_scan_dense(params, betas):
+    """Per-beta alignment fractions over the whole tau x N matrix.
+
+    No column is skipped: every (tau, n) value is built, rounded and tested.
+    Returns (fractions of shape (betas, taus), max fractions, witness taus).
+    """
+    r, q, k, big_n = params.r, params.q, params.k, params.big_n
+    taus = np.geomspace(1.0, r ** (-q * k), params.tau_grid)
+    threshold = r ** (2 * q * k) / 15.0
+    n = np.arange(1, big_n + 1, dtype=np.float64)
+    qk = q * k
+    with np.errstate(over="ignore"):
+        scales = r ** (q - qk * (big_n - n))
+    phase = params.gamma - n * qk * params.theta
+    rows = []
+    for beta in betas:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = params.b * taus[:, None] * (scales * np.cos(beta + phase))[None, :]
+            dist = np.abs(vals - np.round(vals))
+            aligned = (np.abs(vals) < 2.0 ** 53) & (dist <= threshold)
+        rows.append(aligned.mean(axis=1))
+    fractions = np.array(rows)
+    best = np.argmax(fractions, axis=1)
+    return fractions, fractions[np.arange(len(rows)), best], taus[best]
+
+
 def gw_extinction_by_depth(m: int, p: float, depth: int, trials: int, seed: int):
     """Fraction of Galton-Watson trees extinct by `depth`.
 

@@ -120,3 +120,60 @@ def test_scan_rejects_empty_grid():
     p = AlignmentParams(**CATALOG, big_n=10)
     with pytest.raises(ParameterError):
         dl.scan_directions(p, np.zeros(0))
+
+
+# Cases where skipping undecidable columns could go wrong, each checked for
+# exact equality against the dense tau x N matrix in oracles.py.
+DENSE_CASES = {
+    # N = 200 at tau_grid 512: all but ~16 columns are pruned
+    "catalog": dict(**CATALOG, big_n=200, tau_grid=512),
+    # early terms overflow to +-inf, and no column is decidable
+    "overflow": dict(
+        r=0.5, theta=1.0, b=1e300, gamma=0.0, q=2, k=2, delta=0.99,
+        big_n=40, tau_grid=8,
+    ),
+    # b = 0 with r^exponent overflowing: 0 * inf columns are NaN, never aligned
+    "nan_columns": dict(
+        r=0.5, theta=1.0, b=0.0, gamma=0.0, q=2, k=2, delta=1.0 / 3.0,
+        big_n=300, tau_grid=32,
+    ),
+    # exact powers of two 2^(59-n) at beta = 0: the n = 6 term is exactly
+    # 2^53 at tau_0, which the strict < 2^53 test rejects at every tau
+    "powers_of_two": dict(
+        r=0.5, theta=0.0, b=1.0, gamma=math.pi, q=1, k=1, delta=1.0 / 3.0,
+        big_n=60, tau_grid=32,
+    ),
+    "single_tau": dict(**CATALOG, big_n=60, tau_grid=1),
+}
+DENSE_BETAS = np.linspace(0.0, math.pi, 24, endpoint=False)
+
+
+def _assert_matches_dense(params, betas):
+    fractions, max_fractions, witness_taus = oracles.alignment_scan_dense(params, betas)
+    scan = dl.scan_directions(params, betas)
+    assert np.array_equal(scan.max_fractions, max_fractions)
+    assert np.array_equal(scan.witness_taus, witness_taus)
+    assert np.array_equal(scan.members, max_fractions > 1.0 - params.delta)
+    for i, beta in enumerate(betas):
+        one = dl.membership_fraction(params, beta)
+        assert np.array_equal(one.fractions, fractions[i])
+        assert one.max_fraction == max_fractions[i]
+        assert one.witness_tau == witness_taus[i]
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_scan_equals_dense_reference(case):
+    _assert_matches_dense(AlignmentParams(**DENSE_CASES[case]), DENSE_BETAS)
+
+
+def test_dense_reference_catches_pruning_at_largest_tau(monkeypatch):
+    """A column undecidable at the largest tau can still be decidable, and
+    aligned, at smaller ones; pruning on tau_max instead of tau_0 drops it."""
+    from dimlab import exceptional
+
+    def prune_at_tau_max(bt, c):
+        return np.flatnonzero(np.abs(bt[-1] * c) < 2.0 ** 53)
+
+    monkeypatch.setattr(exceptional, "_decidable_columns", prune_at_tau_max)
+    with pytest.raises(AssertionError):
+        _assert_matches_dense(AlignmentParams(**DENSE_CASES["catalog"]), DENSE_BETAS)
