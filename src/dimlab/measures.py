@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedLawError,
 )
 from .geometry import IFS, _all_compositions
-from .sections import Direction
+from .sections import Direction, _line_fit
 
 __all__ = [
     "RandomWeightLaw",
@@ -128,15 +128,6 @@ def forced_pair_law(
         p = (target - 2.0 / mq) * mq / (mq - 2.0)
         return mq, target, p
 
-    def proxy(qq: int, mq: int, p: float):
-        gen = np.random.Generator(np.random.Philox(key=123456789 + qq))
-        sizes = 2 + gen.binomial(mq - 2, p, size=proxy_trials)
-        logs = np.log(sizes)
-        denom = -qq * math.log(r)
-        return float(logs.mean() / denom), float(
-            logs.std(ddof=1) / math.sqrt(proxy_trials) / denom
-        )
-
     if q is not None:
         if q < 1:
             raise ParameterError("q must be >= 1")
@@ -145,7 +136,7 @@ def forced_pair_law(
             raise ParameterError(f"need r^-q > 2, got {r ** (-q):.4g}")
         if not 0.0 < p < 1.0:
             raise ParameterError(f"p_q = {p:.4g} outside (0, 1) at q = {q}")
-        dim, se = proxy(q, mq, p)
+        dim, se = _binomial_dimension(mq, p, q, r, proxy_trials, 123456789 + q)
     else:
         for q in range(1, q_max + 1):
             if r ** (-q) <= 2.0:
@@ -153,7 +144,7 @@ def forced_pair_law(
             mq, target, p = build(q)
             if not 0.0 < p < 1.0:
                 continue
-            dim, se = proxy(q, mq, p)
+            dim, se = _binomial_dimension(mq, p, q, r, proxy_trials, 123456789 + q)
             if dim >= 1.0 + epsilon / 2.0:
                 break
         else:
@@ -231,11 +222,16 @@ def measure_dimension(law: RandomWeightLaw, trials: int, seed: int):
     """
     if law.kind != "forced-pair-uniform":
         raise UnsupportedLawError("dimension estimate needs the forced-pair law")
-    r = law.meta["r"]
-    q = law.meta["q"]
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    sizes = 2 + gen.binomial(law.arity - 2, law.retain_prob, size=int(trials))
-    logs = np.log(sizes)
+    return _binomial_dimension(
+        law.arity, law.retain_prob, law.meta["q"], law.meta["r"], int(trials), int(seed)
+    )
+
+
+def _binomial_dimension(arity, p, q, r, trials, key):
+    """Mean and standard error of log(2 + Binomial(arity - 2, p)) / (-q log r),
+    over `trials` draws from a Philox stream keyed by `key`."""
+    gen = np.random.Generator(np.random.Philox(key=key))
+    logs = np.log(2 + gen.binomial(arity - 2, p, size=trials))
     denom = -q * math.log(r)
     return float(logs.mean() / denom), float(
         logs.std(ddof=1) / math.sqrt(trials) / denom
@@ -445,13 +441,7 @@ def fourier_decay(
     exact_zeros = int(np.count_nonzero(moduli == 0.0))
     keep = moduli > 0.0
     if keep.sum() >= 2:
-        x = np.log(ts[keep])
-        y = -np.log(moduli[keep])
-        slope, _ = np.polyfit(x, y, 1)
-        resid = y - np.polyval(np.polyfit(x, y, 1), x)
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 1e-30 else 1.0
-        slope = float(slope)
+        slope, _, r2 = _line_fit(np.log(ts[keep]), -np.log(moduli[keep]))
     else:
         slope, r2 = float("nan"), float("nan")
     return DecayEstimate(

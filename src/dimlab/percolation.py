@@ -4,6 +4,10 @@ A percolation sample keeps, per depth, the set of words whose whole ancestor
 path was retained.  Retention decisions are a pure function of (seed, word
 path) via the counter-based PRF in `rng`, so samples are bit-for-bit
 reproducible and independent of traversal order.
+
+One keep rule (`_retained`) and one expansion (`_grow`) serve every sampler:
+a batch of trees grows as one forest and is counted per tree id, carried
+down the parent links.
 """
 
 from __future__ import annotations
@@ -229,12 +233,40 @@ def _expected_nodes(mean: float, depth: int) -> float:
     return (mean ** (depth + 1) - 1.0) / (mean - 1.0)
 
 
-def _mask_rows(law: OffspringLaw, parent_hashes: np.ndarray) -> np.ndarray:
-    """Boolean (n, m) retention matrix for a table law, one mask per parent."""
-    u = rng.uniform_from_hash(parent_hashes, rng.SALT_MASK)
+def _retained(law: OffspringLaw, hashes, child_hashes, syms) -> np.ndarray:
+    """Whether child `syms` (0-based index or slice) of each parent is kept:
+    a uniform per child hash (independent laws) or a mask per parent hash."""
+    if law.independent:
+        return rng.uniform_from_hash(child_hashes, rng.SALT_RETAIN) < law.retain[syms]
+    u = rng.uniform_from_hash(hashes, rng.SALT_MASK)
     idx = np.searchsorted(law._cum_mask_probs(), u, side="right")
     idx = np.minimum(idx, len(law.mask_probs) - 1)
-    return law.masks[idx].astype(bool)
+    return law.masks[idx, syms].astype(bool)
+
+
+def _root(m: int) -> _Generation:
+    return _Generation(np.full(1, -1, dtype=np.int32), np.zeros(1, _symbol_dtype(m)))
+
+
+def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
+    """Yield the `depth` generations below a frontier of root path hashes.
+
+    Rows come in (parent row, symbol) order, so one pass grows one tree or
+    a forest of them.  Path hashes are kept for the frontier only; `budget`
+    bounds the nodes drawn, roots included.
+    """
+    m = law.m
+    dtype = _symbol_dtype(m)
+    total = len(hashes)
+    for _ in range(depth):
+        n = len(hashes)
+        if total + n * m > budget:
+            raise BudgetExceededError(total + n * m, budget, what="nodes")
+        child_h = rng.child_hashes(hashes, m)
+        rows, cols = np.nonzero(_retained(law, hashes, child_h, slice(None)))
+        total += len(rows)
+        yield _Generation(parent=rows.astype(np.int32), symbol=(cols + 1).astype(dtype))
+        hashes = child_h[rows, cols]
 
 
 def sample_tree(
@@ -253,33 +285,8 @@ def sample_tree(
     if expected > budget:
         raise BudgetExceededError(expected, budget, what="expected nodes")
 
-    m = law.m
-    dtype = _symbol_dtype(m)
-    gens = [_Generation(parent=np.full(1, -1, dtype=np.int32), symbol=np.zeros(1, dtype))]
-    # path hashes of the current frontier only; no later layer reads them
-    hashes = rng.root_hash(np.uint64(seed)).reshape(1)
-    total = 1
-    for k in range(depth):
-        n = len(hashes)
-        if n == 0:
-            gens.append(
-                _Generation(parent=np.zeros(0, dtype=np.int32), symbol=np.zeros(0, dtype))
-            )
-            continue
-        if total + n * m > budget:
-            raise BudgetExceededError(total + n * m, budget, what="nodes")
-        child_h = rng.child_hashes(hashes, m)
-        if law.independent:
-            u = rng.uniform_from_hash(child_h, rng.SALT_RETAIN)
-            keep = u < law.retain[None, :]
-        else:
-            keep = _mask_rows(law, hashes)
-        rows, cols = np.nonzero(keep)
-        total += len(rows)
-        gens.append(
-            _Generation(parent=rows.astype(np.int32), symbol=(cols + 1).astype(dtype))
-        )
-        hashes = child_h[rows, cols]
+    gens = [_root(law.m)]
+    gens.extend(_grow(law, rng.root_hash(np.uint64(seed)).reshape(1), depth, budget))
     return PercolationSample(law=law, seed=seed, depth=depth, generations=gens)
 
 
@@ -302,6 +309,26 @@ def sample_surviving_tree(
     raise ParameterError(f"no surviving sample in {max_tries} tries (law too thin?)")
 
 
+def _check_code_bits(n_roots: int, depth: int, m: int) -> None:
+    bits = math.log2(max(n_roots, 1)) + depth * math.log2(max(m, 2))
+    if bits > 62:
+        raise BudgetExceededError(bits, 62, what="code bits")
+
+
+def _codes(codes: np.ndarray, gen: _Generation, m: int) -> np.ndarray:
+    """Base-m codes of a generation from its parents' codes; strictly
+    increasing whenever the parents' codes are."""
+    return codes[gen.parent] * m + (gen.symbol.astype(np.int64) - 1)
+
+
+def _common(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.intersect1d of two strictly increasing arrays, by binary search."""
+    if len(a) > len(b):
+        a, b = b, a
+    at = np.minimum(np.searchsorted(b, a), len(b) - 1)
+    return a[b[at] == a]
+
+
 def intersect_samples(a: PercolationSample, b: PercolationSample) -> PercolationSample:
     """Per-depth intersection of two samples over the same alphabet.
 
@@ -318,16 +345,13 @@ def intersect_samples(a: PercolationSample, b: PercolationSample) -> Percolation
     ):
         raise ParameterError("samples must share alphabet and depth")
     m = law.m
-    if a.depth * math.log2(max(m, 2)) > 62:
-        raise BudgetExceededError(a.depth * math.log2(m), 62, what="code bits")
+    _check_code_bits(1, a.depth, m)
     dtype = _symbol_dtype(m)
-    gens = [_Generation(parent=np.full(1, -1, dtype=np.int32), symbol=np.zeros(1, dtype))]
+    gens = [_root(m)]
     ca = cb = common = np.zeros(1, dtype=np.int64)
-    for k in range(1, a.depth + 1):
-        ga, gb = a.generations[k], b.generations[k]
-        ca = ca[ga.parent] * m + (ga.symbol.astype(np.int64) - 1)
-        cb = cb[gb.parent] * m + (gb.symbol.astype(np.int64) - 1)
-        prev, common = common, np.intersect1d(ca, cb)
+    for ga, gb in zip(a.generations[1:], b.generations[1:]):
+        ca, cb = _codes(ca, ga, m), _codes(cb, gb, m)
+        prev, common = common, _common(ca, cb)
         gens.append(
             _Generation(
                 parent=np.searchsorted(prev, common // m).astype(np.int32),
@@ -451,46 +475,23 @@ def mandelbrot_config(M: int, d: int, p: float) -> MandelbrotConfig:
 
 
 # ---------------------------------------------------------------------------
-# batch enumeration across many seeds (small depths)
-
-
-def _batch_alive(law: OffspringLaw, seeds: np.ndarray, depth: int, budget: int):
-    """Yield (k, alive) for k = 0..depth where alive is (n_seeds, m^k) bool.
-
-    Enumerates the full m^k tree, so only suitable for small depths; keyed
-    identically to sample_tree (checked by tests).
-    """
-    m = law.m
-    n_nodes = sum(m ** k for k in range(depth + 1))
-    if n_nodes * len(seeds) > budget:
-        raise BudgetExceededError(n_nodes * len(seeds), budget, what="node draws")
-    h = rng.root_hash(seeds.astype(np.uint64)).reshape(-1, 1)
-    alive = np.ones((len(seeds), 1), dtype=bool)
-    yield 0, alive
-    for k in range(depth):
-        n = h.shape[1]
-        child_h = rng.child_hashes(h.ravel(), m).reshape(len(seeds), n * m)
-        if law.independent:
-            u = rng.uniform_from_hash(child_h, rng.SALT_RETAIN)
-            keep = u < np.tile(law.retain, n)[None, :]
-        else:
-            u = rng.uniform_from_hash(h.ravel(), rng.SALT_MASK)
-            idx = np.searchsorted(law._cum_mask_probs(), u, side="right")
-            idx = np.minimum(idx, len(law.mask_probs) - 1)
-            keep = law.masks[idx].astype(bool).reshape(len(seeds), n * m)
-        alive = np.repeat(alive, m, axis=1) & keep
-        h = child_h
-        yield k + 1, alive
+# batches of trees, grown as one forest
 
 
 def batch_generation_counts(
     law: OffspringLaw, depth: int, seeds, budget: int = DEFAULT_BUDGET
 ) -> np.ndarray:
-    """Surviving-word counts per depth for many seeds at once."""
+    """Surviving-word counts per depth for many seeds at once.
+
+    The trees grow as one forest; each node carries its tree's index down
+    the parent links, and counts are per tree index.
+    """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    out = np.zeros((len(seeds), depth + 1), dtype=np.int64)
-    for k, alive in _batch_alive(law, seeds, depth, budget):
-        out[:, k] = alive.sum(axis=1)
+    out = np.ones((len(seeds), depth + 1), dtype=np.int64)
+    tree = np.arange(len(seeds))
+    for k, gen in enumerate(_grow(law, rng.root_hash(seeds), depth, budget), 1):
+        tree = tree[gen.parent]
+        out[:, k] = np.bincount(tree, minlength=len(seeds))
     return out
 
 
@@ -502,18 +503,28 @@ def batch_intersection_counts(
     depth: int,
     budget: int = DEFAULT_BUDGET,
 ) -> np.ndarray:
-    """Per-depth counts of the intersection of two independent samples."""
+    """Per-depth counts of the intersection of two independent samples.
+
+    Each batch grows as a forest with root codes 0..n-1, so a depth-k code
+    is tree * m^k + word code and common codes count per tree.
+    """
     if law1.m != law2.m:
         raise ParameterError("laws must share the alphabet")
     seeds1 = np.asarray(seeds1, dtype=np.uint64)
     seeds2 = np.asarray(seeds2, dtype=np.uint64)
     if len(seeds1) != len(seeds2):
         raise ParameterError("seed arrays must be paired")
-    out = np.zeros((len(seeds1), depth + 1), dtype=np.int64)
-    it1 = _batch_alive(law1, seeds1, depth, budget)
-    it2 = _batch_alive(law2, seeds2, depth, budget)
-    for (k, a1), (_, a2) in zip(it1, it2):
-        out[:, k] = (a1 & a2).sum(axis=1)
+    m, n = law1.m, len(seeds1)
+    _check_code_bits(n, depth, m)
+    out = np.ones((n, depth + 1), dtype=np.int64)
+    ca = cb = np.arange(n, dtype=np.int64)
+    forests = zip(
+        _grow(law1, rng.root_hash(seeds1), depth, budget),
+        _grow(law2, rng.root_hash(seeds2), depth, budget),
+    )
+    for k, (ga, gb) in enumerate(forests, 1):
+        ca, cb = _codes(ca, ga, m), _codes(cb, gb, m)
+        out[:, k] = np.bincount(_common(ca, cb) // m**k, minlength=n)
     return out
 
 
@@ -526,13 +537,6 @@ def path_survival(law: OffspringLaw, word, seeds) -> np.ndarray:
         if not 1 <= int(s) <= law.m:
             raise ParameterError(f"symbol {s} outside 1..{law.m}")
         child = rng.extend_hash(h, np.full(len(seeds), int(s), dtype=np.uint64))
-        if law.independent:
-            u = rng.uniform_from_hash(child, rng.SALT_RETAIN)
-            alive &= u < law.retain[int(s) - 1]
-        else:
-            u = rng.uniform_from_hash(h, rng.SALT_MASK)
-            idx = np.searchsorted(law._cum_mask_probs(), u, side="right")
-            idx = np.minimum(idx, len(law.mask_probs) - 1)
-            alive &= law.masks[idx, int(s) - 1].astype(bool)
+        alive &= _retained(law, h, child, int(s) - 1)
         h = child
     return alive

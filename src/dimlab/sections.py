@@ -159,8 +159,20 @@ def fit_loglog(scales, counts) -> DimEstimate:
         raise InsufficientDataError(
             f"only {len(scales)} non-empty scales; need at least 3"
         )
-    x = np.log(1.0 / scales)
     y = np.log(counts)
+    slope, intercept, r2 = _line_fit(np.log(1.0 / scales), y)
+    return DimEstimate(
+        slope=slope,
+        intercept=intercept,
+        r2=r2,
+        scales=scales,
+        log_counts=y,
+        n_dropped=n_dropped,
+    )
+
+
+def _line_fit(x, y):
+    """Least-squares line y ~ slope * x + intercept: (slope, intercept, r2)."""
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid ** 2))
@@ -169,14 +181,7 @@ def fit_loglog(scales, counts) -> DimEstimate:
         r2 = 1.0 if ss_res <= 1e-30 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return DimEstimate(
-        slope=float(slope),
-        intercept=float(intercept),
-        r2=float(r2),
-        scales=scales,
-        log_counts=y,
-        n_dropped=n_dropped,
-    )
+    return float(slope), float(intercept), float(r2)
 
 
 def _clouds_for_ifs(ifs, scales, budget) -> list:
@@ -427,9 +432,9 @@ def probe_sections(
     For each trial, a fresh sample is drawn and each grid offset records
     whether some surviving depth-`depth` cylinder disk meets its flat.
     """
+    rho = ifs.diameter_proxy * float(ifs.ratios.max()) ** depth
     if x_grid is None:
-        rho_ref = ifs.diameter_proxy * float(ifs.ratios.max()) ** depth
-        x_grid = _default_grid(ifs, direction, [rho_ref], grid)
+        x_grid = _default_grid(ifs, direction, [rho], grid)
     x_grid = np.asarray(x_grid, dtype=np.float64)
     law = standard_law(ifs, alpha)
     hits = np.zeros((trials, len(x_grid)), dtype=bool)
@@ -440,13 +445,8 @@ def probe_sections(
         if sample.extinct:
             continue
         survived[t] = True
-        centers, radii = sample.cell_cloud(ifs, depth)
-        proj = centers @ direction.vector
-        mlo, mhi = _merged_intervals(proj - radii, proj + radii)
-        idx = np.searchsorted(mlo, x_grid, side="right") - 1
-        inside = idx >= 0
-        inside[inside] &= x_grid[inside] <= mhi[idx[inside]]
-        hits[t] = inside
+        cloud = CellCloud(*sample.cell_cloud(ifs, depth), scale=rho)
+        hits[t] = slice_counts(cloud, direction, x_grid) > 0
     return ProbeResult(
         x_grid=x_grid, hits=hits, survived=survived, alpha=alpha, depth=depth
     )

@@ -142,6 +142,108 @@ def alignment_scan_dense(params, betas):
     return fractions, fractions[np.arange(len(rows)), best], taus[best]
 
 
+# splitmix64 and the keep rules, on python ints.  The constants are the
+# published splitmix64 ones and the stream salts of the tree samplers; they
+# are restated here so that nothing is imported from dimlab's rng.
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
+SALT_TREE = 0x1B873593C9E3779B
+SALT_RETAIN = 0x85EBCA6B9E3779B9
+SALT_MASK = 0xC2B2AE3D27D4EB4F
+
+
+def splitmix64(x: int) -> int:
+    z = (x + GOLDEN) & MASK64
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
+    return z ^ (z >> 31)
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def unsplitmix64(z: int) -> int:
+    """Inverse of splitmix64: unsplitmix64(splitmix64(x)) == x."""
+    z = _unxorshift(z, 31)
+    z = (z * pow(MIX2, -1, 1 << 64)) & MASK64
+    z = _unxorshift(z, 27)
+    z = (z * pow(MIX1, -1, 1 << 64)) & MASK64
+    z = _unxorshift(z, 30)
+    return (z - GOLDEN) & MASK64
+
+
+def root_hash(seed: int) -> int:
+    return splitmix64(splitmix64(seed) ^ SALT_TREE)
+
+
+def child_hash(h: int, symbol: int) -> int:
+    """Hash of a word extended by `symbol` (1-based)."""
+    return splitmix64(h ^ splitmix64(symbol))
+
+
+def uniform(h: int, salt: int) -> float:
+    """The top 53 bits of splitmix64(h ^ salt), scaled into [0, 1)."""
+    return (splitmix64(h ^ salt) >> 11) * 2.0 ** -53
+
+
+def seed_for_root_uniform(u: float, salt: int) -> int:
+    """A seed whose root hash draws exactly `u` (a multiple of 2^-53) on `salt`."""
+    top = int(u * 2.0 ** 53)
+    assert top * 2.0 ** -53 == u
+    root = unsplitmix64(top << 11) ^ salt
+    return unsplitmix64(unsplitmix64(root) ^ SALT_TREE)
+
+
+def standard_rule(retain):
+    """Independent law: child i of a word is kept when its own hash draws
+    below retain[i]."""
+
+    def keeps(parent: int, child: int, i: int) -> bool:
+        return uniform(child, SALT_RETAIN) < retain[i]
+
+    return keeps
+
+
+def table_rule(masks, probs):
+    """Table law: the parent's hash draws u; the kept mask is the first one
+    whose cumulative probability exceeds u (the last one if none does)."""
+
+    def keeps(parent: int, child: int, i: int) -> bool:
+        u = uniform(parent, SALT_MASK)
+        acc = 0.0
+        for mask, p in zip(masks, probs):
+            acc += p
+            if u < acc:
+                return bool(mask[i])
+        return bool(masks[-1][i])
+
+    return keeps
+
+
+def surviving_words(seed: int, m: int, depth: int, keeps):
+    """Per depth, in lexicographic order, every word all of whose prefixes
+    the rule keeps; each of the m^k words of length k is walked on its own."""
+    out = []
+    for k in range(depth + 1):
+        kept = []
+        for word in itertools.product(range(1, m + 1), repeat=k):
+            h, alive = root_hash(seed), True
+            for s in word:
+                c = child_hash(h, s)
+                alive = alive and keeps(h, c, s - 1)
+                h = c
+            if alive:
+                kept.append(word)
+        out.append(kept)
+    return out
+
+
 def gw_extinction_by_depth(m: int, p: float, depth: int, trials: int, seed: int):
     """Fraction of Galton-Watson trees extinct by `depth`.
 

@@ -137,6 +137,17 @@ def test_percolate_standard_law(runner):
     assert "trees survive to depth 3" in res.stderr
 
 
+def test_percolate_per_seed_loop_matches_the_batch(runner):
+    args = ["percolate", "--ifs", "sierpinski_carpet", "--law", "standard:0.3",
+            "--depth", "3", "--seeds", "5", "--seed", "7"]
+    # 5 seeds x 585 words exceed a budget of 2000, so each tree is sampled alone
+    batch = runner.invoke(main, args)
+    looped = runner.invoke(main, args + ["--budget", "2000"])
+    assert batch.exit_code == 0 and looped.exit_code == 0
+    assert read_csv(looped.stdout) == read_csv(batch.stdout)
+    assert len(read_csv(batch.stdout)[1]) == 5
+
+
 def test_percolate_uniform_law(runner):
     res = runner.invoke(
         main,

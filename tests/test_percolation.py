@@ -6,7 +6,7 @@ import pytest
 
 import dimlab as dl
 from dimlab import rng
-from dimlab.errors import ParameterError, SubcriticalLawError
+from dimlab.errors import BudgetExceededError, ParameterError, SubcriticalLawError
 
 import oracles
 
@@ -226,6 +226,55 @@ def test_parent_links_rebuild_the_surviving_words(law, depth):
             assert [tuple(r) for r in sym.tolist()] == want[k]
 
 
+def _mask_law():
+    return dl.table_law([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]], [0.25, 0.25, 0.5])
+
+
+def test_oracle_splitmix64_is_the_reference_mixer():
+    # first output of the published splitmix64 generator seeded with 0
+    assert oracles.splitmix64(0) == 0xE220A8397B1DCDAF
+    for x in (0, 1, 12345, (1 << 64) - 1):
+        assert oracles.unsplitmix64(oracles.splitmix64(x)) == x
+
+
+# seeds whose root mask draw lies exactly on a cumulative probability of
+# _mask_law(), where searchsorted's side decides which mask is kept
+_TIE_SEEDS = tuple(
+    oracles.seed_for_root_uniform(u, oracles.SALT_MASK) for u in (0.25, 0.5)
+)
+
+
+@pytest.mark.parametrize(
+    "law, depth, seeds",
+    [
+        (dl.standard_law(dl.load_ifs("sierpinski_carpet"), 0.5), 3, (3, 11)),
+        (_mask_law(), 4, (3, 11) + _TIE_SEEDS),
+    ],
+    ids=["standard", "table"],
+)
+def test_keep_rule_matches_the_scalar_oracle(law, depth, seeds):
+    if law.independent:
+        keeps = oracles.standard_rule(law.retain.tolist())
+    else:
+        keeps = oracles.table_rule(law.masks.tolist(), law.mask_probs.tolist())
+    batch = dl.batch_generation_counts(law, depth, np.array(seeds, dtype=np.uint64))
+    for i, seed in enumerate(seeds):
+        want = oracles.surviving_words(seed, law.m, depth, keeps)
+        sample = dl.sample_tree(law, depth, seed)
+        for k in range(depth + 1):
+            assert sample.words_at(k) == want[k]
+        assert batch[i].tolist() == [len(words) for words in want]
+
+
+def test_tie_seeds_draw_exactly_on_the_cumulative_probabilities():
+    roots = [oracles.root_hash(s) for s in _TIE_SEEDS]
+    assert [oracles.uniform(h, oracles.SALT_MASK) for h in roots] == [0.25, 0.5]
+    # side="right": a draw equal to a cumulative probability takes the next mask
+    law = _mask_law()
+    assert dl.sample_tree(law, 1, _TIE_SEEDS[0]).words_at(1) == [(3,), (4,)]
+    assert dl.sample_tree(law, 1, _TIE_SEEDS[1]).words_at(1) == [(1,), (2,), (3,), (4,)]
+
+
 def _same_words_stopping_set(ifs, k):
     """Stopping set whose words are exactly all words of length k."""
     r = float(ifs.ratios[0])
@@ -302,6 +351,41 @@ def test_batch_intersections_match_pairwise(carpet):
         a = dl.sample_tree(law1, 3, int(seeds1[i]))
         b = dl.sample_tree(law2, 3, int(seeds2[i]))
         assert np.array_equal(batch[i], dl.intersect_samples(a, b).counts())
+
+
+def test_batch_intersections_match_pairwise_for_mask_laws():
+    law1 = _mask_law()
+    law2 = dl.table_law([[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 1]], [0.3, 0.3, 0.4])
+    seeds1 = np.arange(8, dtype=np.uint64)
+    seeds2 = np.arange(50, 58, dtype=np.uint64)
+    batch = dl.batch_intersection_counts(law1, seeds1, law2, seeds2, 4)
+    assert batch[:, -1].sum() > 0
+    for i in range(8):
+        a = dl.sample_tree(law1, 4, int(seeds1[i]))
+        b = dl.sample_tree(law2, 4, int(seeds2[i]))
+        assert np.array_equal(batch[i], dl.intersect_samples(a, b).counts())
+
+
+def test_batch_budget_bounds_live_nodes_not_the_full_tree(carpet):
+    law = dl.uniform_law(carpet.m, 0.3)
+    seeds = np.arange(10, dtype=np.uint64)
+    depth, budget = 4, 3000
+    # every word of every tree would not fit; the live forest does
+    assert len(seeds) * sum(carpet.m ** k for k in range(depth + 1)) > budget
+    batch = dl.batch_generation_counts(law, depth, seeds, budget=budget)
+    for i, s in enumerate(seeds):
+        assert np.array_equal(batch[i], dl.sample_tree(law, depth, int(s)).counts())
+    with pytest.raises(BudgetExceededError):
+        dl.batch_generation_counts(law, depth, seeds, budget=int(batch.sum()))
+
+
+def test_batch_intersection_codes_must_fit_62_bits(carpet):
+    law = dl.uniform_law(carpet.m, 0.05)  # m = 8: 3 code bits per level
+    seeds = np.arange(8, dtype=np.uint64)  # 3 more bits for the tree index
+    one = dl.batch_intersection_counts(law, seeds[:1], law, seeds[:1], 20)
+    assert one.shape == (1, 21)
+    with pytest.raises(BudgetExceededError, match="code bits"):
+        dl.batch_intersection_counts(law, seeds, law, seeds, 20)
 
 
 # ---------------------------------------------------------------------------
