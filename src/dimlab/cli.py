@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .catalog import load_ifs
-from .errors import DimlabError
+from .errors import BudgetExceededError, DimlabError
 from .exceptional import AlignmentParams, scan_directions
 from .experiments import (
     _csv_cell,
@@ -35,6 +35,7 @@ from .experiments import (
 from .geometry import DEFAULT_BUDGET, iterate_system
 from .measures import forced_pair_law, fourier_decay, measure_dimension, sample_measure
 from .percolation import (
+    _expected_nodes,
     batch_generation_counts,
     sample_tree,
     standard_law,
@@ -195,25 +196,22 @@ def _parse_law(text, ifs):
 
 def _percolate_rows(law, depth, n_seeds, seed, budget):
     seeds = rng.derive_seed(np.uint64(seed), np.arange(n_seeds, dtype=np.uint64))
-    n_nodes = sum(law.m ** k for k in range(depth + 1))
-    rows = []
-    if n_nodes * n_seeds <= budget:
-        counts = batch_generation_counts(law, depth, seeds, budget=budget)
-        for i in range(n_seeds):
-            gen = counts[i]
-            rows.append(
-                [int(seeds[i]), bool(gen[-1] > 0), int(gen[-1]),
-                 "|".join(str(int(c)) for c in gen)]
-            )
-    else:
-        for i in range(n_seeds):
-            sample = sample_tree(law, depth, int(seeds[i]), budget=budget)
-            gen = sample.counts()
-            rows.append(
-                [int(seeds[i]), not sample.extinct, int(gen[-1]),
-                 "|".join(str(int(c)) for c in gen)]
-            )
-    return rows
+    # A batch grows the seeds' trees as one forest, which must fit the budget
+    # whole; tree by tree, each needs to fit alone.  Try the batch when the
+    # forest's expected live nodes fit, and fall back to the trees one at a
+    # time when the drawn forest turns out larger.
+    counts = None
+    if n_seeds * _expected_nodes(max(law.mean_offspring(), 1.0), depth) <= budget:
+        try:
+            counts = batch_generation_counts(law, depth, seeds, budget=budget)
+        except BudgetExceededError:
+            pass
+    if counts is None:
+        counts = [sample_tree(law, depth, int(s), budget=budget).counts() for s in seeds]
+    return [
+        [int(s), bool(gen[-1] > 0), int(gen[-1]), "|".join(str(int(c)) for c in gen)]
+        for s, gen in zip(seeds, counts)
+    ]
 
 
 @main.command("percolate")

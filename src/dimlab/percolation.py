@@ -97,6 +97,17 @@ class OffspringLaw:
             self.meta["cum"] = np.cumsum(self.mask_probs)
         return self.meta["cum"]
 
+    def _retain_thresholds(self) -> np.ndarray:
+        """ceil(retain * 2^53) as uint64: a draw's top 53 bits k are kept
+        when k < T, exactly when the float test k * 2^-53 < retain holds.
+
+        k < 2^53 and k * 2^-53 are exact floats, and so is retain * 2^53
+        for every retain in [0, 1]; for an integer k, k < x iff k < ceil(x).
+        """
+        if "thresholds" not in self.meta:
+            self.meta["thresholds"] = np.ceil(self.retain * 2.0 ** 53).astype(np.uint64)
+        return self.meta["thresholds"]
+
 
 def standard_law(ifs: IFS, alpha: float) -> OffspringLaw:
     """Retention probabilities r_i^alpha (alpha = 0 keeps everything)."""
@@ -235,9 +246,11 @@ def _expected_nodes(mean: float, depth: int) -> float:
 
 def _retained(law: OffspringLaw, hashes, child_hashes, syms) -> np.ndarray:
     """Whether child `syms` (0-based index or slice) of each parent is kept:
-    a uniform per child hash (independent laws) or a mask per parent hash."""
+    a draw per child hash (independent laws) or a mask per parent hash."""
     if law.independent:
-        return rng.uniform_from_hash(child_hashes, rng.SALT_RETAIN) < law.retain[syms]
+        k = rng.mix64(child_hashes ^ rng.SALT_RETAIN)
+        k >>= 11
+        return k < law._retain_thresholds()[syms]
     u = rng.uniform_from_hash(hashes, rng.SALT_MASK)
     idx = np.searchsorted(law._cum_mask_probs(), u, side="right")
     idx = np.minimum(idx, len(law.mask_probs) - 1)
@@ -248,25 +261,55 @@ def _root(m: int) -> _Generation:
     return _Generation(np.full(1, -1, dtype=np.int32), np.zeros(1, _symbol_dtype(m)))
 
 
+# Child hashes per expansion block: a block's hashes, draws and kept indices
+# (a few hundred KB) stay in cache, and its temporaries never grow with the
+# generation.
+_BLOCK_CHILDREN = 1 << 14
+
+
 def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
     """Yield the `depth` generations below a frontier of root path hashes.
 
     Rows come in (parent row, symbol) order, so one pass grows one tree or
     a forest of them.  Path hashes are kept for the frontier only; `budget`
     bounds the nodes drawn, roots included.
+
+    A generation of n parents is grown in blocks of consecutive parents
+    holding about `_BLOCK_CHILDREN` child hashes.  Each block's kept
+    children (parent row, symbol, path hash) are written straight into
+    arrays of n*m slots allocated once per generation, which are then
+    shrunk in place to the kept prefix; pages past the prefix are never
+    touched.  Beyond what the sample keeps, a generation's peak is those
+    slots (13 bytes per child) plus one block's temporaries, not the n*m
+    hashes, draws and indices of a whole generation at once.
     """
     m = law.m
     dtype = _symbol_dtype(m)
+    step = max(1, _BLOCK_CHILDREN // m)
     total = len(hashes)
     for _ in range(depth):
         n = len(hashes)
         if total + n * m > budget:
             raise BudgetExceededError(total + n * m, budget, what="nodes")
-        child_h = rng.child_hashes(hashes, m)
-        rows, cols = np.nonzero(_retained(law, hashes, child_h, slice(None)))
-        total += len(rows)
-        yield _Generation(parent=rows.astype(np.int32), symbol=(cols + 1).astype(dtype))
-        hashes = child_h[rows, cols]
+        parent = np.empty(n * m, dtype=np.int32)
+        symbol = np.empty(n * m, dtype=dtype)
+        frontier = np.empty(n * m, dtype=np.uint64)
+        kept = 0
+        for lo in range(0, n, step):
+            block = hashes[lo : lo + step]
+            child_h = rng.child_hashes(block, m)
+            idx = np.flatnonzero(_retained(law, block, child_h, slice(None)))
+            row = idx // m
+            end = kept + len(idx)
+            parent[kept:end] = row + lo
+            symbol[kept:end] = idx - row * m + 1
+            frontier[kept:end] = child_h.ravel()[idx]
+            kept = end
+        total += kept
+        for out in (parent, symbol, frontier):
+            out.resize(kept, refcheck=False)  # shrinks in place; no view of it is left
+        yield _Generation(parent=parent, symbol=symbol)
+        hashes = frontier
 
 
 def sample_tree(

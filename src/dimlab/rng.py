@@ -6,9 +6,21 @@ traversal order, chunking, or thread count.  The mixer is the standard
 splitmix64 finalizer, applied over uint64 numpy arrays so millions of nodes
 can be keyed in one vectorized pass (numpy's counter-based bit generators
 cannot batch across distinct keys, which is the access pattern here).
+
+`mix64` is the one hashing entry point.  It copies its input once and runs
+every splitmix64 step in place on that copy with one scratch array, so a
+call allocates two arrays of the input's size; tree expansion calls it on
+blocks of about 16k child hashes, small enough to stay in cache.  The hashes
+of the symbols 1..m are mixed once per m and reused by `child_hashes`.  A
+draw is the top 53 bits of a mixed hash: `uniform_from_hash` scales them
+into [0, 1), and the samplers' keep rule compares them with an integer
+threshold ceil(p * 2^53) instead, which is the same test as `uniform < p`
+(see `percolation.OffspringLaw._retain_thresholds`).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -37,12 +49,23 @@ _TO_UNIT = 2.0 ** -53
 
 
 def mix64(x) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 input."""
-    with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=np.uint64) + _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer, vectorized over uint64 input.
+
+    Works on one copy of the input and one scratch array; a 0-d input
+    gives a numpy scalar, as the operator form of the same steps does.
+    """
+    z = np.array(x, dtype=np.uint64)  # in-place array ops wrap without warnings
+    t = np.empty_like(z)
+    z += _GOLDEN
+    np.right_shift(z, 30, out=t)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, 27, out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    return z if z.ndim else z[()]
 
 
 def uniform_from_hash(h, salt) -> np.ndarray:
@@ -64,9 +87,15 @@ def child_hashes(parent: np.ndarray, m: int) -> np.ndarray:
     Symbols are 1..m.  The chain h(w . i) = mix(h(w) ^ mix(i)) makes the
     hash a function of the path alone.
     """
+    return mix64(np.asarray(parent, dtype=np.uint64)[:, None] ^ _symbol_hashes(m))
+
+
+@functools.cache
+def _symbol_hashes(m: int) -> np.ndarray:
+    """mix(1), ..., mix(m), shared read-only by every call of `child_hashes`."""
     syms = mix64(np.arange(1, m + 1, dtype=np.uint64))
-    with np.errstate(over="ignore"):
-        return mix64(np.asarray(parent, dtype=np.uint64)[:, None] ^ syms[None, :])
+    syms.flags.writeable = False
+    return syms
 
 
 def extend_hash(parent: np.ndarray, symbols: np.ndarray) -> np.ndarray:

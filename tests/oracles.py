@@ -192,12 +192,27 @@ def uniform(h: int, salt: int) -> float:
     return (splitmix64(h ^ salt) >> 11) * 2.0 ** -53
 
 
+def hash_for_draw(top: int, salt: int) -> int:
+    """A hash whose draw on `salt` has top 53 bits exactly `top`."""
+    assert 0 <= top < 1 << 53
+    return unsplitmix64(top << 11) ^ salt
+
+
+def seed_for_root_hash(h: int) -> int:
+    """The seed whose root hash is `h`."""
+    return unsplitmix64(unsplitmix64(h) ^ SALT_TREE)
+
+
 def seed_for_root_uniform(u: float, salt: int) -> int:
     """A seed whose root hash draws exactly `u` (a multiple of 2^-53) on `salt`."""
     top = int(u * 2.0 ** 53)
     assert top * 2.0 ** -53 == u
-    root = unsplitmix64(top << 11) ^ salt
-    return unsplitmix64(unsplitmix64(root) ^ SALT_TREE)
+    return seed_for_root_hash(hash_for_draw(top, salt))
+
+
+def seed_for_child_hash(c: int, symbol: int) -> int:
+    """A seed whose root's child `symbol` (1-based) has hash `c`."""
+    return seed_for_root_hash(unsplitmix64(c) ^ splitmix64(symbol))
 
 
 def standard_rule(retain):
@@ -242,6 +257,45 @@ def surviving_words(seed: int, m: int, depth: int, keeps):
                 kept.append(word)
         out.append(kept)
     return out
+
+
+def splitmix64_array(x) -> np.ndarray:
+    """splitmix64 over a uint64 array, one whole-array expression per step."""
+    with np.errstate(over="ignore"):
+        z = np.asarray(x, dtype=np.uint64) + np.uint64(GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
+        return z ^ (z >> np.uint64(31))
+
+
+def _uniforms(h, salt: int) -> np.ndarray:
+    top = splitmix64_array(np.asarray(h, dtype=np.uint64) ^ np.uint64(salt)) >> np.uint64(11)
+    return top.astype(np.float64) * 2.0 ** -53
+
+
+def grow_whole_generations(seeds, depth, m, retain=None, masks=None, probs=None):
+    """Reference expansion of the trees of `seeds` as one forest, unblocked.
+
+    Yields (parent rows, 1-based symbols) per generation.  Each generation
+    hashes, draws and keeps all n*m children of its n parents at once: an
+    independent law (`retain`) keeps child i when its own hash draws below
+    retain[i]; a table law (`masks`, `probs`) keeps the mask whose
+    cumulative probability first exceeds the parent's draw.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    hashes = splitmix64_array(splitmix64_array(seeds) ^ np.uint64(SALT_TREE))
+    syms = splitmix64_array(np.arange(1, m + 1, dtype=np.uint64))
+    for _ in range(depth):
+        child = splitmix64_array(hashes[:, None] ^ syms[None, :])
+        if masks is None:
+            keep = _uniforms(child, SALT_RETAIN) < np.asarray(retain)[None, :]
+        else:
+            u = _uniforms(hashes, SALT_MASK)
+            pick = np.searchsorted(np.cumsum(probs), u, side="right")
+            keep = np.asarray(masks)[np.minimum(pick, len(probs) - 1)] != 0
+        rows, cols = np.nonzero(keep)
+        yield rows, cols + 1
+        hashes = child[rows, cols]
 
 
 def gw_extinction_by_depth(m: int, p: float, depth: int, trials: int, seed: int):

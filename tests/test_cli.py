@@ -137,15 +137,68 @@ def test_percolate_standard_law(runner):
     assert "trees survive to depth 3" in res.stderr
 
 
-def test_percolate_per_seed_loop_matches_the_batch(runner):
-    args = ["percolate", "--ifs", "sierpinski_carpet", "--law", "standard:0.3",
-            "--depth", "3", "--seeds", "5", "--seed", "7"]
-    # 5 seeds x 585 words exceed a budget of 2000, so each tree is sampled alone
-    batch = runner.invoke(main, args)
-    looped = runner.invoke(main, args + ["--budget", "2000"])
-    assert batch.exit_code == 0 and looped.exit_code == 0
-    assert read_csv(looped.stdout) == read_csv(batch.stdout)
-    assert len(read_csv(batch.stdout)[1]) == 5
+@pytest.fixture()
+def branch_calls(monkeypatch):
+    """Counts of batch and per-tree sampler calls made by the CLI."""
+    import dimlab.cli as cli
+
+    calls = {"batch": 0, "tree": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "batch_generation_counts",
+                        counted("batch", cli.batch_generation_counts))
+    monkeypatch.setattr(cli, "sample_tree", counted("tree", cli.sample_tree))
+    return calls
+
+
+def _branches(runner, calls, args):
+    calls.update(batch=0, tree=0)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    return read_csv(res.stdout), dict(calls)
+
+
+_CARPET_ARGS = ["percolate", "--ifs", "sierpinski_carpet", "--law", "standard:0.3",
+                "--depth", "3", "--seeds", "5", "--seed", "7"]
+
+
+def test_percolate_per_seed_loop_matches_the_batch(runner, branch_calls):
+    batch, took = _branches(runner, branch_calls, _CARPET_ARGS)
+    assert took == {"batch": 1, "tree": 0}
+    # 5 trees of about 230 expected live nodes exceed a budget of 1000, so
+    # each tree is sampled alone
+    looped, took = _branches(runner, branch_calls, _CARPET_ARGS + ["--budget", "1000"])
+    assert took == {"batch": 0, "tree": 5}
+    assert looped == batch
+    assert len(batch[1]) == 5
+
+
+def test_percolate_falls_back_to_the_loop_when_the_forest_draws_too_many(
+    runner, branch_calls
+):
+    batch, _ = _branches(runner, branch_calls, _CARPET_ARGS)
+    # the expected 1152 live nodes fit 1200, but growing this forest draws 1460
+    looped, took = _branches(runner, branch_calls, _CARPET_ARGS + ["--budget", "1200"])
+    assert took == {"batch": 1, "tree": 5}
+    assert looped == batch
+
+
+def test_mandelbrot_batch_needs_only_the_live_forest_to_fit(runner, branch_calls):
+    args = ["mandelbrot", "--M", "3", "--p", "0.5", "--depth", "5",
+            "--seeds", "1000", "--seed", "4"]
+    # every word of 1000 trees (66.4M) exceeds the default budget of 5M;
+    # their expected live nodes (2.37M) fit it
+    batch, took = _branches(runner, branch_calls, args)
+    assert took == {"batch": 1, "tree": 0}
+    looped, took = _branches(runner, branch_calls, args + ["--budget", "100000"])
+    assert took == {"batch": 0, "tree": 1000}
+    assert looped == batch
+    assert len(batch[1]) == 1000
 
 
 def test_percolate_uniform_law(runner):

@@ -1,11 +1,12 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import dimlab as dl
-from dimlab import rng
+from dimlab import percolation, rng
 from dimlab.errors import BudgetExceededError, ParameterError, SubcriticalLawError
 
 import oracles
@@ -273,6 +274,82 @@ def test_tie_seeds_draw_exactly_on_the_cumulative_probabilities():
     law = _mask_law()
     assert dl.sample_tree(law, 1, _TIE_SEEDS[0]).words_at(1) == [(3,), (4,)]
     assert dl.sample_tree(law, 1, _TIE_SEEDS[1]).words_at(1) == [(1,), (2,), (3,), (4,)]
+
+
+@pytest.mark.parametrize(
+    "law",
+    [dl.uniform_law(1, 0.7), dl.uniform_law(1, 0.5), dl.uniform_law(1, 0.0),
+     dl.deterministic_law(1)],
+    ids=["p0.7", "p0.5-dyadic", "p0", "p1"],
+)
+def test_integer_keep_threshold_is_the_float_rule_at_its_boundary(law):
+    p = float(law.retain[0])
+    t = math.ceil(Fraction(p) * 2 ** 53)
+    assert law._retain_thresholds().tolist() == [t]
+    # draws on both sides of the threshold, and the extreme draws
+    draws = sorted({k for k in (0, t - 1, t, 2 ** 53 - 1) if 0 <= k < 2 ** 53})
+    child = [oracles.hash_for_draw(k, oracles.SALT_RETAIN) for k in draws]
+    want = [oracles.uniform(c, oracles.SALT_RETAIN) < p for c in child]
+    assert want == [k < t for k in draws]
+    got = percolation._retained(
+        law, np.zeros(len(child), dtype=np.uint64),
+        np.array(child, dtype=np.uint64)[:, None], slice(None),
+    )
+    assert got[:, 0].tolist() == want
+    # the same draws reached through a tree: the root's only child
+    for c, keep in zip(child, want):
+        sample = dl.sample_tree(law, 1, oracles.seed_for_child_hash(c, 1))
+        assert sample.counts().tolist() == [1, int(keep)]
+
+
+def _whole_generation_reference(law, seeds, depth):
+    if law.independent:
+        rule = dict(retain=law.retain)
+    else:
+        rule = dict(masks=law.masks, probs=law.mask_probs)
+    return list(oracles.grow_whole_generations(seeds, depth, law.m, **rule))
+
+
+def _assert_same_generations(gens, want):
+    assert len(gens) == len(want)
+    for gen, (rows, syms) in zip(gens, want):
+        assert gen.parent.dtype == np.int32
+        assert np.array_equal(gen.parent, rows) and np.array_equal(gen.symbol, syms)
+
+
+@pytest.mark.parametrize("block", ["default", "one-parent", "three-parents"])
+@pytest.mark.parametrize(
+    "law, depth, forest_depth",
+    [
+        (dl.standard_law(dl.load_ifs("sierpinski_carpet"), 0.5), 7, 3),
+        (dl.mandelbrot_config(3, 2, 0.7).law, 6, 3),
+        (_mask_law(), 6, 4),
+    ],
+    ids=["carpet", "mandelbrot", "table"],
+)
+def test_blocked_growth_equals_the_whole_generation_reference(
+    law, depth, forest_depth, block, monkeypatch
+):
+    if block == "one-parent":
+        monkeypatch.setattr(percolation, "_BLOCK_CHILDREN", 1)
+    elif block == "three-parents":
+        monkeypatch.setattr(percolation, "_BLOCK_CHILDREN", 3 * law.m)
+    sample = dl.sample_tree(law, depth, 5)
+    _assert_same_generations(
+        sample.generations[1:], _whole_generation_reference(law, [5], depth)
+    )
+    # a forest of 300 trees: generations, and the counts per tree
+    seeds = np.arange(300, dtype=np.uint64)
+    want = _whole_generation_reference(law, seeds, forest_depth)
+    gens = list(percolation._grow(law, rng.root_hash(seeds), forest_depth, 10 ** 7))
+    _assert_same_generations(gens, want)
+    tree = np.arange(len(seeds))
+    counts = [np.ones(len(seeds), dtype=np.int64)]
+    for rows, _ in want:
+        tree = tree[rows]
+        counts.append(np.bincount(tree, minlength=len(seeds)))
+    batch = dl.batch_generation_counts(law, forest_depth, seeds)
+    assert np.array_equal(batch, np.stack(counts, axis=1))
 
 
 def _same_words_stopping_set(ifs, k):
