@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from importlib import metadata
 
 import numpy as np
 
@@ -139,9 +140,7 @@ def _scrub(obj):
 
 def _package_version() -> str:
     try:
-        from importlib.metadata import version
-
-        return version("dimlab")
+        return metadata.version("dimlab")
     except Exception:
         return "unknown"
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BudgetExceededError,
@@ -263,10 +262,72 @@ def moran_dimension(ratios_or_ifs) -> float:
 
     if len(ratios) == 1:
         return 0.0
-    hi = 1.0
+    return _decreasing_root(f, 1.0)
+
+
+def _decreasing_root(f, hi: float) -> float:
+    """Root in [0, hi'] of f with f(0) > 0 that decreases in s.
+
+    hi is doubled until f(hi') <= 0, then the bracket [0, hi'] is solved by
+    `_brentq`.  Serves both dimension equations (Moran's and percolation's).
+    """
     while f(hi) > 0.0:
         hi *= 2.0
-    return float(brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+    return _brentq(f, 0.0, hi)
+
+
+def _brentq(f, xa, xb, xtol=1e-14, rtol=8.9e-16, maxiter=200) -> float:
+    """Brent's root finder on a sign-changing bracket [xa, xb].
+
+    A line-for-line port of scipy's brentq.c (the same tolerance test
+    xtol + rtol |x|, interpolation, extrapolation and bisection rules), so
+    it returns bitwise the root that scipy.optimize.brentq returns.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ParameterError("f must change sign over the bracket")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 * delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise ParameterError(f"no root to tolerance in {maxiter} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +345,16 @@ def _extend(ratios, angles, trans, ifs: IFS, rows, syms):
     syms are 0-based.  Every composition fold (stopping sets, sample cell
     clouds, word batches, iterated systems) goes through this step, so a
     word's composed map is bitwise the same whichever fold built it.
+
+    ratios and angles are each either per row or one value shared by every
+    row (0-d).  A shared value stays shared when all the maps' own
+    values are equal and becomes per row otherwise; a per-row value stays
+    per row.  A shared value is the float every row would have gathered,
+    so the result is the same either way.
     """
     r, th, a = ifs.ratios, ifs.angles, ifs.translations
-    # the gathered parent ratios and angles are fresh arrays: once the
-    # translations are built from them they become the outputs in place
-    pr = ratios[rows]
-    pth = angles[rows]
+    pr = _per_row(ratios, rows)
+    pth = _per_row(angles, rows)
     # np.take gathers rows of a 2-d array much faster than fancy indexing
     if ifs.ambient_dim == 2 and np.any(pth != 0.0):
         ca, sa = np.cos(pth), np.sin(pth)
@@ -299,11 +364,27 @@ def _extend(ratios, angles, trans, ifs: IFS, rows, syms):
         out_t[:, 1] += pr * (sa * ax + ca * ay)
     else:
         out_t = np.take(a, syms, axis=0)
-        out_t *= pr[:, None]
+        out_t *= pr[..., None]
         out_t += np.take(trans, rows, axis=0)
-    pr *= r[syms]
-    pth += th[syms]
-    return pr, pth, out_t
+    return _step(np.multiply, pr, r, syms), _step(np.add, pth, th, syms), out_t
+
+
+def _per_row(values, rows):
+    """The parent values of `rows`: a shared (0-d) value stays shared."""
+    return values[rows] if values.ndim else values
+
+
+def _step(op, parent, own, syms):
+    """parent op own[syms], with own the maps' values.
+
+    A gathered per-row parent is a fresh array and takes the result in
+    place.  A shared parent stays shared when every map has the same value.
+    """
+    if parent.ndim:
+        return op(parent, own[syms], out=parent)
+    if np.all(own == own[0]):
+        return op(parent, own[0])
+    return op(parent, own[syms])
 
 
 def _compose_step(ratios, angles, trans, ifs: IFS):
@@ -323,7 +404,10 @@ def _all_compositions(ifs: IFS, q: int):
 
 
 def _apply_composed(ratios, angles, trans, point):
-    """Evaluate each composed map at a single point; returns (n, d)."""
+    """Evaluate each composed map at a single point; returns (n, d).
+
+    ratios and angles are per row or shared (0-d), as `_extend` makes them.
+    """
     d = trans.shape[1]
     if d == 2 and np.any(angles != 0.0):
         ca, sa = np.cos(angles), np.sin(angles)
@@ -332,13 +416,19 @@ def _apply_composed(ratios, angles, trans, point):
         out[:, 0] = ratios * (ca * x - sa * y) + trans[:, 0]
         out[:, 1] = ratios * (sa * x + ca * y) + trans[:, 1]
         return out
-    return ratios[:, None] * np.asarray(point)[None, :] + trans
+    return ratios[..., None] * np.asarray(point) + trans
 
 
 def _cell_disks(ifs: IFS, ratios, angles, trans):
-    """(centers, radii) of the images of the enclosing ball under composed maps."""
+    """(centers, radii) of the images of the enclosing ball under composed maps.
+
+    A shared ratio gives radii as a read-only broadcast of its one value.
+    """
     centers = _apply_composed(ratios, angles, trans, ifs.ball_center)
-    return centers, ifs.ball_radius * ratios
+    radii = ifs.ball_radius * ratios
+    if radii.ndim == 0:
+        radii = np.broadcast_to(radii, (len(trans),))
+    return centers, radii
 
 
 def word_geometry(ifs: IFS, symbols: np.ndarray):

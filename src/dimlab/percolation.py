@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import rng
 from .errors import (
@@ -30,7 +29,7 @@ from .geometry import (
     Similarity,
     _cell_disks,
     _extend,
-    _identity_maps,
+    _decreasing_root,
 )
 
 __all__ = [
@@ -173,7 +172,8 @@ class PercolationSample:
     Each generation stores only parent links and last symbols; whole words
     are rebuilt on demand by walking the links.  Composed cylinder maps are
     folded top-down through the generations, once per IFS, and kept so that
-    later clouds of the same sample reuse them.
+    later clouds of the same sample reuse them; so are the cylinder disks
+    of each generation asked for.
     """
 
     law: OffspringLaw | None
@@ -181,6 +181,7 @@ class PercolationSample:
     depth: int
     generations: list
     _maps: dict = field(default_factory=dict, repr=False)
+    _disks: dict = field(default_factory=dict, repr=False)
 
     def counts(self) -> np.ndarray:
         return np.array([len(g.parent) for g in self.generations], dtype=np.int64)
@@ -224,13 +225,25 @@ class PercolationSample:
         return np.array([int(m.sum()) for m in self.persistent_masks()], dtype=np.int64)
 
     def cell_cloud(self, ifs: IFS, k: int, persistent: bool = False):
-        """(centers, radii) of the surviving depth-k cylinder disks."""
+        """(centers, radii) of the surviving depth-k cylinder disks.
+
+        The arrays are computed once per (IFS, generation), kept on the
+        sample and returned read-only.
+        """
         if ifs.m != (self.law.m if self.law is not None else ifs.m):
             raise ParameterError("law arity does not match the IFS")
-        maps = self._maps.setdefault(ifs, [_identity_maps(1, ifs.ambient_dim)])
+        # the root's ratio and angle are shared by every row, so a system
+        # whose maps all have the same one keeps a single value per generation
+        root = (np.float64(1.0), np.float64(0.0), np.zeros((1, ifs.ambient_dim)))
+        maps = self._maps.setdefault(ifs, [root])
         for gen in self.generations[len(maps) : k + 1]:
             maps.append(_extend(*maps[-1], ifs, gen.parent, gen.symbol - 1))
-        centers, radii = _cell_disks(ifs, *maps[k])
+        disks = self._disks.setdefault(ifs, {})
+        if k not in disks:
+            disks[k] = _cell_disks(ifs, *maps[k])
+            for a in disks[k]:
+                a.flags.writeable = False
+        centers, radii = disks[k]
         if persistent:
             for keep in self._persistent_walk(k):
                 pass  # the last mask is generation k's; earlier ones are dropped
@@ -457,10 +470,7 @@ def percolation_dimension(law: OffspringLaw, ifs: IFS) -> float:
     def f(s):
         return float(np.sum(p * r ** s)) - 1.0
 
-    hi = float(ifs.ambient_dim + 1)
-    while f(hi) > 0.0:
-        hi *= 2.0
-    return float(brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+    return _decreasing_root(f, float(ifs.ambient_dim + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,15 @@ def slice_counts(cloud: CellCloud, direction: Direction, xs) -> np.ndarray:
     """How many disks each flat {<y,w> = x} meets (boundary touching counts)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     proj = cloud.project(direction)
-    lo = np.sort(proj - cloud.radii)
-    hi = np.sort(proj + cloud.radii)
+    radii = cloud.radii
+    if len(radii) and radii.min() == radii.max():
+        # x -> fl(x -+ r) is monotone, so shifting the sorted projections is
+        # elementwise the sort of the shifted ones: one sort serves both ends
+        proj.sort()
+        lo, hi = proj - radii[0], proj + radii[0]
+    else:
+        lo = np.sort(proj - radii)
+        hi = np.sort(proj + radii)
     return np.searchsorted(lo, xs, side="right") - np.searchsorted(hi, xs, side="left")
 
 
@@ -172,16 +179,24 @@ def fit_loglog(scales, counts) -> DimEstimate:
 
 
 def _line_fit(x, y):
-    """Least-squares line y ~ slope * x + intercept: (slope, intercept, r2)."""
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot <= 1e-30:
-        r2 = 1.0 if ss_res <= 1e-30 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), float(r2)
+    """Least-squares line y ~ slope * x + intercept: (slope, intercept, r2).
+
+    y is one series (n,), giving floats, or a stack of series (k, n) over
+    the same x, giving arrays of k.  Each series gets its own polyfit, as
+    LAPACK solves a stacked right-hand side in another order and moves last
+    bits.  The sums run along the contiguous last axis, so each series of a
+    stack is summed exactly as on its own.
+    """
+    ys = np.atleast_2d(np.ascontiguousarray(y))
+    slope, intercept = np.array([np.polyfit(x, row, 1) for row in ys]).T
+    resid = ys - (slope[:, None] * x + intercept[:, None])
+    ss_res = np.sum(resid ** 2, axis=1)
+    ss_tot = np.sum((ys - ys.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(ss_tot <= 1e-30, 1.0 * (ss_res <= 1e-30), 1.0 - ss_res / ss_tot)
+    if np.ndim(y) == 1:
+        return float(slope[0]), float(intercept[0]), float(r2[0])
+    return slope, intercept, r2
 
 
 def _clouds_for_ifs(ifs, scales, budget) -> list:
@@ -328,14 +343,18 @@ def _profile_from_clouds(
     slopes = np.full(n_x, np.nan)
     r2 = np.full(n_x, np.nan)
     valid = np.zeros(n_x, dtype=bool)
-    for j in range(n_x):
-        try:
-            est = fit_loglog(scales, counts[:, j])
-        except InsufficientDataError:
+    # offsets with the same non-empty scales share their x: each such group
+    # with at least three is fitted in one call, doing per offset exactly
+    # the arithmetic of fit_loglog on that offset's column
+    by_offset = np.ascontiguousarray(counts.T, dtype=np.float64)
+    patterns, group = np.unique(by_offset > 0, axis=0, return_inverse=True)
+    for g, keep in enumerate(patterns):
+        if np.count_nonzero(keep) < 3:
             continue
-        slopes[j] = est.slope
-        r2[j] = est.r2
-        valid[j] = True
+        cols = np.flatnonzero(group.ravel() == g)
+        y = np.log(by_offset[np.ix_(cols, keep)])
+        slopes[cols], _, r2[cols] = _line_fit(np.log(1.0 / scales[keep]), y)
+        valid[cols] = True
     threshold = threshold_dim - 1.0 - epsilon
     qualifying = valid & (slopes > threshold)
     return ConservationProfile(

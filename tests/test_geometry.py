@@ -27,15 +27,6 @@ def interval_thirds():
     return IFS.from_maps(maps, separation="OSC-assumed", label="thirds")
 
 
-def mixed_ratio_ifs():
-    maps = (
-        Similarity(ratio=0.5, angle=0.3, translation=np.array([0.1, 0.0])),
-        Similarity(ratio=0.3, angle=-0.7, translation=np.array([0.5, 0.2])),
-        Similarity(ratio=0.2, angle=1.1, translation=np.array([0.2, 0.6])),
-    )
-    return IFS.from_maps(maps, label="mixed")
-
-
 # ---------------------------------------------------------------------------
 # similarities
 
@@ -179,6 +170,55 @@ def test_moran_solves_its_equation(ratios):
     assert sum(r ** s for r in ratios) == pytest.approx(1.0, abs=1e-9)
 
 
+def _spread_ratios(m):
+    return [0.05 + 0.85 * ((i * 0.6180339887498949 + m * 0.1) % 1.0) for i in range(m)]
+
+
+# m: (moran_dimension, percolation_dimension at uniform p = 0.7) of the
+# ratios above, as returned by scipy.optimize.brentq with the same bracket,
+# xtol, rtol and maxiter
+BRENT_ROOTS = {
+    2: ("0x1.e0dafeab1f6a1p-1", "0x1.9f7b0e07aaadap-2"),
+    3: ("0x1.0c33ba4efc0bfp+1", "0x1.464023bf153b8p+0"),
+    5: ("0x1.b891771d5cfb5p+1", "0x1.260f11ab5476fp+1"),
+    8: ("0x1.e568167ebe883p+1", "0x1.6bb9ab6926f2bp+1"),
+    13: ("0x1.581fb132cf7f2p+2", "0x1.0f6b0521d0564p+2"),
+    21: ("0x1.211260130cb9ap+3", "0x1.d078a66b42a95p+2"),
+    30: ("0x1.41fab1b8b2d29p+3", "0x1.0a96748274b15p+3"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(BRENT_ROOTS))
+def test_dimension_roots_are_the_recorded_brent_roots(m):
+    ratios = _spread_ratios(m)
+    maps = [
+        Similarity(ratio=r, angle=0.0, translation=np.array([i / m, 0.0]))
+        for i, r in enumerate(ratios)
+    ]
+    perc = dl.percolation_dimension(dl.uniform_law(m, 0.7), IFS.from_maps(maps))
+    moran = dl.moran_dimension(ratios)
+    assert (moran.hex(), perc.hex()) == BRENT_ROOTS[m]
+
+
+@pytest.mark.parametrize("m, r", [(2, 0.5), (3, 1.0 / 3.0), (8, 1.0 / 3.0), (30, 0.07)])
+def test_moran_root_of_equal_ratios_is_the_closed_form(m, r):
+    want = math.log(m) / math.log(1.0 / r)
+    assert dl.moran_dimension([r] * m) == pytest.approx(want, rel=0, abs=2e-14)
+
+
+@given(ratios=st.lists(st.floats(0.05, 0.9), min_size=2, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_moran_equation_changes_sign_across_the_root(ratios):
+    s = dl.moran_dimension(ratios)
+    # Brent stops once the sign-changing bracket is within xtol + rtol |s|
+    h = 2.0 * (1e-14 + 8.9e-16 * s)
+
+    def f(t):
+        return math.fsum(r ** t for r in ratios) - 1.0
+
+    assert f(s - h) > 0.0 > f(s + h)
+
+
 # ---------------------------------------------------------------------------
 # stopping sets
 
@@ -198,10 +238,10 @@ def test_stopping_set_can_stop_at_the_empty_word():
     assert ss.radii[0] == ifs.ball_radius
 
 
-def test_stopping_set_diameter_window_and_completeness():
+def test_stopping_set_diameter_window_and_completeness(mixed):
     """Mixed contraction ratios: every diameter lands in [rho, c1 rho) and
     the natural measure of the family sums to 1 (complete + prefix-free)."""
-    ifs = mixed_ratio_ifs()
+    ifs = mixed
     s = dl.moran_dimension(ifs)
     for rho in (0.15, 0.04, 0.011):
         ss = dl.stopping_set(ifs, rho)

@@ -360,7 +360,7 @@ def _same_words_stopping_set(ifs, k):
     return ss
 
 
-@pytest.mark.parametrize("name", ["rot3", "carpet"])
+@pytest.mark.parametrize("name", ["rot3", "carpet", "turns", "mixed"])
 def test_cell_cloud_is_bitwise_the_word_fold_and_stopping_set(name, request):
     ifs = request.getfixturevalue(name)
     law = dl.uniform_law(ifs.m, 0.8)
@@ -370,7 +370,10 @@ def test_cell_cloud_is_bitwise_the_word_fold_and_stopping_set(name, request):
         sym = sample.symbols_at(k)
         wc, wr = dl.word_geometry(ifs, sym)
         assert np.array_equal(centers, wc) and np.array_equal(radii, wr)
-        if k == 0:
+        # a ratio shared by every map is kept as one value per generation
+        assert (radii.strides == (0,)) == (ifs.equal_ratio or k == 0)
+        # all words of one length form a stopping set only for equal ratios
+        if k == 0 or not ifs.equal_ratio:
             continue
         ss = _same_words_stopping_set(ifs, k)
         # all words of length k in lex order: a word's row is its base-m code

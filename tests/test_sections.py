@@ -43,18 +43,39 @@ def test_count_slice_dimension_mismatch(square):
         dl.count_slice(square, Direction(vector=np.array([1.0])), 0.5, rho=0.5)
 
 
-def test_slice_counts_match_scalar_enumeration(carpet, rot3, triangle):
+def test_slice_counts_match_scalar_enumeration(carpet, rot3, triangle, mixed):
     cases = [
         (carpet, 0.0, 0.37, 0.06),
         (carpet, 1.1, 0.52, 0.09),
         (rot3, 0.4, 0.31, 0.06),
         (triangle, 2.0, 0.18, 0.05),
+        (mixed, 0.7, 0.3, 0.01),
+        (mixed, 2.3, 0.4, 0.03),
     ]
     for ifs, beta, x, rho in cases:
         d = Direction.from_angle(beta)
         got = dl.count_slice(ifs, d, x, rho)
         lo, hi = oracles.slice_count_bracket(ifs, d, x, rho)
         assert lo <= got <= hi, (ifs.label, beta, x, rho, lo, got, hi)
+
+
+@pytest.mark.parametrize("equal_radii", [True, False])
+def test_slice_counts_are_the_direct_disk_test(equal_radii, rng_np):
+    n = 2000
+    centers = rng_np.uniform(-1.0, 1.0, (n, 2))
+    if equal_radii:
+        radii = np.full(n, 0.013)
+    else:
+        radii = rng_np.uniform(0.001, 0.05, n)
+    cloud = CellCloud(centers=centers, radii=radii, scale=0.05)
+    d = Direction.from_angle(0.9)
+    p = centers @ d.vector
+    # random offsets, and offsets exactly on disk ends, where ties decide
+    xs = np.concatenate(
+        [rng_np.uniform(-1.5, 1.5, 300), (p - radii)[:100], (p + radii)[:100]]
+    )
+    want = [int(np.count_nonzero((p - radii <= x) & (x <= p + radii))) for x in xs]
+    assert dl.slice_counts(cloud, d, xs).tolist() == want
 
 
 def test_carpet_axis_counts_match_column_products(carpet):
@@ -228,6 +249,66 @@ def test_profile_sample_masks_are_consistent():
     assert np.all(profile.qualifying <= profile.valid)
     assert 0.0 <= profile.qualifying_fraction <= 1.0
     assert np.isnan(profile.slopes[~profile.valid]).all()
+
+
+def _per_offset_fits(profile, scales):
+    """fit_loglog on each offset's counts, one offset at a time."""
+    n = len(profile.x_grid)
+    slopes, r2, valid = np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, bool)
+    for j in range(n):
+        try:
+            est = dl.fit_loglog(scales, profile.counts[:, j])
+        except InsufficientDataError:
+            continue
+        slopes[j], r2[j], valid[j] = est.slope, est.r2, True
+    return slopes, r2, valid
+
+
+def _carpet_profile(request):
+    scales = [3.0 ** -k for k in range(2, 7)]
+    ifs = request.getfixturevalue("carpet")
+    return scales, dl.conservation_profile(
+        ifs, Direction.from_angle(0.4), 0.15, scales, grid=256
+    )
+
+
+def _sparse_sample_profile(request):
+    cfg = dl.mandelbrot_config(3, 2, 0.45)
+    sample, _ = dl.sample_surviving_tree(cfg.law, 7, seed=5)
+    scales = [cfg.ifs.diameter_proxy * 3.0 ** -k for k in range(2, 8)]
+    return scales, dl.conservation_profile_sample(
+        sample, cfg.ifs, cfg.dimension, Direction.from_angle(1.0), 0.25, scales,
+        grid=256,
+    )
+
+
+def _long_ladder_profile(request):
+    # ten scales: each sum runs past numpy's 8-element pairwise block
+    ifs = request.getfixturevalue("square")
+    sample = dl.sample_tree(dl.uniform_law(4, 0.85), 10, seed=3)
+    scales = [ifs.diameter_proxy * 0.5 ** k for k in range(1, 11)]
+    return scales, dl.conservation_profile_sample(
+        sample, ifs, 2.0 + math.log(0.85) / math.log(2.0), Direction.from_angle(0.3),
+        0.25, scales, x_grid=np.linspace(0.02, 1.23, 256),
+    )
+
+
+@pytest.mark.parametrize(
+    "build", [_carpet_profile, _sparse_sample_profile, _long_ladder_profile]
+)
+def test_grouped_profile_fits_are_the_per_offset_fits(build, request):
+    scales, profile = build(request)
+    nonempty = np.count_nonzero(profile.counts > 0, axis=0)
+    assert np.any(nonempty >= 3)
+    if build is _sparse_sample_profile:
+        assert np.any((nonempty >= 3) & (nonempty < len(scales)))
+        assert np.any(nonempty < 3)
+    if build is _long_ladder_profile:
+        assert np.count_nonzero(nonempty >= 9) > 10
+    slopes, r2, valid = _per_offset_fits(profile, scales)
+    assert np.array_equal(profile.valid, valid)
+    assert np.array_equal(profile.slopes, slopes, equal_nan=True)
+    assert np.array_equal(profile.r2, r2, equal_nan=True)
 
 
 def test_probe_hits_vanish_off_support(square):
