@@ -268,22 +268,17 @@ def moran_dimension(ratios_or_ifs) -> float:
 def _decreasing_root(f, hi: float) -> float:
     """Root in [0, hi'] of f with f(0) > 0 that decreases in s.
 
-    hi is doubled until f(hi') <= 0, then the bracket [0, hi'] is solved by
-    `_brentq`.  Serves both dimension equations (Moran's and percolation's).
+    hi is doubled until f(hi') <= 0, then Brent's method solves the bracket
+    [0, hi'].  The solver is a line-for-line port of scipy's brentq.c (the
+    same tolerance test xtol + rtol |x|, interpolation, extrapolation and
+    bisection rules, and iteration cap), so it returns bitwise the root
+    that scipy.optimize.brentq returns.  Serves both dimension equations
+    (Moran's and percolation's).
     """
+    xtol, rtol, maxiter = 1e-14, 8.9e-16, 200
     while f(hi) > 0.0:
         hi *= 2.0
-    return _brentq(f, 0.0, hi)
-
-
-def _brentq(f, xa, xb, xtol=1e-14, rtol=8.9e-16, maxiter=200) -> float:
-    """Brent's root finder on a sign-changing bracket [xa, xb].
-
-    A line-for-line port of scipy's brentq.c (the same tolerance test
-    xtol + rtol |x|, interpolation, extrapolation and bisection rules), so
-    it returns bitwise the root that scipy.optimize.brentq returns.
-    """
-    xpre, xcur = float(xa), float(xb)
+    xpre, xcur = 0.0, float(hi)
     xblk = fblk = spre = scur = 0.0
     fpre, fcur = float(f(xpre)), float(f(xcur))
     if fpre == 0.0:
@@ -347,10 +342,10 @@ def _extend(ratios, angles, trans, ifs: IFS, rows, syms):
     word's composed map is bitwise the same whichever fold built it.
 
     ratios and angles are each either per row or one value shared by every
-    row (0-d).  A shared value stays shared when all the maps' own
-    values are equal and becomes per row otherwise; a per-row value stays
-    per row.  A shared value is the float every row would have gathered,
-    so the result is the same either way.
+    row (0-d).  A shared value is only passed where every map has the same
+    one (IFS.equal_ratio, IFS.equal_angle) and stays shared; a per-row value
+    stays per row.  A shared value is the float every row would have
+    gathered, so the result is the same either way.
     """
     r, th, a = ifs.ratios, ifs.angles, ifs.translations
     pr = _per_row(ratios, rows)
@@ -378,13 +373,11 @@ def _step(op, parent, own, syms):
     """parent op own[syms], with own the maps' values.
 
     A gathered per-row parent is a fresh array and takes the result in
-    place.  A shared parent stays shared when every map has the same value.
+    place.  A shared parent comes with a value shared by every map.
     """
     if parent.ndim:
         return op(parent, own[syms], out=parent)
-    if np.all(own == own[0]):
-        return op(parent, own[0])
-    return op(parent, own[syms])
+    return op(parent, own[0])
 
 
 def _compose_step(ratios, angles, trans, ifs: IFS):

@@ -441,7 +441,8 @@ def fourier_decay(
     exact_zeros = int(np.count_nonzero(moduli == 0.0))
     keep = moduli > 0.0
     if keep.sum() >= 2:
-        slope, _, r2 = _line_fit(np.log(ts[keep]), -np.log(moduli[keep]))
+        slope, _, r2 = _line_fit(np.log(ts[keep]), -np.log(moduli[keep])[None])
+        slope, r2 = float(slope[0]), float(r2[0])
     else:
         slope, r2 = float("nan"), float("nan")
     return DecayEstimate(

@@ -28,8 +28,9 @@ from .geometry import (
     IFS,
     Similarity,
     _cell_disks,
-    _extend,
     _decreasing_root,
+    _extend,
+    _identity_maps,
 )
 
 __all__ = [
@@ -232,9 +233,14 @@ class PercolationSample:
         """
         if ifs.m != (self.law.m if self.law is not None else ifs.m):
             raise ParameterError("law arity does not match the IFS")
-        # the root's ratio and angle are shared by every row, so a system
-        # whose maps all have the same one keeps a single value per generation
-        root = (np.float64(1.0), np.float64(0.0), np.zeros((1, ifs.ambient_dim)))
+        # a ratio or angle that every map has is folded as one value per
+        # generation, shared by all rows; any other is folded per row
+        ratio, angle, trans = _identity_maps(1, ifs.ambient_dim)
+        root = (
+            ratio[0] if ifs.equal_ratio else ratio,
+            angle[0] if ifs.equal_angle else angle,
+            trans,
+        )
         maps = self._maps.setdefault(ifs, [root])
         for gen in self.generations[len(maps) : k + 1]:
             maps.append(_extend(*maps[-1], ifs, gen.parent, gen.symbol - 1))

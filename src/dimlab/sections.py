@@ -167,35 +167,33 @@ def fit_loglog(scales, counts) -> DimEstimate:
             f"only {len(scales)} non-empty scales; need at least 3"
         )
     y = np.log(counts)
-    slope, intercept, r2 = _line_fit(np.log(1.0 / scales), y)
+    slope, intercept, r2 = _line_fit(np.log(1.0 / scales), y[None])
     return DimEstimate(
-        slope=slope,
-        intercept=intercept,
-        r2=r2,
+        slope=float(slope[0]),
+        intercept=float(intercept[0]),
+        r2=float(r2[0]),
         scales=scales,
         log_counts=y,
         n_dropped=n_dropped,
     )
 
 
-def _line_fit(x, y):
-    """Least-squares line y ~ slope * x + intercept: (slope, intercept, r2).
+def _line_fit(x, ys):
+    """Least-squares lines ys[i] ~ slope * x + intercept over one x.
 
-    y is one series (n,), giving floats, or a stack of series (k, n) over
-    the same x, giving arrays of k.  Each series gets its own polyfit, as
-    LAPACK solves a stacked right-hand side in another order and moves last
-    bits.  The sums run along the contiguous last axis, so each series of a
-    stack is summed exactly as on its own.
+    ys is a stack of series (k, n); returns (slope, intercept, r2) as
+    arrays of k.  Each series gets its own polyfit, as LAPACK solves a
+    stacked right-hand side in another order and moves last bits.  The
+    sums run along the contiguous last axis, so each series of a stack is
+    summed exactly as on its own.
     """
-    ys = np.atleast_2d(np.ascontiguousarray(y))
-    slope, intercept = np.array([np.polyfit(x, row, 1) for row in ys]).T
+    ys = np.ascontiguousarray(ys)
+    slope, intercept = np.array([np.polyfit(x, y, 1) for y in ys]).T
     resid = ys - (slope[:, None] * x + intercept[:, None])
     ss_res = np.sum(resid ** 2, axis=1)
     ss_tot = np.sum((ys - ys.mean(axis=1, keepdims=True)) ** 2, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(ss_tot <= 1e-30, 1.0 * (ss_res <= 1e-30), 1.0 - ss_res / ss_tot)
-    if np.ndim(y) == 1:
-        return float(slope[0]), float(intercept[0]), float(r2[0])
     return slope, intercept, r2
 
 

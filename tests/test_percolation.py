@@ -371,7 +371,7 @@ def test_cell_cloud_is_bitwise_the_word_fold_and_stopping_set(name, request):
         wc, wr = dl.word_geometry(ifs, sym)
         assert np.array_equal(centers, wc) and np.array_equal(radii, wr)
         # a ratio shared by every map is kept as one value per generation
-        assert (radii.strides == (0,)) == (ifs.equal_ratio or k == 0)
+        assert (radii.strides == (0,)) == ifs.equal_ratio
         # all words of one length form a stopping set only for equal ratios
         if k == 0 or not ifs.equal_ratio:
             continue
