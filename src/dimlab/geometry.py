@@ -447,19 +447,21 @@ def word_geometry(ifs: IFS, symbols: np.ndarray):
 class StoppingSet:
     """A complete prefix-free family {words : rho <= diameter < c1 rho}.
 
-    Stored columnar (words padded with 0) in lexicographic order; `words()`
-    materializes python tuples lazily.
+    Rows are in lexicographic word order.  Words are not stored: each row
+    keeps its length and its index among the children of the frontier it
+    was cut from, and `words()` rebuilds python tuples lazily by walking
+    the frontier's parent links.
     """
 
     ifs: IFS
     rho: float
     c1: float
     lengths: np.ndarray
-    symbols: np.ndarray
     ratios: np.ndarray
-    angles: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
+    _index: np.ndarray = field(repr=False)
+    _links: list = field(repr=False)
     _words: list | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -475,98 +477,171 @@ class StoppingSet:
 
     def words(self) -> list:
         if self._words is None:
-            self._words = [
-                tuple(int(s) for s in self.symbols[i, : self.lengths[i]])
-                for i in range(len(self))
-            ]
+            m = self.ifs.m
+            words = [()] * len(self)
+            for length in np.unique(self.lengths).tolist():
+                rows = np.flatnonzero(self.lengths == length)
+                child = self._index[rows]
+                symbols = np.empty((len(rows), length), dtype=np.int64)
+                for j in range(length, 0, -1):
+                    symbols[:, j - 1] = child % m + 1
+                    child = self._links[j - 1][child // m]
+                for row, word in zip(rows.tolist(), symbols.tolist()):
+                    words[row] = tuple(word)
+            self._words = words
         return self._words
 
 
 def stopping_set(ifs: IFS, rho: float, budget: int = DEFAULT_BUDGET) -> StoppingSet:
-    """Enumerate the stopping set at scale rho.
+    """Enumerate the stopping set at scale rho: a ladder of one scale."""
+    return stopping_sets(ifs, [rho], budget=budget)[0]
+
+
+def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
+    """The stopping sets of every scale of a ladder, from one top-down pass.
 
     c1 is fixed to 1 / min_i r_i, which guarantees every chain of nested
-    cylinders crosses [rho, c1 rho) exactly once, so the family is both
+    cylinders crosses [rho, c1 rho) exactly once, so each family is both
     prefix-free and complete.
+
+    One frontier, the words whose diameter c0 r is at least the finest cut
+    c1 rho, is extended a level at a time by `_compose_step`.  A scale's
+    cells are the children below its cut whose parent is not (or the root,
+    when c0 is below the cut); a scale is assembled once no frontier word
+    is at or above its cut.
+
+    The budget check is the single-scale one, emitted + active * m before
+    every level, made for the finest scale.  At every level each coarser
+    scale's cells and active children are cells, ancestors of cells or
+    active children of the finest scale, so its count is never the larger:
+    the ladder raises exactly when one of its scales would on its own.
     """
     c0 = ifs.diameter_proxy
-    if not (0.0 < rho < c0):
-        raise OutOfRangeError(f"rho must lie in (0, {c0:.6g}), got {rho}")
+    rhos = [float(rho) for rho in scales]
+    for rho in rhos:
+        if not (0.0 < rho < c0):
+            raise OutOfRangeError(f"rho must lie in (0, {c0:.6g}), got {rho}")
     c1 = 1.0 / float(ifs.ratios.min())
-    cut = c1 * rho
-
-    fin_sym, fin_len, fin_r, fin_th, fin_t = [], [], [], [], []
-    total = 0
-
-    def emit(sym, rr, th, tt):
-        nonlocal total
-        total += len(rr)
-        if total > budget:
-            raise BudgetExceededError(total, budget)
-        fin_sym.append(sym)
-        fin_len.append(np.full(len(rr), sym.shape[1], dtype=np.int32))
-        fin_r.append(rr)
-        fin_th.append(th)
-        fin_t.append(tt)
-
-    # level 0: the empty word
-    act_sym = np.zeros((1, 0), dtype=np.uint16)
-    act_r, act_th, act_t = _identity_maps(1, ifs.ambient_dim)
-    if c0 < cut:
-        emit(act_sym, act_r, act_th, act_t)
-        act_sym = act_sym[:0]
-        act_r, act_th, act_t = act_r[:0], act_th[:0], act_t[:0]
-
+    cuts = [c1 * rho for rho in rhos]
+    finest = cuts.index(min(cuts))
     m = ifs.m
-    while len(act_r):
-        if total + len(act_r) * m > budget:
-            raise BudgetExceededError(total + len(act_r) * m, budget)
-        ch_r, ch_th, ch_t = _compose_step(act_r, act_th, act_t, ifs)
-        k = act_sym.shape[1]
-        ch_sym = np.empty((len(act_r) * m, k + 1), dtype=np.uint16)
-        ch_sym[:, :k] = np.repeat(act_sym, m, axis=0)
-        ch_sym[:, k] = np.tile(np.arange(1, m + 1, dtype=np.uint16), len(act_r))
-        diam = c0 * ch_r
-        done = diam < cut
-        if np.any(done):
-            emit(ch_sym[done], ch_r[done], ch_th[done], ch_t[done])
-        keep = ~done
-        act_sym, act_r, act_th, act_t = (
-            ch_sym[keep],
-            ch_r[keep],
-            ch_th[keep],
-            ch_t[keep],
-        )
 
-    lengths = np.concatenate(fin_len) if fin_len else np.zeros(0, dtype=np.int32)
-    n = len(lengths)
-    lmax = int(lengths.max()) if n else 0
-    symbols = np.zeros((n, lmax), dtype=np.uint16)
-    row = 0
-    for block in fin_sym:
-        symbols[row : row + len(block), : block.shape[1]] = block
-        row += len(block)
-    ratios = np.concatenate(fin_r) if fin_r else np.zeros(0)
-    angles = np.concatenate(fin_th) if fin_th else np.zeros(0)
-    trans = np.concatenate(fin_t) if fin_t else np.zeros((0, ifs.ambient_dim))
+    maps = _identity_maps(1, ifs.ambient_dim)
+    diam = np.full(1, c0)
+    # links[k]: each level-k frontier word's index among the level's children
+    links = [np.zeros(1, dtype=np.intp)]
+    # per scale, level -> (child indices, composed maps) of its cells
+    cells = [{0: (links[0], maps)} if c0 < cut else {} for cut in cuts]
+    emitted = len(cells[finest])
+    out = [None] * len(rhos)
+    level = 0
+    while True:
+        active = {}
+        for i, cut in enumerate(cuts):
+            if out[i] is None:
+                act = diam >= cut
+                if act.any():
+                    active[i] = act
+                else:
+                    out[i] = _assemble(ifs, rhos[i], c1, cells[i], links)
+                    cells[i] = None
+        # while any scale is active the finest is, on the whole frontier
+        need = emitted + len(diam) * m if active else emitted
+        if need > budget:
+            raise BudgetExceededError(need, budget)
+        if not active:
+            return out
+        children = _compose_step(*maps, ifs)
+        ch_diam = c0 * children[0]
+        level += 1
+        for i, act in active.items():
+            done = (ch_diam < cuts[i]).reshape(-1, m)
+            done &= act[:, None]
+            idx = np.flatnonzero(done)
+            if len(idx):
+                cells[i][level] = (idx, _rows_of(children, idx))
+                if i == finest:
+                    emitted += len(idx)
+        keep = np.flatnonzero(ch_diam >= cuts[finest])
+        links.append(keep)
+        maps = _rows_of(children, keep)
+        diam = ch_diam[keep]
+        del children
 
-    if n and lmax:
-        order = np.lexsort(tuple(symbols[:, j] for j in range(lmax - 1, -1, -1)))
-        lengths, symbols = lengths[order], symbols[order]
-        ratios, angles, trans = ratios[order], angles[order], trans[order]
 
-    centers, radii = _cell_disks(ifs, ratios, angles, trans)
+def _rows_of(maps, idx):
+    """The rows idx of composed maps; all rows are taken without a copy."""
+    if len(idx) == len(maps[0]):
+        return maps
+    return tuple(a[idx] for a in maps)
+
+
+def _assemble(ifs: IFS, rho: float, c1: float, cells: dict, links: list) -> StoppingSet:
+    """One scale's stopping set from its cells, in lexicographic order.
+
+    Within a level, children come in (parent, symbol) order, which is
+    lexicographic, so cells cut at one level (always so for equal ratios)
+    are in order as they stand; cells of several levels are placed by
+    `_lex_rows`.
+    """
+    if len(cells) == 1:
+        ((level, (index, maps)),) = cells.items()
+        lengths = np.full(len(index), level, dtype=np.int32)
+    else:
+        rows = _lex_rows({k: idx for k, (idx, _) in cells.items()}, links, ifs.m)
+        n = sum(len(idx) for idx, _ in cells.values())
+        lengths = np.empty(n, dtype=np.int32)
+        index = np.empty(n, dtype=np.intp)
+        maps = np.empty(n), np.empty(n), np.empty((n, ifs.ambient_dim))
+        for k, (idx, part) in cells.items():
+            lengths[rows[k]] = k
+            index[rows[k]] = idx
+            for a, b in zip(maps, part):
+                a[rows[k]] = b
+    ratios = maps[0]
+    centers, radii = _cell_disks(ifs, *maps)
     return StoppingSet(
         ifs=ifs,
         rho=rho,
         c1=c1,
         lengths=lengths,
-        symbols=symbols,
         ratios=ratios,
-        angles=angles,
         centers=centers,
         radii=radii,
+        _index=index,
+        _links=links,
     )
+
+
+def _lex_rows(cells: dict, links: list, m: int) -> dict:
+    """Lexicographic row of each cell of one scale, per level.
+
+    cells maps a level to its cells' indices among that level's children
+    (m per frontier word of the level above).  Each frontier word's count
+    of cells below it is summed up the parent links; laying the counts out
+    again from the root, in symbol order, gives each child the row of its
+    first cell, and a cell the row of itself.
+    """
+    bottom = max(cells)
+    sizes = {}
+    below = None
+    for level in range(bottom, 0, -1):
+        size = np.zeros(len(links[level - 1]) * m, dtype=np.int64)
+        if level in cells:
+            size[cells[level]] = 1
+        if below is not None:
+            size[links[level]] += below
+        sizes[level] = size = size.reshape(-1, m)
+        below = size.sum(axis=1)
+    rows = {}
+    start = np.zeros(1, dtype=np.int64)
+    for level in range(1, bottom + 1):
+        size = sizes.pop(level)
+        first = (np.cumsum(size, axis=1) - size + start[:, None]).ravel()
+        if level in cells:
+            rows[level] = first[cells[level]]
+        start = first[links[level]] if level < bottom else None
+    return rows
 
 
 def overlap_count(stopping: StoppingSet, point) -> int:

@@ -172,9 +172,9 @@ class PercolationSample:
 
     Each generation stores only parent links and last symbols; whole words
     are rebuilt on demand by walking the links.  Composed cylinder maps are
-    folded top-down through the generations, once per IFS, and kept so that
-    later clouds of the same sample reuse them; so are the cylinder disks
-    of each generation asked for.
+    folded top-down through the generations; the cylinder disks of each
+    generation asked for are kept so that later clouds of the same sample
+    reuse them, and the maps only while a deeper fold can extend them.
     """
 
     law: OffspringLaw | None
@@ -233,20 +233,9 @@ class PercolationSample:
         """
         if ifs.m != (self.law.m if self.law is not None else ifs.m):
             raise ParameterError("law arity does not match the IFS")
-        # a ratio or angle that every map has is folded as one value per
-        # generation, shared by all rows; any other is folded per row
-        ratio, angle, trans = _identity_maps(1, ifs.ambient_dim)
-        root = (
-            ratio[0] if ifs.equal_ratio else ratio,
-            angle[0] if ifs.equal_angle else angle,
-            trans,
-        )
-        maps = self._maps.setdefault(ifs, [root])
-        for gen in self.generations[len(maps) : k + 1]:
-            maps.append(_extend(*maps[-1], ifs, gen.parent, gen.symbol - 1))
         disks = self._disks.setdefault(ifs, {})
         if k not in disks:
-            disks[k] = _cell_disks(ifs, *maps[k])
+            disks[k] = _cell_disks(ifs, *self._fold(ifs, k))
             for a in disks[k]:
                 a.flags.writeable = False
         centers, radii = disks[k]
@@ -255,6 +244,30 @@ class PercolationSample:
                 pass  # the last mask is generation k's; earlier ones are dropped
             centers, radii = centers[keep], radii[keep]
         return centers, radii
+
+    def _fold(self, ifs: IFS, k: int):
+        """Composed maps of generation k, folded top-down.
+
+        Only the maps of the generation folded last are kept, and only
+        below `depth`: the next deeper request extends them, and each
+        generation is dropped once its successor is folded.  A request
+        for an earlier generation folds again from the root.
+        """
+        j, maps = self._maps.pop(ifs, (0, None))
+        if maps is None or j > k:
+            # a ratio or angle that every map has is folded as one value
+            # per generation, shared by all rows; any other is folded per row
+            ratio, angle, trans = _identity_maps(1, ifs.ambient_dim)
+            j, maps = 0, (
+                ratio[0] if ifs.equal_ratio else ratio,
+                angle[0] if ifs.equal_angle else angle,
+                trans,
+            )
+        for gen in self.generations[j + 1 : k + 1]:
+            maps = _extend(*maps, ifs, gen.parent, gen.symbol - 1)
+        if k < self.depth:
+            self._maps[ifs] = (k, maps)
+        return maps
 
 
 def _expected_nodes(mean: float, depth: int) -> float:
@@ -300,19 +313,21 @@ def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
     shrunk in place to the kept prefix; pages past the prefix are never
     touched.  Beyond what the sample keeps, a generation's peak is those
     slots (13 bytes per child) plus one block's temporaries, not the n*m
-    hashes, draws and indices of a whole generation at once.
+    hashes, draws and indices of a whole generation at once.  The deepest
+    generation has no successor to hash, so it gets no path hash slots
+    (5 bytes per child when m < 256).
     """
     m = law.m
     dtype = _symbol_dtype(m)
     step = max(1, _BLOCK_CHILDREN // m)
     total = len(hashes)
-    for _ in range(depth):
+    for level in range(depth):
         n = len(hashes)
         if total + n * m > budget:
             raise BudgetExceededError(total + n * m, budget, what="nodes")
         parent = np.empty(n * m, dtype=np.int32)
         symbol = np.empty(n * m, dtype=dtype)
-        frontier = np.empty(n * m, dtype=np.uint64)
+        frontier = np.empty(n * m, dtype=np.uint64) if level < depth - 1 else None
         kept = 0
         for lo in range(0, n, step):
             block = hashes[lo : lo + step]
@@ -322,11 +337,13 @@ def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
             end = kept + len(idx)
             parent[kept:end] = row + lo
             symbol[kept:end] = idx - row * m + 1
-            frontier[kept:end] = child_h.ravel()[idx]
+            if frontier is not None:
+                frontier[kept:end] = child_h.ravel()[idx]
             kept = end
         total += kept
         for out in (parent, symbol, frontier):
-            out.resize(kept, refcheck=False)  # shrinks in place; no view of it is left
+            if out is not None:
+                out.resize(kept, refcheck=False)  # shrinks in place; no view of it is left
         yield _Generation(parent=parent, symbol=symbol)
         hashes = frontier
 

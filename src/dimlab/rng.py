@@ -21,6 +21,7 @@ threshold ceil(p * 2^53) instead, which is the same test as `uniform < p`
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
@@ -90,9 +91,21 @@ def child_hashes(parent: np.ndarray, m: int) -> np.ndarray:
     return mix64(np.asarray(parent, dtype=np.uint64)[:, None] ^ _symbol_hashes(m))
 
 
-@functools.cache
+_SYMBOL_LOCK = threading.Lock()
+
+
 def _symbol_hashes(m: int) -> np.ndarray:
-    """mix(1), ..., mix(m), shared read-only by every call of `child_hashes`."""
+    """mix(1), ..., mix(m), shared read-only by every call of `child_hashes`.
+
+    Mixed once per m: threads that miss the cache at the same time would
+    each mix them, so the lookup holds a lock.
+    """
+    with _SYMBOL_LOCK:
+        return _mixed_symbols(m)
+
+
+@functools.cache
+def _mixed_symbols(m: int) -> np.ndarray:
     syms = mix64(np.arange(1, m + 1, dtype=np.uint64))
     syms.flags.writeable = False
     return syms

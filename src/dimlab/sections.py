@@ -9,6 +9,7 @@ A slice through offset x in direction w is the affine (d-1)-flat
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +20,19 @@ from .errors import (
     OutOfRangeError,
     ParameterError,
 )
-from .geometry import DEFAULT_BUDGET, IFS, StoppingSet, moran_dimension, stopping_set
+from .geometry import (
+    DEFAULT_BUDGET,
+    IFS,
+    StoppingSet,
+    moran_dimension,
+    stopping_set,
+    stopping_sets,
+)
 from .percolation import PercolationSample, standard_law, sample_tree
 from . import rng
+
+# np.polyfit's warning class (np.RankWarning before numpy 1.25)
+_RankWarning = getattr(np, "exceptions", np).RankWarning
 
 __all__ = [
     "Direction",
@@ -182,13 +193,27 @@ def _line_fit(x, ys):
     """Least-squares lines ys[i] ~ slope * x + intercept over one x.
 
     ys is a stack of series (k, n); returns (slope, intercept, r2) as
-    arrays of k.  Each series gets its own polyfit, as LAPACK solves a
-    stacked right-hand side in another order and moves last bits.  The
-    sums run along the contiguous last axis, so each series of a stack is
-    summed exactly as on its own.
+    arrays of k.  The design is built once, as np.polyfit builds it: the
+    Vandermonde columns scaled to unit norm, and rcond = n * eps.  Each
+    series then gets its own lstsq call, divided by the column scale, so
+    each line is bitwise polyfit's; LAPACK solves a stacked right-hand
+    side in another order and moves last bits.  The sums run along the
+    contiguous last axis, so each series of a stack is summed exactly as
+    on its own.
     """
-    ys = np.ascontiguousarray(ys)
-    slope, intercept = np.array([np.polyfit(x, y, 1) for y in ys]).T
+    x = np.asarray(x, dtype=np.float64)
+    ys = np.ascontiguousarray(ys, dtype=np.float64)
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = len(x) * np.finfo(np.float64).eps
+    coef = np.empty((len(ys), 2))
+    for i, y in enumerate(ys):
+        c, _, rank, _ = np.linalg.lstsq(lhs, y, rcond)
+        if rank < 2:
+            warnings.warn("Polyfit may be poorly conditioned", _RankWarning, stacklevel=2)
+        coef[i] = c / scale
+    slope, intercept = coef.T
     resid = ys - (slope[:, None] * x + intercept[:, None])
     ss_res = np.sum(resid ** 2, axis=1)
     ss_tot = np.sum((ys - ys.mean(axis=1, keepdims=True)) ** 2, axis=1)
@@ -199,8 +224,8 @@ def _line_fit(x, ys):
 
 def _clouds_for_ifs(ifs, scales, budget) -> list:
     return [
-        CellCloud.from_stopping_set(stopping_set(ifs, rho, budget=budget))
-        for rho in scales
+        CellCloud.from_stopping_set(ss)
+        for ss in stopping_sets(ifs, scales, budget=budget)
     ]
 
 

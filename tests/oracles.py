@@ -75,6 +75,35 @@ def slice_count_bracket(ifs: IFS, direction: Direction, x: float, rho: float):
     return lo, hi
 
 
+def stopping_words(ifs: IFS, rho: float):
+    """(words, checks): the stopping set at rho, level by level with scalar maps.
+
+    words are sorted lexicographically.  checks are the counts the
+    level-by-level enumeration compares with its budget, one per level:
+    the words stopped so far plus m children per word still active (a
+    stopped root counts one).  The cut is c1 rho with c1 = 1 / min r_i, as
+    the library defines it.
+    """
+    c0 = ifs.diameter_proxy
+    cut = (1.0 / min(f.ratio for f in ifs.maps)) * rho
+    words, checks = [], []
+    level = [((), IDENTITY)]
+    while level:
+        active = []
+        for w, g in level:
+            if (c0 if g.is_identity else c0 * g.ratio) < cut:
+                words.append(w)
+            else:
+                active.append((w, g))
+        checks.append(len(words) + len(active) * ifs.m)
+        level = [
+            (w + (s,), g.compose(f))
+            for w, g in active
+            for s, f in enumerate(ifs.maps, 1)
+        ]
+    return sorted(words), checks
+
+
 def union_length_naive(lo, hi) -> float:
     """Sorted sweep over interval endpoints, one interval at a time."""
     pairs = sorted((float(a), float(b)) for a, b in zip(lo, hi))

@@ -273,6 +273,64 @@ def test_stopping_set_budget_guard(carpet):
         dl.stopping_set(carpet, 1e-4, budget=1000)
 
 
+# unsorted, and 0.6 stops at the root: c1 = 5 puts its cut at 3 c0
+LADDER = (0.05, 0.6, 0.001, 0.2, 0.012)
+
+
+@pytest.mark.parametrize("name", ["mixed", "rot3", "carpet"])
+def test_stopping_ladder_is_the_single_scale_sets(name, request):
+    ifs = request.getfixturevalue(name)
+    scales = [ifs.diameter_proxy * f for f in LADDER]
+    if name == "carpet":
+        scales = scales[:2] + scales[3:]  # 8^7 cells at the finest
+    ladder = dl.geometry.stopping_sets(ifs, scales)
+    assert len(ladder) == len(scales)
+    for rho, ss in zip(scales, ladder):
+        alone = dl.stopping_set(ifs, rho)
+        assert ss.rho == rho and ss.c1 == alone.c1
+        for attr in ("lengths", "ratios", "centers", "radii"):
+            assert np.array_equal(getattr(ss, attr), getattr(alone, attr)), attr
+        words, _ = oracles.stopping_words(ifs, rho)
+        assert ss.words() == words == alone.words()
+        # each row's disk is its word's, folded on its own
+        for length in np.unique(ss.lengths):
+            rows = np.flatnonzero(ss.lengths == length)
+            symbols = np.array([words[r] for r in rows], dtype=np.int64)
+            centers, radii = dl.word_geometry(ifs, symbols.reshape(len(rows), length))
+            assert np.array_equal(ss.centers[rows], centers)
+            assert np.array_equal(ss.radii[rows], radii)
+    assert ladder[1].words() == [()]
+    if name == "mixed":
+        assert len(set(ladder[2].lengths)) > 2  # genuinely mixed depths
+
+
+@pytest.mark.parametrize("name", ["mixed", "carpet"])
+def test_stopping_ladder_raises_exactly_when_one_scale_would(name, request):
+    ifs = request.getfixturevalue(name)
+    scales = [ifs.diameter_proxy * f for f in (0.05, 0.6, 0.2, 0.02)]
+    checks = [oracles.stopping_words(ifs, rho)[1] for rho in scales]
+    need = [max(c) for c in checks]
+    assert len(set(need)) == len(need)
+    for budget in sorted({b + d for b in need for d in (-1, 0, 1)}):
+        # the first count over budget is what a scale raises with on its own
+        first = [next((c for c in cs if c > budget), None) for cs in checks]
+        for rho, want in zip(scales, first):
+            if want is None:
+                dl.stopping_set(ifs, rho, budget=budget)
+                continue
+            with pytest.raises(BudgetExceededError) as err:
+                dl.stopping_set(ifs, rho, budget=budget)
+            assert err.value.required == want
+        failing = [c for c in first if c is not None]
+        if failing:
+            with pytest.raises(BudgetExceededError) as err:
+                dl.geometry.stopping_sets(ifs, scales, budget=budget)
+            # the finest scale (last here) fails first and with the largest count
+            assert err.value.required == first[-1] == max(failing)
+        else:
+            assert len(dl.geometry.stopping_sets(ifs, scales, budget=budget)) == 4
+
+
 def test_overlap_count_matches_direct_loop(carpet):
     ss = dl.stopping_set(carpet, 0.2)
     for point in ((0.5, 0.5), (0.01, 0.98), (1.2, 1.2)):

@@ -394,6 +394,29 @@ def test_cell_cloud_order_of_requests_does_not_matter(carpet):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def test_cell_cloud_keeps_only_the_maps_a_later_fold_extends(carpet):
+    law = dl.standard_law(carpet, 0.3)
+    sample = dl.sample_tree(law, 4, seed=8)
+    fresh = dl.sample_tree(law, 4, seed=8)
+
+    def held():
+        return {ifs: (k, len(maps[2])) for ifs, (k, maps) in sample._maps.items()}
+
+    counts = sample.counts()
+    for k, want in ((2, {carpet: 2}), (3, {carpet: 3}), (1, {carpet: 1}), (4, {})):
+        got = sample.cell_cloud(carpet, k)
+        assert held() == {ifs: (j, counts[j]) for ifs, j in want.items()}
+        # a fresh sample folds generation k from the root in one pass
+        ref = dl.sample_tree(law, 4, seed=8).cell_cloud(carpet, k)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    # generation 2's disks are kept, so no fold runs and nothing is held
+    sample.cell_cloud(carpet, 2)
+    assert held() == {}
+    # the deepest generation first: its maps are dropped once its disks exist
+    fresh.cell_cloud(carpet, 4)
+    assert fresh._maps == {}
+
+
 def test_persistent_cloud_is_the_masked_full_cloud(carpet):
     law = dl.standard_law(carpet, 0.6)
     sample = dl.sample_tree(law, 5, seed=21)

@@ -115,6 +115,26 @@ def test_fit_loglog_needs_three_points():
         dl.fit_loglog([0.1, 0.05], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("n", [3, 10])
+def test_line_fit_is_polyfit_per_series(n, rng_np):
+    x = np.log(1.0 / (3.0 ** -np.arange(2.0, 2.0 + n)))
+    ys = np.log(rng_np.integers(1, 10 ** 6, (300, n)).astype(np.float64))
+    slope, intercept, _ = dl.sections._line_fit(x, ys)
+    want = np.array([np.polyfit(x, y, 1) for y in ys])
+    assert np.array_equal(slope, want[:, 0]) and np.array_equal(intercept, want[:, 1])
+
+
+def test_line_fit_warns_as_polyfit_on_a_rank_deficient_design():
+    x = np.full(4, 2.0)
+    ys = np.array([[1.0, 2.0, 3.0, 4.0]])
+    with pytest.warns(dl.sections._RankWarning) as got:
+        slope, intercept, _ = dl.sections._line_fit(x, ys)
+    with pytest.warns(dl.sections._RankWarning):
+        want = np.polyfit(x, ys[0], 1)
+    assert len(got) == 1
+    assert np.array_equal([slope[0], intercept[0]], want)
+
+
 def test_section_dim_square_vertical_line_is_one(square):
     scales = [2.0 ** -k for k in range(2, 8)]
     est = dl.section_dim(square, Direction.from_angle(0.0), 0.5, scales)
