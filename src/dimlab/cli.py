@@ -23,19 +23,18 @@ from .catalog import load_ifs
 from .errors import BudgetExceededError, DimlabError
 from .exceptional import AlignmentParams, scan_directions
 from .experiments import (
-    _csv_cell,
     load_config,
     parse_ladder,
     parse_scales,
     report_to_csv,
     report_to_json,
+    rows_to_csv,
     run_scenario,
     scenario_names,
 )
 from .geometry import DEFAULT_BUDGET, iterate_system
 from .measures import forced_pair_law, fourier_decay, measure_dimension, sample_measure
 from .percolation import (
-    _expected_nodes,
     batch_generation_counts,
     sample_tree,
     standard_law,
@@ -57,15 +56,17 @@ _SCENARIO_HELP = {
 }
 
 
-def _emit_rows(out, columns, rows):
-    lines = [",".join(columns)]
-    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+def _write(out, text):
+    """Write `text` to the file `out`, or to stdout when it is empty."""
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
+
+
+def _emit_rows(out, columns, rows):
+    _write(out, rows_to_csv(columns, rows))
 
 
 def _run_guarded(fn, *args, **kwargs):
@@ -95,12 +96,7 @@ def _finish_scenario(name, config, seed, out, fmt):
     report = run_scenario(
         name, params=cfg.get("params"), seed=seed, thresholds=cfg.get("thresholds")
     )
-    text = report_to_json(report) if fmt == "json" else report_to_csv(report)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(out, report_to_json(report) if fmt == "json" else report_to_csv(report))
     for tname in sorted(report["passes"]):
         ok = report["passes"][tname]
         click.echo(
@@ -194,19 +190,19 @@ def _parse_law(text, ifs):
     raise DimlabError(f"law {text!r}: want standard:A, uniform:P, or table:FILE")
 
 
+_TREE_BUDGET_HELP = (
+    "Bound on the nodes kept so far plus the child slots of the next generation: "
+    "first for the forest of all seeds, then, if that fails, for each tree alone."
+)
+
+
 def _percolate_rows(law, depth, n_seeds, seed, budget):
     seeds = rng.derive_seed(np.uint64(seed), np.arange(n_seeds, dtype=np.uint64))
-    # A batch grows the seeds' trees as one forest, which must fit the budget
-    # whole; tree by tree, each needs to fit alone.  Try the batch when the
-    # forest's expected live nodes fit, and fall back to the trees one at a
-    # time when the drawn forest turns out larger.
-    counts = None
-    if n_seeds * _expected_nodes(max(law.mean_offspring(), 1.0), depth) <= budget:
-        try:
-            counts = batch_generation_counts(law, depth, seeds, budget=budget)
-        except BudgetExceededError:
-            pass
-    if counts is None:
+    # The batch grows the seeds' trees as one forest, which must fit the
+    # budget whole; when it does not, each tree needs to fit alone.
+    try:
+        counts = batch_generation_counts(law, depth, seeds, budget=budget)
+    except BudgetExceededError:
         counts = [sample_tree(law, depth, int(s), budget=budget).counts() for s in seeds]
     return [
         [int(s), bool(gen[-1] > 0), int(gen[-1]), "|".join(str(int(c)) for c in gen)]
@@ -221,7 +217,7 @@ def _percolate_rows(law, depth, n_seeds, seed, budget):
 @click.option("--seeds", "n_seeds", type=int, default=1000, help="Number of independent trees.")
 @click.option("--seed", type=int, required=True, help="Base seed for the tree streams.")
 @click.option("--out", default=None)
-@click.option("--budget", type=int, default=DEFAULT_BUDGET)
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, help=_TREE_BUDGET_HELP)
 def percolate_command(ifs_path, law_spec, depth, n_seeds, seed, out, budget):
     """Sample percolation trees and tabulate per-generation survival counts."""
 
@@ -245,7 +241,7 @@ def percolate_command(ifs_path, law_spec, depth, n_seeds, seed, out, budget):
 @click.option("--seeds", "n_seeds", type=int, default=1000)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", default=None)
-@click.option("--budget", type=int, default=DEFAULT_BUDGET)
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, help=_TREE_BUDGET_HELP)
 def mandelbrot_command(m_grid, d, p, depth, n_seeds, seed, out, budget):
     """Mandelbrot percolation: M^d-adic cubes, uniform retention."""
 
@@ -269,7 +265,11 @@ def mandelbrot_command(m_grid, d, p, depth, n_seeds, seed, out, budget):
 @click.option("--scales", default="3:-2:-7", help="base:hi:lo geometric scale ladder.")
 @click.option("--grid", type=int, default=512)
 @click.option("--out", default=None)
-@click.option("--budget", type=int, default=DEFAULT_BUDGET)
+@click.option(
+    "--budget", type=int, default=DEFAULT_BUDGET,
+    help="Bound on the stopping-set cells so far plus m child slots per word "
+    "still above the finest scale.",
+)
 def sections_command(ifs_path, beta, eps, scales, grid, out, budget):
     """Slice-count profile of a deterministic attractor over an offset grid."""
 

@@ -234,6 +234,25 @@ def _sub_seed(seed: int, index: int) -> int:
     return int(rng.derive_seed(np.uint64(seed), np.uint64(index)))
 
 
+def _mandelbrot_trees(name: str, params, seed: int):
+    """A Mandelbrot scenario's config, and its i-th surviving tree as
+    (sample, tries); a subcritical p is a config error of scenario `name`."""
+    cfg = mandelbrot_config(params["M"], params["d"], params["p"])
+    if not cfg.supercritical:
+        raise ConfigError(f"{name}.p: {params['p']} is subcritical")
+
+    def surviving(i):
+        return sample_surviving_tree(
+            cfg.law,
+            params["depth"],
+            _sub_seed(seed, i),
+            max_tries=params["max_tries"],
+            budget=params["budget"],
+        )
+
+    return cfg, surviving
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 
@@ -286,18 +305,10 @@ def _run_moran(params, seed):
     },
 )
 def _run_percolate_dim(params, seed):
-    cfg = mandelbrot_config(params["M"], params["d"], params["p"])
-    if not cfg.supercritical:
-        raise ConfigError(f"percolate-dim.p: {params['p']} is subcritical")
+    cfg, surviving = _mandelbrot_trees("percolate-dim", params, seed)
 
     def one(i):
-        sample, tries = sample_surviving_tree(
-            cfg.law,
-            params["depth"],
-            _sub_seed(seed, i),
-            max_tries=params["max_tries"],
-            budget=params["budget"],
-        )
+        sample, tries = surviving(i)
         est = box_count_estimate(sample, cfg.ifs, min_depth=params["min_depth"])
         return [i, sample.seed, tries, est.slope, est.r2, int(sample.counts()[-1])]
 
@@ -331,19 +342,11 @@ def _run_percolate_dim(params, seed):
     thresholds={"min_measure": {"value": 0.05, "op": ">"}},
 )
 def _run_projection_positivity(params, seed):
-    cfg = mandelbrot_config(params["M"], params["d"], params["p"])
-    if not cfg.supercritical:
-        raise ConfigError(f"projection-positivity.p: {params['p']} is subcritical")
+    cfg, surviving = _mandelbrot_trees("projection-positivity", params, seed)
     betas = np.linspace(0.0, math.pi, params["directions"], endpoint=False)
 
     def one(i):
-        sample, _ = sample_surviving_tree(
-            cfg.law,
-            params["depth"],
-            _sub_seed(seed, i),
-            max_tries=params["max_tries"],
-            budget=params["budget"],
-        )
+        sample, _ = surviving(i)
         cloud = CellCloud.from_sample(sample, cfg.ifs, params["rho"], persistent=True)
         out = []
         for j, beta in enumerate(betas):
@@ -416,9 +419,7 @@ def _run_sections_conservation(params, seed):
     thresholds={"min_mean_qualifying_fraction": {"value": 0.3, "op": ">="}},
 )
 def _run_mandelbrot_slices(params, seed):
-    cfg = mandelbrot_config(params["M"], params["d"], params["p"])
-    if not cfg.supercritical:
-        raise ConfigError(f"mandelbrot-slices.p: {params['p']} is subcritical")
+    cfg, surviving = _mandelbrot_trees("mandelbrot-slices", params, seed)
     rmax = float(cfg.ifs.ratios.max())
     scales = [
         cfg.ifs.diameter_proxy * rmax ** k
@@ -427,13 +428,7 @@ def _run_mandelbrot_slices(params, seed):
     betas = [float(b) for b in params["betas"]]
 
     def one(i):
-        sample, _ = sample_surviving_tree(
-            cfg.law,
-            params["depth"],
-            _sub_seed(seed, i),
-            max_tries=params["max_tries"],
-            budget=params["budget"],
-        )
+        sample, _ = surviving(i)
         out = []
         for beta in betas:
             profile = conservation_profile_sample(
@@ -757,11 +752,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def report_to_csv(report: dict) -> str:
-    lines = [",".join(report["columns"])]
-    for row in report["rows"]:
-        lines.append(",".join(_csv_cell(v) for v in row))
+def rows_to_csv(columns, rows) -> str:
+    """A header line of `columns`, then one line per row."""
+    lines = [",".join(columns)]
+    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def report_to_csv(report: dict) -> str:
+    return rows_to_csv(report["columns"], report["rows"])
 
 
 def emit_report(report: dict, path, fmt: str = "json"):

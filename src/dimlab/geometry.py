@@ -776,8 +776,9 @@ def verify_ssc(ifs: IFS, depth: int = 1, budget: int = DEFAULT_BUDGET) -> bool:
     if depth < 1:
         raise ParameterError("depth must be >= 1")
     n = ifs.m ** depth
-    if n > budget or n * (n - 1) // 2 > budget:
-        raise BudgetExceededError(n * (n - 1) // 2, budget, what="disk pairs")
+    pairs = n * (n - 1) // 2
+    if pairs > budget:
+        raise BudgetExceededError(pairs, budget, what="disk pairs")
     centers, radii = _cell_disks(ifs, *_all_compositions(ifs, depth))
     diff = centers[:, None, :] - centers[None, :, :]
     dist = np.sqrt(np.sum(diff ** 2, axis=2))

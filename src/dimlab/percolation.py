@@ -270,12 +270,6 @@ class PercolationSample:
         return maps
 
 
-def _expected_nodes(mean: float, depth: int) -> float:
-    if abs(mean - 1.0) < 1e-12:
-        return float(depth + 1)
-    return (mean ** (depth + 1) - 1.0) / (mean - 1.0)
-
-
 def _retained(law: OffspringLaw, hashes, child_hashes, syms) -> np.ndarray:
     """Whether child `syms` (0-based index or slice) of each parent is kept:
     a draw per child hash (independent laws) or a mask per parent hash."""
@@ -303,8 +297,13 @@ def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
     """Yield the `depth` generations below a frontier of root path hashes.
 
     Rows come in (parent row, symbol) order, so one pass grows one tree or
-    a forest of them.  Path hashes are kept for the frontier only; `budget`
-    bounds the nodes drawn, roots included.
+    a forest of them.  Path hashes are kept for the frontier only.
+
+    This is the one budget check of every tree and forest: before each
+    generation, the nodes kept so far (roots included) plus one slot per
+    child about to be drawn (n*m for n parents) must fit `budget`.  A tree
+    too large raises at the generation that would exceed it, with that
+    count as `required`.
 
     A generation of n parents is grown in blocks of consecutive parents
     holding about `_BLOCK_CHILDREN` child hashes.  Each block's kept
@@ -355,15 +354,11 @@ def sample_tree(
 
     Node decisions are keyed by (seed, word hash): two runs with the same
     arguments produce identical samples, and a word's fate never depends on
-    its siblings.
+    its siblings.  Before each generation, the nodes kept so far plus m
+    child slots per frontier node must fit `budget`.
     """
     if depth < 0:
         raise ParameterError("depth must be >= 0")
-    mean = law.mean_offspring()
-    expected = _expected_nodes(max(mean, 1.0), depth)
-    if expected > budget:
-        raise BudgetExceededError(expected, budget, what="expected nodes")
-
     gens = [_root(law.m)]
     gens.extend(_grow(law, rng.root_hash(np.uint64(seed)).reshape(1), depth, budget))
     return PercolationSample(law=law, seed=seed, depth=depth, generations=gens)
@@ -559,8 +554,9 @@ def batch_generation_counts(
 ) -> np.ndarray:
     """Surviving-word counts per depth for many seeds at once.
 
-    The trees grow as one forest; each node carries its tree's index down
-    the parent links, and counts are per tree index.
+    The trees grow as one forest, which must fit `budget` as a whole; each
+    node carries its tree's index down the parent links, and counts are
+    per tree index.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     out = np.ones((len(seeds), depth + 1), dtype=np.int64)

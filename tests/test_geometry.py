@@ -405,5 +405,18 @@ def test_verify_ssc(gasket_1d, square):
     assert dl.verify_ssc(square) is False
 
 
+def test_verify_ssc_budget_bounds_the_pairs_it_reports():
+    ifs = dl.load_ifs("degenerate_pair")  # two identical maps: one pair, overlapping
+    assert dl.verify_ssc(ifs, 1, budget=1) is False
+    with pytest.raises(BudgetExceededError, match="1 disk pairs, budget is 0") as err:
+        dl.verify_ssc(ifs, 1, budget=0)
+    assert err.value.required == 1
+    # depth 2: four cells, six pairs
+    assert dl.verify_ssc(ifs, 2, budget=6) is False
+    with pytest.raises(BudgetExceededError) as err:
+        dl.verify_ssc(ifs, 2, budget=5)
+    assert err.value.required == 6
+
+
 def test_diameter_proxy_is_twice_ball_radius(carpet):
     assert carpet.diameter_proxy == 2.0 * carpet.ball_radius

@@ -482,6 +482,48 @@ def test_batch_budget_bounds_live_nodes_not_the_full_tree(carpet):
         dl.batch_generation_counts(law, depth, seeds, budget=int(batch.sum()))
 
 
+def _growth_checks(law, seeds, depth):
+    """Per generation, the count a tree or forest is checked against its
+    budget: roots plus nodes kept so far, plus m slots per frontier node."""
+    kept, frontier, checks = len(seeds), len(seeds), []
+    for rows, _ in _whole_generation_reference(law, seeds, depth):
+        checks.append(kept + frontier * law.m)
+        kept, frontier = kept + len(rows), len(rows)
+    return checks
+
+
+def test_tree_and_forest_budgets_are_the_drawn_growth_checks(carpet):
+    law = dl.standard_law(carpet, 0.3)
+    depth = 3
+    seeds = rng.derive_seed(np.uint64(7), np.arange(5, dtype=np.uint64))
+    # each tree alone, then the forest of all five
+    for group in [seeds[i : i + 1] for i in range(len(seeds))] + [seeds]:
+        checks = _growth_checks(law, group, depth)
+        tree = int(group[0]) if len(group) == 1 else None
+        for budget in sorted({c + d for c in checks for d in (-1, 0, 1)}):
+            if budget >= max(checks):
+                counts = dl.batch_generation_counts(law, depth, group, budget=budget)
+                if tree is not None:
+                    sample = dl.sample_tree(law, depth, tree, budget=budget)
+                    assert sample.counts().tolist() == counts[0].tolist()
+                continue
+            first = next(c for c in checks if c > budget)
+            with pytest.raises(BudgetExceededError) as err:
+                dl.batch_generation_counts(law, depth, group, budget=budget)
+            assert err.value.required == first
+            if tree is not None:
+                with pytest.raises(BudgetExceededError) as err:
+                    dl.sample_tree(law, depth, tree, budget=budget)
+                assert err.value.required == first
+    # the first tree's largest check is below its 230.3 expected live nodes
+    assert max(_growth_checks(law, seeds[:1], depth)) == 222
+    dl.sample_tree(law, depth, int(seeds[0]), budget=225)
+    # the five trees fit 1200 one by one, but their forest is checked at 1463
+    with pytest.raises(BudgetExceededError) as err:
+        dl.batch_generation_counts(law, depth, seeds, budget=1200)
+    assert err.value.required == 1463
+
+
 def test_batch_intersection_codes_must_fit_62_bits(carpet):
     law = dl.uniform_law(carpet.m, 0.05)  # m = 8: 3 code bits per level
     seeds = np.arange(8, dtype=np.uint64)  # 3 more bits for the tree index
