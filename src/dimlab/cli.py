@@ -191,8 +191,9 @@ def _parse_law(text, ifs):
 
 
 _TREE_BUDGET_HELP = (
-    "Bound on the nodes kept so far plus the child slots of the next generation: "
-    "first for the forest of all seeds, then, if that fails, for each tree alone."
+    "Bound on node slots: seeds x (depth + 1) at least, then the nodes kept so far "
+    "plus the child slots of the next generation; first for the forest of all seeds, "
+    "then, if that fails, for each tree alone."
 )
 
 

@@ -299,11 +299,11 @@ def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
     Rows come in (parent row, symbol) order, so one pass grows one tree or
     a forest of them.  Path hashes are kept for the frontier only.
 
-    This is the one budget check of every tree and forest: before each
-    generation, the nodes kept so far (roots included) plus one slot per
-    child about to be drawn (n*m for n parents) must fit `budget`.  A tree
-    too large raises at the generation that would exceed it, with that
-    count as `required`.
+    This is the one budget check of trees and forests, in node slots.  Each
+    tree holds a slot per generation at least, so roots * (depth + 1) must
+    fit `budget` before any draw; then, before each generation, the nodes
+    kept so far (roots included) plus a slot per child about to be drawn
+    (n*m for n parents) must fit.  The first count over it is `required`.
 
     A generation of n parents is grown in blocks of consecutive parents
     holding about `_BLOCK_CHILDREN` child hashes.  Each block's kept
@@ -316,10 +316,14 @@ def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
     generation has no successor to hash, so it gets no path hash slots
     (5 bytes per child when m < 256).
     """
+    if depth < 0:
+        raise ParameterError("depth must be >= 0")
     m = law.m
     dtype = _symbol_dtype(m)
     step = max(1, _BLOCK_CHILDREN // m)
     total = len(hashes)
+    if total * (depth + 1) > budget:
+        raise BudgetExceededError(total * (depth + 1), budget, what="nodes")
     for level in range(depth):
         n = len(hashes)
         if total + n * m > budget:
@@ -354,11 +358,8 @@ def sample_tree(
 
     Node decisions are keyed by (seed, word hash): two runs with the same
     arguments produce identical samples, and a word's fate never depends on
-    its siblings.  Before each generation, the nodes kept so far plus m
-    child slots per frontier node must fit `budget`.
+    its siblings.  `budget` bounds node slots as `_grow` counts them.
     """
-    if depth < 0:
-        raise ParameterError("depth must be >= 0")
     gens = [_root(law.m)]
     gens.extend(_grow(law, rng.root_hash(np.uint64(seed)).reshape(1), depth, budget))
     return PercolationSample(law=law, seed=seed, depth=depth, generations=gens)
@@ -554,17 +555,16 @@ def batch_generation_counts(
 ) -> np.ndarray:
     """Surviving-word counts per depth for many seeds at once.
 
-    The trees grow as one forest, which must fit `budget` as a whole; each
-    node carries its tree's index down the parent links, and counts are
-    per tree index.
+    The trees grow as one forest that must fit `budget` whole; each node
+    carries its tree's index down the parent links; counts are per tree.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    out = np.ones((len(seeds), depth + 1), dtype=np.int64)
     tree = np.arange(len(seeds))
-    for k, gen in enumerate(_grow(law, rng.root_hash(seeds), depth, budget), 1):
+    counts = [np.ones(len(seeds), dtype=np.int64)]
+    for gen in _grow(law, rng.root_hash(seeds), depth, budget):
         tree = tree[gen.parent]
-        out[:, k] = np.bincount(tree, minlength=len(seeds))
-    return out
+        counts.append(np.bincount(tree, minlength=len(seeds)))
+    return np.stack(counts, axis=1)
 
 
 def batch_intersection_counts(
@@ -588,7 +588,7 @@ def batch_intersection_counts(
         raise ParameterError("seed arrays must be paired")
     m, n = law1.m, len(seeds1)
     _check_code_bits(n, depth, m)
-    out = np.ones((n, depth + 1), dtype=np.int64)
+    counts = [np.ones(n, dtype=np.int64)]
     ca = cb = np.arange(n, dtype=np.int64)
     forests = zip(
         _grow(law1, rng.root_hash(seeds1), depth, budget),
@@ -596,8 +596,8 @@ def batch_intersection_counts(
     )
     for k, (ga, gb) in enumerate(forests, 1):
         ca, cb = _codes(ca, ga, m), _codes(cb, gb, m)
-        out[:, k] = np.bincount(_common(ca, cb) // m**k, minlength=n)
-    return out
+        counts.append(np.bincount(_common(ca, cb) // m**k, minlength=n))
+    return np.stack(counts, axis=1)
 
 
 def path_survival(law: OffspringLaw, word, seeds) -> np.ndarray:

@@ -188,6 +188,17 @@ def test_percolate_falls_back_to_the_loop_when_the_forest_draws_too_many(
     assert looped == batch
 
 
+def test_percolate_too_deep_for_the_budget_exits_2_at_once(runner, branch_calls):
+    # 3 trees of 1001 generations hold 3003 slots, and one alone 1001: the
+    # forest and then the first tree raise before drawing anything
+    res = runner.invoke(main, ["percolate", "--ifs", "sierpinski_carpet",
+                               "--law", "uniform:0.05", "--depth", "1000",
+                               "--seeds", "3", "--seed", "7", "--budget", "1000"])
+    assert res.exit_code == 2
+    assert "nodes, budget is 1e+03" in res.stderr
+    assert branch_calls == {"batch": 1, "tree": 1}
+
+
 def test_mandelbrot_batch_needs_only_the_live_forest_to_fit(runner, branch_calls):
     args = ["mandelbrot", "--M", "3", "--p", "0.5", "--depth", "5",
             "--seeds", "1000", "--seed", "4"]

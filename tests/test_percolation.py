@@ -524,6 +524,35 @@ def test_tree_and_forest_budgets_are_the_drawn_growth_checks(carpet):
     assert err.value.required == 1463
 
 
+def test_a_request_too_deep_for_its_budget_raises_before_any_draw(carpet, monkeypatch):
+    law = dl.uniform_law(carpet.m, 0.05)  # subcritical: the trees die out early
+    seeds = np.arange(3, dtype=np.uint64)
+    budget = 1000
+    # each tree holds a slot per generation: depth + 1 slots per tree fit
+    assert dl.sample_tree(law, budget - 1, 7, budget=budget).extinct
+    dl.batch_generation_counts(law, budget // 3 - 1, seeds, budget=budget)
+
+    def no_draws(*args):
+        raise AssertionError("children drawn before the depth check")
+
+    monkeypatch.setattr(rng, "child_hashes", no_draws)
+    many = np.arange(1000, dtype=np.uint64)
+    calls = [
+        (lambda: dl.sample_tree(law, budget, 7, budget=budget), budget + 1),
+        (lambda: dl.sample_tree(law, 10 ** 8, 7), 10 ** 8 + 1),
+        (lambda: dl.batch_generation_counts(law, budget // 3, seeds, budget=budget),
+         3 * (budget // 3 + 1)),
+        (lambda: dl.batch_generation_counts(law, 10 ** 4, many), 1000 * (10 ** 4 + 1)),
+        (lambda: dl.batch_intersection_counts(law, seeds, law, seeds, 20, budget=62), 63),
+    ]
+    for call, required in calls:
+        with pytest.raises(BudgetExceededError) as err:
+            call()
+        assert err.value.required == required
+    with pytest.raises(ParameterError, match="depth"):
+        dl.batch_generation_counts(law, -1, seeds)
+
+
 def test_batch_intersection_codes_must_fit_62_bits(carpet):
     law = dl.uniform_law(carpet.m, 0.05)  # m = 8: 3 code bits per level
     seeds = np.arange(8, dtype=np.uint64)  # 3 more bits for the tree index
