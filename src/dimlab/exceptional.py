@@ -15,10 +15,13 @@ is (b tau) c_n with c_n = r^{q-qk(N-n)} cos(beta + gamma - nqk theta),
 b >= 0, and tau >= tau_0, the first point of the grid.  Rounding is
 monotone, so |(b tau) c_n| >= |(b tau_0) c_n| at every tau: a column whose
 tau_0 value is 2^53 or more, infinite or NaN is not aligned at any tau and
-adds 0 to every fraction.  Such columns are dropped before the tau x N
-product is formed; the rest are evaluated elementwise exactly as a dense
-matrix would be, so the fractions are bit for bit those of the dense scan.
-At the catalog defaults only the last ~13-16 of the N terms survive.
+adds 0 to every fraction.  Such columns are dropped; the rest form a
+term-major (terms, taus) block of the same products (b tau) c_n, which is
+rounded and tested in place and counted per tau by adding its contiguous
+bool rows.  A per-tau count over ~15 strided values, as a tau x N layout
+needs, is a slow numpy reduction.  Every value is the product a dense
+matrix would hold, so the fractions are bit for bit those of the dense
+scan.  At the catalog defaults only the last ~13-16 of the N terms survive.
 """
 
 from __future__ import annotations
@@ -103,37 +106,38 @@ def _decidable_columns(bt: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.abs(bt[0] * c) < _REPRESENTABLE)
 
 
-def _alignment_fractions(params: AlignmentParams, betas):
-    """Per beta, the aligned fraction of the N terms at each tau of the grid."""
+def _alignment_fractions(params: AlignmentParams, bt: np.ndarray, betas):
+    """Per beta, the aligned fraction of the N terms at each tau of the grid
+    (bt is b tau over the grid, smallest tau first)."""
     n = np.arange(1, params.big_n + 1, dtype=np.float64)
     qk = params.q * params.k
     exponents = params.q - qk * (params.big_n - n)
     with np.errstate(over="ignore"):
         scales = params.r ** exponents
     phase = params.gamma - n * qk * params.theta
-    bt = params.b * params.taus()
     threshold = params.threshold
     for beta in betas:
         with np.errstate(over="ignore", invalid="ignore"):
             c = scales * np.cos(beta + phase)
             cols = _decidable_columns(bt, c)
-            vals = bt[:, None] * c[cols][None, :]
+            vals = c[cols][:, None] * bt[None, :]
             ok = np.abs(vals) < _REPRESENTABLE
             np.subtract(vals, np.round(vals), out=vals)
             np.abs(vals, out=vals)
             ok &= vals <= threshold
-        yield np.count_nonzero(ok, axis=1) / params.big_n
+        yield np.count_nonzero(ok, axis=0) / params.big_n
 
 
 def membership_fraction(params: AlignmentParams, beta: float) -> MembershipResult:
     """Best alignment fraction over the tau grid for one direction."""
-    (fractions,) = _alignment_fractions(params, [beta])
+    taus = params.taus()
+    (fractions,) = _alignment_fractions(params, params.b * taus, [beta])
     best = int(np.argmax(fractions))
     max_fraction = float(fractions[best])
     return MembershipResult(
         beta=float(beta),
         max_fraction=max_fraction,
-        witness_tau=float(params.taus()[best]),
+        witness_tau=float(taus[best]),
         member=max_fraction > 1.0 - params.delta,
         fractions=fractions,
     )
@@ -163,7 +167,7 @@ def scan_directions(params: AlignmentParams, betas) -> ScanResult:
     taus = params.taus()
     max_fractions = np.zeros(len(betas))
     witness_taus = np.zeros(len(betas))
-    for i, fractions in enumerate(_alignment_fractions(params, betas)):
+    for i, fractions in enumerate(_alignment_fractions(params, params.b * taus, betas)):
         best = int(np.argmax(fractions))
         max_fractions[i] = fractions[best]
         witness_taus[i] = taus[best]

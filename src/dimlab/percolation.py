@@ -12,6 +12,7 @@ down the parent links.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -326,6 +327,12 @@ def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
         raise BudgetExceededError(total * (depth + 1), budget, what="nodes")
     for level in range(depth):
         n = len(hashes)
+        if n == 0:
+            # an extinct frontier stays extinct: one shared empty generation
+            # stands for every level left
+            empty = _Generation(np.empty(0, dtype=np.int32), np.empty(0, dtype=dtype))
+            yield from itertools.repeat(empty, depth - level)
+            return
         if total + n * m > budget:
             raise BudgetExceededError(total + n * m, budget, what="nodes")
         parent = np.empty(n * m, dtype=np.int32)

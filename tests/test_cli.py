@@ -167,25 +167,16 @@ _CARPET_ARGS = ["percolate", "--ifs", "sierpinski_carpet", "--law", "standard:0.
                 "--depth", "3", "--seeds", "5", "--seed", "7"]
 
 
-def test_percolate_per_seed_loop_matches_the_batch(runner, branch_calls):
+@pytest.mark.parametrize("budget", [1000, 1200])
+def test_percolate_per_seed_loop_matches_the_batch(runner, branch_calls, budget):
     batch, took = _branches(runner, branch_calls, _CARPET_ARGS)
     assert took == {"batch": 1, "tree": 0}
-    # the forest of 5 trees is checked at 1463 nodes, above a budget of 1000,
+    # growing the forest of 5 trees checks 1463 nodes, above either budget,
     # so each tree is sampled alone
-    looped, took = _branches(runner, branch_calls, _CARPET_ARGS + ["--budget", "1000"])
+    looped, took = _branches(runner, branch_calls, _CARPET_ARGS + ["--budget", str(budget)])
     assert took == {"batch": 1, "tree": 5}
     assert looped == batch
     assert len(batch[1]) == 5
-
-
-def test_percolate_falls_back_to_the_loop_when_the_forest_draws_too_many(
-    runner, branch_calls
-):
-    batch, _ = _branches(runner, branch_calls, _CARPET_ARGS)
-    # the expected 1152 live nodes fit 1200, but growing this forest draws 1460
-    looped, took = _branches(runner, branch_calls, _CARPET_ARGS + ["--budget", "1200"])
-    assert took == {"batch": 1, "tree": 5}
-    assert looped == batch
 
 
 def test_percolate_too_deep_for_the_budget_exits_2_at_once(runner, branch_calls):

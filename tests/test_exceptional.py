@@ -144,6 +144,8 @@ DENSE_CASES = {
         big_n=60, tau_grid=32,
     ),
     "single_tau": dict(**CATALOG, big_n=60, tau_grid=1),
+    # the exceptional-scan scenario's grid and horizons
+    **{f"scenario_N{n}": dict(**CATALOG, big_n=n, tau_grid=4096) for n in (50, 100, 200)},
 }
 DENSE_BETAS = np.linspace(0.0, math.pi, 24, endpoint=False)
 

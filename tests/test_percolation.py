@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -350,6 +351,28 @@ def test_blocked_growth_equals_the_whole_generation_reference(
         counts.append(np.bincount(tree, minlength=len(seeds)))
     batch = dl.batch_generation_counts(law, forest_depth, seeds)
     assert np.array_equal(batch, np.stack(counts, axis=1))
+
+
+def test_an_extinct_tree_costs_nothing_per_level_left():
+    # seed 12 dies out at generation 7 of 12; the empty levels below it
+    # match the whole-generation reference
+    law = dl.uniform_law(4, 0.3)
+    sample = dl.sample_tree(law, 12, 12)
+    assert sample.counts().tolist() == [1, 1, 1, 2, 2, 4, 2] + [0] * 6
+    _assert_same_generations(
+        sample.generations[1:], _whole_generation_reference(law, [12], 12)
+    )
+    tracemalloc.start()
+    try:
+        deep = dl.sample_tree(dl.uniform_law(8, 0.05), 10 ** 5, 7)
+        counts = deep.counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[0] == 1 and len(counts) == 10 ** 5 + 1 and not counts[1:].any()
+    assert deep.extinct
+    # a new pair of empty arrays per level peaked at 31 MB here
+    assert peak < 8 * 2 ** 20
 
 
 def _same_words_stopping_set(ifs, k):
