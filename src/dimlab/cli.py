@@ -3,7 +3,13 @@
 Two kinds of commands share one executable: scenario runners (moran,
 percolate-dim, ...) that read a JSON config and write a pass/fail report,
 and utility commands (percolate, sections, fourier, ...) that expose single
-operations as CSV emitters.
+operations as CSV emitters.  Scenario commands are built from
+``experiments.SCENARIOS``, each with its runner's docstring as help; probe
+adds a utility mode (``--alpha``) to its scenario options.
+
+Every command body runs under one guard, `_guarded`: the body's return value
+is the exit code (None means 0), and a DimlabError or OSError prints
+``error: ...`` and exits 2.
 
 Exit codes: 0 all thresholds pass, 1 some threshold failed, 2 validation
 or I/O error.
@@ -11,18 +17,21 @@ or I/O error.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import rng
 from .catalog import load_ifs
-from .errors import BudgetExceededError, DimlabError
+from .errors import BudgetExceededError, ConfigError, DimlabError
 from .exceptional import AlignmentParams, scan_directions
 from .experiments import (
+    SCENARIOS,
     load_config,
     parse_ladder,
     parse_scales,
@@ -30,7 +39,6 @@ from .experiments import (
     report_to_json,
     rows_to_csv,
     run_scenario,
-    scenario_names,
 )
 from .geometry import DEFAULT_BUDGET, iterate_system
 from .measures import forced_pair_law, fourier_decay, measure_dimension, sample_measure
@@ -43,17 +51,6 @@ from .percolation import (
     mandelbrot_config,
 )
 from .sections import Direction, conservation_profile, probe_sections
-
-_SCENARIO_HELP = {
-    "moran": "Check the similarity-dimension solver against analytic cases.",
-    "percolate-dim": "Box-count slopes of surviving Mandelbrot samples vs theory.",
-    "projection-positivity": "Projection lengths of surviving samples, all directions.",
-    "sections-conservation": "Slice-dimension profile of a deterministic attractor.",
-    "mandelbrot-slices": "Slice-dimension profiles of percolation samples.",
-    "probe": "Random-section probing dichotomy (also a utility, see --alpha).",
-    "exceptional-scan": "Phase-alignment membership scan over directions.",
-    "fourier-decay": "Decay of the sparse Fourier factor product along a ladder.",
-}
 
 
 def _write(out, text):
@@ -69,15 +66,21 @@ def _emit_rows(out, columns, rows):
     _write(out, rows_to_csv(columns, rows))
 
 
-def _run_guarded(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except DimlabError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(2) from None
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(2) from None
+def _guarded(body):
+    """Make `body` a command callback: its return value is the exit code
+    (None means 0), and a DimlabError or OSError prints `error: ...` and
+    exits 2."""
+
+    @functools.wraps(body)
+    def callback(*args, **kwargs):
+        try:
+            code = body(*args, **kwargs)
+        except (DimlabError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            code = 2
+        raise SystemExit(code or 0)
+
+    return callback
 
 
 @click.group()
@@ -120,54 +123,52 @@ _SCENARIO_OPTIONS = [
 ]
 
 
-def _scenario_command(name):
-    def callback(config, seed, out, fmt):
-        raise SystemExit(_run_guarded(_finish_scenario, name, config, seed, out, fmt))
-
-    return click.Command(
-        name,
-        params=[opt for opt in _SCENARIO_OPTIONS],
-        callback=callback,
-        help=_SCENARIO_HELP[name],
-    )
-
-
-for _name in scenario_names():
+for _name, _spec in SCENARIOS.items():
     if _name != "probe":
-        main.add_command(_scenario_command(_name))
+        main.add_command(click.Command(
+            _name,
+            params=list(_SCENARIO_OPTIONS),
+            callback=_guarded(functools.partial(_finish_scenario, _name)),
+            help=_spec.runner.__doc__,
+        ))
 
 
-@main.command("probe")
-@click.option("--config", default=None, help="JSON config (scenario mode).")
-@click.option("--seed", type=int, default=None)
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+def _reject_other_probe_mode(alpha):
+    """Options given for the mode that `alpha` does not select are errors,
+    not silently ignored."""
+    if alpha is None:
+        other, rule = ("ifs_name", "trials", "depth", "beta", "grid"), "probe {} needs --alpha"
+    else:
+        other, rule = ("config", "fmt"), "probe --alpha does not take {}"
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        if param.name in other and ctx.get_parameter_source(param.name) != ParameterSource.DEFAULT:
+            raise DimlabError(rule.format(param.opts[0]))
+
+
+@main.command("probe", params=list(_SCENARIO_OPTIONS), help=SCENARIOS["probe"].runner.__doc__)
 @click.option("--alpha", type=float, default=None, help="Utility mode: survival exponent.")
 @click.option("--ifs", "ifs_name", default="sierpinski_carpet", help="Utility mode system.")
 @click.option("--trials", type=int, default=200)
 @click.option("--depth", type=int, default=8)
 @click.option("--beta", type=float, default=0.0)
 @click.option("--grid", type=int, default=512)
+@_guarded
 def probe_command(config, seed, out, fmt, alpha, ifs_name, trials, depth, beta, grid):
-    """Random-section probing: scenario report, or x/hit_frequency CSV with --alpha."""
-
-    def go():
-        if alpha is None:
-            return _finish_scenario("probe", config, seed, out, fmt)
-        if seed is None:
-            raise DimlabError("probe --alpha needs --seed")
-        ifs = load_ifs(ifs_name)
-        result = probe_sections(
-            ifs, alpha, Direction.from_angle(beta), depth, trials, seed, grid=grid
-        )
-        rows = [
-            [float(x), float(f)]
-            for x, f in zip(result.x_grid, result.frequency)
-        ]
-        _emit_rows(out, ["x", "hit_frequency"], rows)
-        return 0
-
-    raise SystemExit(_run_guarded(go))
+    _reject_other_probe_mode(alpha)
+    if alpha is None:
+        return _finish_scenario("probe", config, seed, out, fmt)
+    if seed is None:
+        raise DimlabError("probe --alpha needs --seed")
+    ifs = load_ifs(ifs_name)
+    result = probe_sections(
+        ifs, alpha, Direction.from_angle(beta), depth, trials, seed, grid=grid
+    )
+    rows = [
+        [float(x), float(f)]
+        for x, f in zip(result.x_grid, result.frequency)
+    ]
+    _emit_rows(out, ["x", "hit_frequency"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +177,24 @@ def probe_command(config, seed, out, fmt, alpha, ifs_name, trials, depth, beta, 
 
 def _parse_law(text, ifs):
     kind, _, arg = text.partition(":")
-    if kind == "standard":
-        return standard_law(ifs, float(arg))
-    if kind == "uniform":
-        return uniform_law(ifs.m, float(arg))
-    if kind == "table":
-        with open(arg, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        law = table_law(doc["masks"], doc["probs"])
-        if law.m != ifs.m:
-            raise DimlabError(f"table arity {law.m} does not match the system ({ifs.m})")
-        return law
+    try:
+        if kind == "standard":
+            return standard_law(ifs, float(arg))
+        if kind == "uniform":
+            return uniform_law(ifs.m, float(arg))
+        if kind == "table":
+            with open(arg, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+            law = table_law(doc["masks"], doc["probs"])
+            if law.m != ifs.m:
+                raise DimlabError(f"table arity {law.m} does not match the system ({ifs.m})")
+            return law
+    except DimlabError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        # a number that does not parse, a file that is not JSON, or a table
+        # whose "masks" or "probs" is missing or of the wrong type
+        raise ConfigError(f"law {text!r}: {type(exc).__name__}: {exc}") from None
     raise DimlabError(f"law {text!r}: want standard:A, uniform:P, or table:FILE")
 
 
@@ -219,19 +227,15 @@ def _percolate_rows(law, depth, n_seeds, seed, budget):
 @click.option("--seed", type=int, required=True, help="Base seed for the tree streams.")
 @click.option("--out", default=None)
 @click.option("--budget", type=int, default=DEFAULT_BUDGET, help=_TREE_BUDGET_HELP)
+@_guarded
 def percolate_command(ifs_path, law_spec, depth, n_seeds, seed, out, budget):
     """Sample percolation trees and tabulate per-generation survival counts."""
-
-    def go():
-        ifs = load_ifs(ifs_path)
-        law = _parse_law(law_spec, ifs)
-        rows = _percolate_rows(law, depth, n_seeds, seed, budget)
-        _emit_rows(out, ["seed", "survived", "count_at_depth", "generation_counts"], rows)
-        survived = sum(1 for r in rows if r[1])
-        click.echo(f"{survived}/{n_seeds} trees survive to depth {depth}", err=True)
-        return 0
-
-    raise SystemExit(_run_guarded(go))
+    ifs = load_ifs(ifs_path)
+    law = _parse_law(law_spec, ifs)
+    rows = _percolate_rows(law, depth, n_seeds, seed, budget)
+    _emit_rows(out, ["seed", "survived", "count_at_depth", "generation_counts"], rows)
+    survived = sum(1 for r in rows if r[1])
+    click.echo(f"{survived}/{n_seeds} trees survive to depth {depth}", err=True)
 
 
 @main.command("mandelbrot")
@@ -243,20 +247,16 @@ def percolate_command(ifs_path, law_spec, depth, n_seeds, seed, out, budget):
 @click.option("--seed", type=int, required=True)
 @click.option("--out", default=None)
 @click.option("--budget", type=int, default=DEFAULT_BUDGET, help=_TREE_BUDGET_HELP)
+@_guarded
 def mandelbrot_command(m_grid, d, p, depth, n_seeds, seed, out, budget):
     """Mandelbrot percolation: M^d-adic cubes, uniform retention."""
-
-    def go():
-        cfg = mandelbrot_config(m_grid, d, p)
-        if cfg.supercritical:
-            click.echo(f"supercritical, a.s. dimension {cfg.dimension:.6f}", err=True)
-        else:
-            click.echo("subcritical: dies out almost surely", err=True)
-        rows = _percolate_rows(cfg.law, depth, n_seeds, seed, budget)
-        _emit_rows(out, ["seed", "survived", "count_at_depth", "generation_counts"], rows)
-        return 0
-
-    raise SystemExit(_run_guarded(go))
+    cfg = mandelbrot_config(m_grid, d, p)
+    if cfg.supercritical:
+        click.echo(f"supercritical, a.s. dimension {cfg.dimension:.6f}", err=True)
+    else:
+        click.echo("subcritical: dies out almost surely", err=True)
+    rows = _percolate_rows(cfg.law, depth, n_seeds, seed, budget)
+    _emit_rows(out, ["seed", "survived", "count_at_depth", "generation_counts"], rows)
 
 
 @main.command("sections")
@@ -271,33 +271,29 @@ def mandelbrot_command(m_grid, d, p, depth, n_seeds, seed, out, budget):
     help="Bound on the stopping-set cells so far plus m child slots per word "
     "still above the finest scale.",
 )
+@_guarded
 def sections_command(ifs_path, beta, eps, scales, grid, out, budget):
     """Slice-count profile of a deterministic attractor over an offset grid."""
-
-    def go():
-        ifs = load_ifs(ifs_path)
-        ladder = parse_scales(scales)
-        profile = conservation_profile(
-            ifs, Direction.from_angle(beta), eps, ladder, grid=grid, budget=budget
-        )
-        rows = []
-        for j, x in enumerate(profile.x_grid):
-            slope = float(profile.slopes[j]) if profile.valid[j] else None
-            r2 = float(profile.r2[j]) if profile.valid[j] else None
-            for si, scale in enumerate(ladder):
-                rows.append(
-                    [float(x), float(scale), int(profile.counts[si, j]),
-                     slope, r2, bool(profile.qualifying[j])]
-                )
-        _emit_rows(out, ["x", "scale", "count", "slope", "r2", "qualifies"], rows)
-        click.echo(
-            f"qualifying fraction {profile.qualifying_fraction:.4f} "
-            f"(threshold slope {profile.threshold:.4f})",
-            err=True,
-        )
-        return 0
-
-    raise SystemExit(_run_guarded(go))
+    ifs = load_ifs(ifs_path)
+    ladder = parse_scales(scales)
+    profile = conservation_profile(
+        ifs, Direction.from_angle(beta), eps, ladder, grid=grid, budget=budget
+    )
+    rows = []
+    for j, x in enumerate(profile.x_grid):
+        slope = float(profile.slopes[j]) if profile.valid[j] else None
+        r2 = float(profile.r2[j]) if profile.valid[j] else None
+        for si, scale in enumerate(ladder):
+            rows.append(
+                [float(x), float(scale), int(profile.counts[si, j]),
+                 slope, r2, bool(profile.qualifying[j])]
+            )
+    _emit_rows(out, ["x", "scale", "count", "slope", "r2", "qualifies"], rows)
+    click.echo(
+        f"qualifying fraction {profile.qualifying_fraction:.4f} "
+        f"(threshold slope {profile.threshold:.4f})",
+        err=True,
+    )
 
 
 @main.command("fourier")
@@ -310,30 +306,26 @@ def sections_command(ifs_path, beta, eps, scales, grid, out, budget):
 @click.option("--tau", type=float, default=1.0)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", default=None)
+@_guarded
 def fourier_command(ifs_path, q, k, eps, beta, ladder, tau, seed, out):
     """Sparse Fourier product |eta| along the t-ladder for one direction."""
-
-    def go():
-        base = load_ifs(ifs_path)
-        selection = forced_pair_law(base, eps, q=q)
-        system = iterate_system(base, selection.q)
-        ns = parse_ladder(ladder)
-        depth = k * (max(ns) + 2)
-        sample = sample_measure(selection.law, depth, seed)
-        est = fourier_decay(sample, system, 1, k, beta, ns, tau=tau)
-        rows = [
-            [float(t), float(v.real), float(v.imag), float(mod), float(tb)]
-            for t, v, mod, tb in zip(est.ts, est.values, est.moduli, est.tail_bounds)
-        ]
-        _emit_rows(out, ["t", "re", "im", "modulus", "tail_bound"], rows)
-        slope = est.slope if math.isfinite(est.slope) else float("nan")
-        click.echo(
-            f"q = {selection.q}, decay slope {slope:.6f}, exact zeros {est.exact_zeros}",
-            err=True,
-        )
-        return 0
-
-    raise SystemExit(_run_guarded(go))
+    base = load_ifs(ifs_path)
+    selection = forced_pair_law(base, eps, q=q)
+    system = iterate_system(base, selection.q)
+    ns = parse_ladder(ladder)
+    depth = k * (max(ns) + 2)
+    sample = sample_measure(selection.law, depth, seed)
+    est = fourier_decay(sample, system, 1, k, beta, ns, tau=tau)
+    rows = [
+        [float(t), float(v.real), float(v.imag), float(mod), float(tb)]
+        for t, v, mod, tb in zip(est.ts, est.values, est.moduli, est.tail_bounds)
+    ]
+    _emit_rows(out, ["t", "re", "im", "modulus", "tail_bound"], rows)
+    slope = est.slope if math.isfinite(est.slope) else float("nan")
+    click.echo(
+        f"q = {selection.q}, decay slope {slope:.6f}, exact zeros {est.exact_zeros}",
+        err=True,
+    )
 
 
 @main.command("measure-dim")
@@ -342,21 +334,17 @@ def fourier_command(ifs_path, q, k, eps, beta, ladder, tau, seed, out):
 @click.option("--q", type=int, default=None)
 @click.option("--trials", type=int, default=100000)
 @click.option("--seed", type=int, required=True)
+@_guarded
 def measure_dim_command(ifs_path, eps, q, trials, seed):
     """Monte Carlo dimension of the random-subset measure."""
-
-    def go():
-        base = load_ifs(ifs_path)
-        selection = forced_pair_law(base, eps, q=q)
-        est, se = measure_dimension(selection.law, trials, seed)
-        click.echo(
-            f"q = {selection.q}  p_q = {selection.p_q:.6g}  "
-            f"retention = {selection.per_symbol_retention:.6g}"
-        )
-        click.echo(f"dimension = {est:.6f} +/- {se:.6f}  ({trials} draws)")
-        return 0
-
-    raise SystemExit(_run_guarded(go))
+    base = load_ifs(ifs_path)
+    selection = forced_pair_law(base, eps, q=q)
+    est, se = measure_dimension(selection.law, trials, seed)
+    click.echo(
+        f"q = {selection.q}  p_q = {selection.p_q:.6g}  "
+        f"retention = {selection.per_symbol_retention:.6g}"
+    )
+    click.echo(f"dimension = {est:.6f} +/- {se:.6f}  ({trials} draws)")
 
 
 @main.command("exceptional")
@@ -371,27 +359,23 @@ def measure_dim_command(ifs_path, eps, q, trials, seed):
 @click.option("--beta-grid", type=int, default=2048)
 @click.option("--tau-grid", type=int, default=4096)
 @click.option("--out", default=None)
+@_guarded
 def exceptional_command(r, gamma, b, theta, q, k, delta, big_n, beta_grid, tau_grid, out):
     """Scan directions for persistent phase alignment."""
-
-    def go():
-        params = AlignmentParams(
-            r=r, theta=theta, b=b, gamma=gamma, q=q, k=k,
-            delta=delta, big_n=big_n, tau_grid=tau_grid,
+    params = AlignmentParams(
+        r=r, theta=theta, b=b, gamma=gamma, q=q, k=k,
+        delta=delta, big_n=big_n, tau_grid=tau_grid,
+    )
+    betas = np.linspace(0.0, math.pi, beta_grid, endpoint=False)
+    res = scan_directions(params, betas)
+    rows = [
+        [float(bb), float(f), float(w), bool(mem)]
+        for bb, f, w, mem in zip(
+            res.betas, res.max_fractions, res.witness_taus, res.members
         )
-        betas = np.linspace(0.0, math.pi, beta_grid, endpoint=False)
-        res = scan_directions(params, betas)
-        rows = [
-            [float(bb), float(f), float(w), bool(mem)]
-            for bb, f, w, mem in zip(
-                res.betas, res.max_fractions, res.witness_taus, res.members
-            )
-        ]
-        _emit_rows(out, ["beta", "max_fraction", "witness_tau", "member"], rows)
-        click.echo(f"member fraction {res.member_fraction:.6f}", err=True)
-        return 0
-
-    raise SystemExit(_run_guarded(go))
+    ]
+    _emit_rows(out, ["beta", "max_fraction", "witness_tau", "member"], rows)
+    click.echo(f"member fraction {res.member_fraction:.6f}", err=True)
 
 
 if __name__ == "__main__":

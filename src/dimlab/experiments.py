@@ -272,6 +272,7 @@ def _mandelbrot_trees(name: str, params, seed: int):
     thresholds={"max_rel_excess": {"value": 1.0, "op": "<="}},
 )
 def _run_moran(params, seed):
+    """Check the similarity-dimension solver against analytic cases."""
     columns = ["case", "ratios", "dimension", "expected", "abs_error", "tol"]
     rows = []
     worst = 0.0
@@ -305,6 +306,7 @@ def _run_moran(params, seed):
     },
 )
 def _run_percolate_dim(params, seed):
+    """Box-count slopes of surviving Mandelbrot samples vs theory."""
     cfg, surviving = _mandelbrot_trees("percolate-dim", params, seed)
 
     def one(i):
@@ -342,6 +344,7 @@ def _run_percolate_dim(params, seed):
     thresholds={"min_measure": {"value": 0.05, "op": ">"}},
 )
 def _run_projection_positivity(params, seed):
+    """Projection lengths of surviving samples, all directions."""
     cfg, surviving = _mandelbrot_trees("projection-positivity", params, seed)
     betas = np.linspace(0.0, math.pi, params["directions"], endpoint=False)
 
@@ -376,6 +379,7 @@ def _run_projection_positivity(params, seed):
     thresholds={"qualifying_fraction": {"value": 0.5, "op": ">="}},
 )
 def _run_sections_conservation(params, seed):
+    """Slice-dimension profile of a deterministic attractor."""
     ifs = load_ifs(params["ifs"])
     scales = parse_scales(params["scales"])
     profile = conservation_profile(
@@ -419,6 +423,7 @@ def _run_sections_conservation(params, seed):
     thresholds={"min_mean_qualifying_fraction": {"value": 0.3, "op": ">="}},
 )
 def _run_mandelbrot_slices(params, seed):
+    """Slice-dimension profiles of percolation samples."""
     cfg, surviving = _mandelbrot_trees("mandelbrot-slices", params, seed)
     rmax = float(cfg.ifs.ratios.max())
     scales = [
@@ -482,6 +487,7 @@ def _run_mandelbrot_slices(params, seed):
     thresholds={"success_fraction": {"value": 0.9, "op": ">="}},
 )
 def _run_probe(params, seed):
+    """Random-section probing: scenario report, or x/hit_frequency CSV with --alpha."""
     ifs = load_ifs(params["ifs"])
     s = moran_dimension(ifs)
     alpha = params["alpha"]
@@ -550,6 +556,7 @@ def _run_probe(params, seed):
     thresholds={"max_fraction_increase": {"value": 1.0 / 2048.0, "op": "<="}},
 )
 def _run_exceptional_scan(params, seed):
+    """Phase-alignment membership scan over directions."""
     betas = np.linspace(0.0, math.pi, params["beta_grid"], endpoint=False)
     chunks = [
         betas[i : i + params["chunk"]] for i in range(0, len(betas), params["chunk"])
@@ -610,6 +617,7 @@ def _run_exceptional_scan(params, seed):
     },
 )
 def _run_fourier_decay(params, seed):
+    """Decay of the sparse Fourier factor product along a ladder."""
     base = load_ifs(params["ifs"])
     selection = forced_pair_law(base, params["epsilon"], q=params["q"])
     system = iterate_system(base, selection.q)

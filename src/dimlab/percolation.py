@@ -112,7 +112,7 @@ class OffspringLaw:
 
 def standard_law(ifs: IFS, alpha: float) -> OffspringLaw:
     """Retention probabilities r_i^alpha (alpha = 0 keeps everything)."""
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise ParameterError("alpha must be >= 0")
     retain = ifs.ratios ** alpha
     return OffspringLaw(

@@ -105,6 +105,8 @@ class CellCloud:
 
 def generation_for_scale(sample: PercolationSample, ifs: IFS, rho: float) -> int:
     """Coarsest generation whose cell diameters are all <= rho."""
+    if not rho > 0.0:
+        raise OutOfRangeError(f"rho must be > 0, got {rho}")
     rmax = float(ifs.ratios.max())
     diam = ifs.diameter_proxy
     k = 0

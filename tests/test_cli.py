@@ -4,11 +4,13 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 from click.testing import CliRunner
 
 from dimlab.cli import main
+from dimlab.experiments import SCENARIOS
 
 
 @pytest.fixture()
@@ -90,6 +92,26 @@ def test_loosened_threshold_is_rejected(runner, tmp_path):
     res = runner.invoke(main, ["moran", "--seed", "1", "--config", str(cfg)])
     assert res.exit_code == 2
     assert "looser" in res.stderr
+
+
+def test_scenario_commands_come_from_the_registry(runner):
+    listing = runner.invoke(main, ["--help"]).stdout
+    assert len(SCENARIOS) == 8
+    for name, spec in SCENARIOS.items():
+        assert re.search(rf"^  {re.escape(name)}  ", listing, re.M), name
+        res = runner.invoke(main, [name, "--help"])
+        assert res.exit_code == 0
+        assert spec.runner.__doc__ in res.stdout
+
+
+def test_non_positive_rho_exits_2(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"params": {"depth": 3, "samples": 2, "directions": 2, "rho": -0.1}})
+    )
+    res = runner.invoke(main, ["projection-positivity", "--seed", "1", "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert "rho must be > 0" in res.stderr
 
 
 def test_probe_scenario_mode(runner, tmp_path):
@@ -214,14 +236,33 @@ def test_percolate_uniform_law(runner):
     assert len(rows) == 3
 
 
-def test_percolate_rejects_bad_law_spec(runner):
+@pytest.mark.parametrize(
+    "spec, table, named",
+    [
+        ("telepathy:0.5", None, "standard:A"),
+        ("standard:abc", None, "'standard:abc'"),
+        ("uniform:", None, "'uniform:'"),
+        ("standard:nan", None, "alpha must be >= 0"),
+        ("table:{dir}/law.json", '{"probs": [1.0]}', "'masks'"),
+        ("table:{dir}/law.json", '{"masks": [[1, 0, 0, 0]], "probs": 1.0}', "TypeError"),
+        ("table:{dir}/law.json", "masks: [[1, 0, 0, 0]]", "JSONDecodeError"),
+        ("table:{dir}/missing.json", None, "No such file"),
+    ],
+    ids=["unknown-kind", "standard-not-a-number", "uniform-empty", "standard-nan",
+         "table-without-masks", "table-with-scalar-probs", "table-not-json",
+         "table-missing"],
+)
+def test_percolate_rejects_bad_law_spec(runner, tmp_path, spec, table, named):
+    if table is not None:
+        (tmp_path / "law.json").write_text(table)
     res = runner.invoke(
         main,
-        ["percolate", "--ifs", "unit_square", "--law", "telepathy:0.5",
+        ["percolate", "--ifs", "unit_square", "--law", spec.format(dir=tmp_path),
          "--seed", "1"],
     )
     assert res.exit_code == 2
-    assert "standard:A" in res.stderr
+    assert res.stderr.startswith("error: ") and named in res.stderr
+    assert isinstance(res.exception, SystemExit)
 
 
 def test_mandelbrot_supercritical_echoes_dimension(runner):
@@ -278,6 +319,34 @@ def test_probe_utility_mode_csv(runner):
     assert header == ["x", "hit_frequency"]
     assert len(rows) == 32
     assert all(0.0 <= float(r[1]) <= 1.0 for r in rows)
+
+
+_PROBE_UTILITY = ["--alpha", "0.8", "--trials", "5", "--depth", "4", "--grid", "32"]
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--config", "{cfg}", "--trials", "50"], "--trials"),
+        (["--config", "{cfg}", "--ifs", "unit_square"], "--ifs"),
+        (["--config", "{cfg}", "--depth", "9"], "--depth"),
+        (["--config", "{cfg}", "--beta", "1.0"], "--beta"),
+        (["--config", "{cfg}", "--grid", "512"], "--grid"),
+        (_PROBE_UTILITY + ["--config", "{cfg}"], "--config"),
+        (_PROBE_UTILITY + ["--format", "json"], "--format"),
+    ],
+    ids=["trials", "ifs", "depth", "beta", "grid-at-its-default",
+         "alpha-with-config", "alpha-with-format"],
+)
+def test_probe_rejects_options_of_the_other_mode(runner, tmp_path, args, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"trials": 2, "depth": 4, "grid": 16,
+                                          "scales": "3:-2:-4", "min_r2": 0.0}}))
+    args = [a.format(cfg=cfg) for a in args]
+    res = runner.invoke(main, ["probe", "--seed", "4"] + args)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: probe ") and named in res.stderr
+    assert res.stdout == ""
 
 
 def test_probe_utility_mode_needs_seed(runner):

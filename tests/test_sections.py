@@ -10,6 +10,7 @@ from dimlab import CellCloud, Direction
 from dimlab.errors import (
     DepthMismatchError,
     InsufficientDataError,
+    OutOfRangeError,
     ParameterError,
 )
 
@@ -229,6 +230,13 @@ def test_generation_for_scale_steps(carpet):
     assert dl.sections.generation_for_scale(sample, carpet, 0.1 * c0) == 3
     with pytest.raises(DepthMismatchError):
         dl.sections.generation_for_scale(sample, carpet, 1e-4)
+
+
+@pytest.mark.parametrize("rho", [-0.1, 0.0, math.nan])
+def test_generation_for_scale_rejects_non_positive_rho(carpet, rho):
+    sample = dl.sample_tree(dl.deterministic_law(carpet.m), 3, seed=0)
+    with pytest.raises(OutOfRangeError, match="rho must be > 0"):
+        dl.sections.generation_for_scale(sample, carpet, rho)
 
 
 def test_box_count_slope_of_full_carpet_tree(carpet):
