@@ -329,6 +329,17 @@ def _decreasing_root(f, hi: float) -> float:
 # vectorized composition folding
 
 
+# Rows per block of the folding, evaluating and slice counting steps: a
+# block's gathered rows and index casts (a few MB) are the only temporaries
+# beside an output, however many rows a generation has.
+_BLOCK_ROWS = 1 << 16
+
+
+def _row_blocks(n: int):
+    """Slices of consecutive rows covering range(n), `_BLOCK_ROWS` each."""
+    return (slice(s, s + _BLOCK_ROWS) for s in range(0, n, _BLOCK_ROWS))
+
+
 def _identity_maps(n: int, d: int):
     """n copies of the empty-word composition as (ratios, angles, trans)."""
     return np.ones(n), np.zeros(n), np.zeros((n, d))
@@ -346,38 +357,73 @@ def _extend(ratios, angles, trans, ifs: IFS, rows, syms):
     one (IFS.equal_ratio, IFS.equal_angle) and stays shared; a per-row value
     stays per row.  A shared value is the float every row would have
     gathered, so the result is the same either way.
+
+    The symbol and parent translations are gathered a block of rows at a
+    time, straight into the output, so the only generation-sized arrays
+    made are the outputs.  Each row's arithmetic does not depend on the
+    blocks: a row's translation is fl(parent + step), as a one-shot gather
+    computes it.  Gathers into an output use mode "clip", which writes in
+    place; "raise" would first copy the output.  rows index the parent maps
+    by construction.
     """
     r, th, a = ifs.ratios, ifs.angles, ifs.translations
     pr = _per_row(ratios, rows)
     pth = _per_row(angles, rows)
-    # np.take gathers rows of a 2-d array much faster than fancy indexing
-    if ifs.ambient_dim == 2 and np.any(pth != 0.0):
-        ca, sa = np.cos(pth), np.sin(pth)
-        ax, ay = np.take(a, syms, axis=0).T
-        out_t = np.take(trans, rows, axis=0)
-        out_t[:, 0] += pr * (ca * ax - sa * ay)
-        out_t[:, 1] += pr * (sa * ax + ca * ay)
-    else:
-        out_t = np.take(a, syms, axis=0)
-        out_t *= pr[..., None]
-        out_t += np.take(trans, rows, axis=0)
-    return _step(np.multiply, pr, r, syms), _step(np.add, pth, th, syms), out_t
+    rotate = ifs.ambient_dim == 2 and np.any(pth != 0.0)
+    out_t = np.empty((len(rows), ifs.ambient_dim))
+    for b in _row_blocks(len(rows)):
+        s = syms[b].astype(np.intp, copy=False)
+        br, bth = _rows_in(pr, b), _rows_in(pth, b)
+        t = np.take(trans, rows[b], axis=0, out=out_t[b], mode="clip")
+        _add_linear_part(t, br, bth, np.take(a, s, axis=0), rotate)
+        # the parent values of the block are spent: extend them in place
+        if pr.ndim:
+            br *= r[s]
+        if pth.ndim:
+            bth += th[s]
+    if not pr.ndim:
+        pr = pr * r[0]
+    if not pth.ndim:
+        pth = pth + th[0]
+    return pr, pth, out_t
 
 
 def _per_row(values, rows):
-    """The parent values of `rows`: a shared (0-d) value stays shared."""
-    return values[rows] if values.ndim else values
+    """The parent values of `rows`: a shared (0-d) value stays shared.
 
-
-def _step(op, parent, own, syms):
-    """parent op own[syms], with own the maps' values.
-
-    A gathered per-row parent is a fresh array and takes the result in
-    place.  A shared parent comes with a value shared by every map.
+    A per-row value is gathered a block at a time into a fresh array.
     """
-    if parent.ndim:
-        return op(parent, own[syms], out=parent)
-    return op(parent, own[0])
+    if not values.ndim:
+        return values
+    out = np.empty(len(rows))
+    for b in _row_blocks(len(rows)):
+        np.take(values, rows[b], out=out[b], mode="clip")
+    return out
+
+
+def _rows_in(values, b):
+    """The block b of per-row values; a shared (0-d) value as it is."""
+    return values[b] if values.ndim else values
+
+
+def _add_linear_part(out, ratios, angles, v, rotate):
+    """out += ratios * R(angles) v, row by row, for a point v (d,) or one
+    vector per row (n, d); a per-row v is scratch and may be overwritten.
+
+    Without `rotate` the angles are all zero and are not applied.  Each row
+    is fl(out + lin), which is bitwise fl(lin + out).
+    """
+    if rotate:
+        ca, sa = np.cos(angles), np.sin(angles)
+        x, y = v[..., 0], v[..., 1]
+        out[:, 0] += ratios * (ca * x - sa * y)
+        out[:, 1] += ratios * (sa * x + ca * y)
+    elif v.ndim == 2:
+        v *= ratios[..., None]
+        out += v
+    else:
+        for j, vj in enumerate(v):  # a column at a time: no (n, d) temporary
+            out[:, j] += ratios * vj
 
 
 def _compose_step(ratios, angles, trans, ifs: IFS):
@@ -396,28 +442,31 @@ def _all_compositions(ifs: IFS, q: int):
     return maps
 
 
-def _apply_composed(ratios, angles, trans, point):
+def _apply_composed(ratios, angles, trans, point, in_place=False):
     """Evaluate each composed map at a single point; returns (n, d).
 
     ratios and angles are per row or shared (0-d), as `_extend` makes them.
+    Each row is fl(t + a), with t its translation and a the image of the
+    point under its linear part, which is bitwise fl(a + t).  The result
+    goes into a copy of trans or, with in_place, over trans, which the
+    caller must hold alone.  Rows are done a block at a time, so a per-row
+    rotation or ratio makes no generation-sized temporary.
     """
-    d = trans.shape[1]
-    if d == 2 and np.any(angles != 0.0):
-        ca, sa = np.cos(angles), np.sin(angles)
-        x, y = point[0], point[1]
-        out = np.empty_like(trans)
-        out[:, 0] = ratios * (ca * x - sa * y) + trans[:, 0]
-        out[:, 1] = ratios * (sa * x + ca * y) + trans[:, 1]
-        return out
-    return ratios[..., None] * np.asarray(point) + trans
+    out = trans if in_place else trans.copy()
+    point = np.asarray(point)
+    rotate = trans.shape[1] == 2 and np.any(angles != 0.0)
+    for b in _row_blocks(len(trans)):
+        _add_linear_part(out[b], _rows_in(ratios, b), _rows_in(angles, b), point, rotate)
+    return out
 
 
-def _cell_disks(ifs: IFS, ratios, angles, trans):
+def _cell_disks(ifs: IFS, ratios, angles, trans, in_place=False):
     """(centers, radii) of the images of the enclosing ball under composed maps.
 
+    With in_place the centers are written over trans (`_apply_composed`).
     A shared ratio gives radii as a read-only broadcast of its one value.
     """
-    centers = _apply_composed(ratios, angles, trans, ifs.ball_center)
+    centers = _apply_composed(ratios, angles, trans, ifs.ball_center, in_place)
     radii = ifs.ball_radius * ratios
     if radii.ndim == 0:
         radii = np.broadcast_to(radii, (len(trans),))
@@ -436,7 +485,7 @@ def word_geometry(ifs: IFS, symbols: np.ndarray):
     rows = np.arange(n)
     for j in range(k):
         maps = _extend(*maps, ifs, rows, symbols[:, j] - 1)
-    return _cell_disks(ifs, *maps)
+    return _cell_disks(ifs, *maps, in_place=True)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +713,8 @@ def attractor_points(ifs: IFS, depth: int, budget: int = DEFAULT_BUDGET) -> np.n
     count = ifs.m ** depth
     if count > budget:
         raise BudgetExceededError(count, budget)
-    return _apply_composed(*_all_compositions(ifs, depth), ifs.ball_center)
+    ratios, angles, trans = _all_compositions(ifs, depth)
+    return _apply_composed(ratios, angles, trans, ifs.ball_center, in_place=True)
 
 
 def iterate_system(ifs: IFS, q: int, budget: int = DEFAULT_BUDGET) -> IFS:
@@ -779,7 +829,7 @@ def verify_ssc(ifs: IFS, depth: int = 1, budget: int = DEFAULT_BUDGET) -> bool:
     pairs = n * (n - 1) // 2
     if pairs > budget:
         raise BudgetExceededError(pairs, budget, what="disk pairs")
-    centers, radii = _cell_disks(ifs, *_all_compositions(ifs, depth))
+    centers, radii = _cell_disks(ifs, *_all_compositions(ifs, depth), in_place=True)
     diff = centers[:, None, :] - centers[None, :, :]
     dist = np.sqrt(np.sum(diff ** 2, axis=2))
     need = radii[:, None] + radii[None, :]

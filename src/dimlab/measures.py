@@ -218,8 +218,11 @@ def measure_dimension(law: RandomWeightLaw, trials: int, seed: int):
     """Monte Carlo E(log #retained) / (-q log r) with standard error.
 
     Uses the exact distribution #retained = 2 + Binomial(arity - 2, p_q):
-    two blocks are forced and the rest are independent coin flips.
+    two blocks are forced and the rest are independent coin flips.  The
+    standard error needs at least two draws.
     """
+    if trials < 2:
+        raise ParameterError(f"trials must be >= 2, got {trials}")
     if law.kind != "forced-pair-uniform":
         raise UnsupportedLawError("dimension estimate needs the forced-pair law")
     return _binomial_dimension(

@@ -176,6 +176,8 @@ class PercolationSample:
     folded top-down through the generations; the cylinder disks of each
     generation asked for are kept so that later clouds of the same sample
     reuse them, and the maps only while a deeper fold can extend them.
+    The deepest generation's maps are never kept, so its translations
+    become its centers in place.
     """
 
     law: OffspringLaw | None
@@ -236,7 +238,9 @@ class PercolationSample:
             raise ParameterError("law arity does not match the IFS")
         disks = self._disks.setdefault(ifs, {})
         if k not in disks:
-            disks[k] = _cell_disks(ifs, *self._fold(ifs, k))
+            # `_fold` keeps the maps of every generation but the deepest
+            maps = self._fold(ifs, k)
+            disks[k] = _cell_disks(ifs, *maps, in_place=k == self.depth)
             for a in disks[k]:
                 a.flags.writeable = False
         centers, radii = disks[k]

@@ -24,6 +24,7 @@ from .geometry import (
     DEFAULT_BUDGET,
     IFS,
     StoppingSet,
+    _row_blocks,
     moran_dimension,
     stopping_set,
     stopping_sets,
@@ -123,19 +124,41 @@ def generation_for_scale(sample: PercolationSample, ifs: IFS, rho: float) -> int
 
 
 def slice_counts(cloud: CellCloud, direction: Direction, xs) -> np.ndarray:
-    """How many disks each flat {<y,w> = x} meets (boundary touching counts)."""
+    """How many disks each flat {<y,w> = x} meets (boundary touching counts).
+
+    A disk with projected center p and radius r meets the flat at x when
+    fl(p - r) <= x <= fl(p + r): the count is the number of lower ends at
+    or below x less the number of upper ends below x.  When all radii are
+    equal, x -> fl(x -+ r) is monotone, so the ends are shifts of the one
+    sorted projection, counted a block at a time without being stored.
+    Otherwise the projection's own buffer becomes the lower ends.
+    """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     proj = cloud.project(direction)
     radii = cloud.radii
     if len(radii) and radii.min() == radii.max():
-        # x -> fl(x -+ r) is monotone, so shifting the sorted projections is
-        # elementwise the sort of the shifted ones: one sort serves both ends
         proj.sort()
-        lo, hi = proj - radii[0], proj + radii[0]
-    else:
-        lo = np.sort(proj - radii)
-        hi = np.sort(proj + radii)
+        r = radii[0]
+        lo_count = _shifted_count(proj, -r, xs, "right")
+        return lo_count - _shifted_count(proj, r, xs, "left")
+    hi = proj + radii
+    lo = np.subtract(proj, radii, out=proj)
+    lo.sort()
+    hi.sort()
     return np.searchsorted(lo, xs, side="right") - np.searchsorted(hi, xs, side="left")
+
+
+def _shifted_count(p, s, xs, side) -> np.ndarray:
+    """np.searchsorted(p + s, xs, side) for a sorted p, without p + s.
+
+    fl(p + s) is sorted with p, and a sorted array's count of entries at or
+    below x (side "right") or below x ("left") is the sum of its blocks'
+    counts, so p + s is made and searched one block at a time.
+    """
+    out = np.zeros(len(xs), dtype=np.intp)
+    for b in _row_blocks(len(p)):
+        out += np.searchsorted(p[b] + s, xs, side=side)
+    return out
 
 
 def count_slice(
@@ -350,6 +373,8 @@ class ConservationProfile:
 
 
 def _default_grid(ifs: IFS, direction: Direction, scales, grid: int) -> np.ndarray:
+    if grid < 1:
+        raise ParameterError(f"grid must be >= 1, got {grid}")
     mid = float(ifs.ball_center @ direction.vector)
     r0 = ifs.ball_radius
     trim = 2.0 * float(np.max(scales))
@@ -476,6 +501,8 @@ def probe_sections(
     For each trial, a fresh sample is drawn and each grid offset records
     whether some surviving depth-`depth` cylinder disk meets its flat.
     """
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
     rho = ifs.diameter_proxy * float(ifs.ratios.max()) ** depth
     if x_grid is None:
         x_grid = _default_grid(ifs, direction, [rho], grid)

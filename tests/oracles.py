@@ -48,6 +48,30 @@ def compose_word(ifs: IFS, word):
     return g
 
 
+def extend_one_shot(ratios, angles, trans, ifs: IFS, rows, syms):
+    """One-symbol extensions maps[rows[i]] o f_{syms[i] + 1}, gathering
+    every row at once.
+
+    The arithmetic of the fold step, written out on whole arrays: ratio
+    r_p * r_s, angle t_p + t_s, translation a_p + r_p R(t_p) a_s.  A 0-d
+    ratio or angle is one value shared by every row and stays shared.
+    """
+    r, th, a = ifs.ratios, ifs.angles, ifs.translations
+    pr = ratios[rows] if ratios.ndim else ratios
+    pth = angles[rows] if angles.ndim else angles
+    out_t = trans[rows]
+    step = a[syms]
+    if ifs.ambient_dim == 2 and np.any(pth != 0.0):
+        ca, sa = np.cos(pth), np.sin(pth)
+        out_t[:, 0] += pr * (ca * step[:, 0] - sa * step[:, 1])
+        out_t[:, 1] += pr * (sa * step[:, 0] + ca * step[:, 1])
+    else:
+        out_t += pr[..., None] * step
+    new_r = pr * r[syms] if pr.ndim else pr * r[0]
+    new_th = pth + th[syms] if pth.ndim else pth + th[0]
+    return new_r, new_th, out_t
+
+
 def slice_count_bracket(ifs: IFS, direction: Direction, x: float, rho: float):
     """(lower, upper) slice counts from a scalar stopping-set enumeration.
 

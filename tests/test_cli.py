@@ -355,6 +355,27 @@ def test_probe_utility_mode_needs_seed(runner):
     assert "--seed" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["probe", "--alpha", "0.8", "--seed", "1", "--trials", "0",
+          "--depth", "3", "--grid", "8"], "trials must be >= 1"),
+        (["measure-dim", "--trials", "0", "--seed", "1"], "trials must be >= 2"),
+        (["measure-dim", "--trials", "1", "--seed", "1"], "trials must be >= 2"),
+        (["sections", "--ifs", "sierpinski_carpet", "--grid", "0"],
+         "grid must be >= 1"),
+    ],
+    ids=["probe-trials-0", "measure-dim-trials-0", "measure-dim-trials-1",
+         "sections-grid-0"],
+)
+def test_count_options_that_would_print_nan_exit_2(runner, args, named):
+    # each used to print NaN (or an empty profile) and exit 0
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and named in res.stderr
+    assert res.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # fourier / measure-dim / exceptional
 

@@ -347,6 +347,40 @@ def test_overlap_count_matches_direct_loop(carpet):
 # derived systems
 
 
+@pytest.mark.parametrize("name", ["carpet", "rot3", "turns", "mixed"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+def test_extend_in_blocks_is_the_one_shot_gather(name, shared, request, monkeypatch):
+    # carpet: one ratio, no angle; rot3: one ratio and one non-zero angle;
+    # turns: one ratio, angles per row; mixed: ratios and angles per row
+    ifs = request.getfixturevalue(name)
+    monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", 7)
+    ratios, angles, trans = dl.geometry._all_compositions(ifs, 2)
+    if shared:
+        ratios = ratios[0] if ifs.equal_ratio else ratios
+        angles = angles[0] if ifs.equal_angle else angles
+    gen = np.random.Generator(np.random.PCG64(11))
+    rows = gen.integers(0, len(trans), 50).astype(np.int32)
+    syms = gen.integers(0, ifs.m, 50).astype(np.uint8)
+    got = dl.geometry._extend(ratios, angles, trans, ifs, rows, syms)
+    want = oracles.extend_one_shot(ratios, angles, trans, ifs, rows, syms)
+    for g, w in zip(got, want):
+        assert np.ndim(g) == np.ndim(w)
+        assert np.array_equal(g, w)
+    # evaluating the maps in blocks, in place or into a copy, is one-shot too
+    point = ifs.ball_center
+    centers = dl.geometry._apply_composed(*got, point)
+    if np.any(got[1] != 0.0):
+        ca, sa = np.cos(got[1]), np.sin(got[1])
+        rx = got[0] * (ca * point[0] - sa * point[1])
+        ry = got[0] * (sa * point[0] + ca * point[1])
+        ref = np.stack([rx + got[2][:, 0], ry + got[2][:, 1]], axis=1)
+    else:
+        ref = np.asarray(got[0])[..., None] * point + got[2]
+    assert np.array_equal(centers, ref)
+    in_place = dl.geometry._apply_composed(*got, point, in_place=True)
+    assert in_place is got[2] and np.array_equal(in_place, ref)
+
+
 def test_attractor_points_stay_in_ball(rot3):
     pts = dl.attractor_points(rot3, 4)
     assert pts.shape == (81, 2)

@@ -440,6 +440,27 @@ def test_cell_cloud_keeps_only_the_maps_a_later_fold_extends(carpet):
     assert fresh._maps == {}
 
 
+@pytest.mark.parametrize("name", ["rot3", "carpet", "turns", "mixed"])
+def test_deepest_centers_never_share_memory_with_kept_maps(name, request, monkeypatch):
+    # the deepest generation's centers are its translations, turned into
+    # centers in place, a block of 7 rows at a time; the maps a later fold
+    # extends must come through untouched
+    ifs = request.getfixturevalue(name)
+    monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", 7)
+    law = dl.uniform_law(ifs.m, 0.8)
+    sample = dl.sample_tree(law, 4, seed=13)
+    got = {}
+    for k in (4, 2, 4, 3, 1, 4):
+        got[k] = sample.cell_cloud(ifs, k)
+        for _, maps in sample._maps.values():
+            for a in maps:
+                assert not any(np.shares_memory(a, b) for b in got[4] + got[k])
+    for k, (centers, radii) in got.items():
+        want = dl.sample_tree(law, 4, seed=13).cell_cloud(ifs, k)
+        assert np.array_equal(centers, want[0]) and np.array_equal(radii, want[1])
+        assert not centers.flags.writeable
+
+
 def test_persistent_cloud_is_the_masked_full_cloud(carpet):
     law = dl.standard_law(carpet, 0.6)
     sample = dl.sample_tree(law, 5, seed=21)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,27 @@ def test_product_set_slices_both_ways(cantor_interval):
     assert horiz.r2 > 0.98
 
 
+_QUARTERS = st.integers(-12, 12).map(lambda k: k / 4.0)
+
+
+@given(
+    p=st.lists(_QUARTERS, max_size=40),
+    s=st.sampled_from([0.0, 0.25, -0.5, 0.1, -1e-17]),
+    xs=st.lists(_QUARTERS | st.floats(-4.0, 4.0), min_size=1, max_size=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_shifted_count_is_searchsorted_of_the_shifted_array(p, s, xs):
+    # quarter steps put ends exactly on offsets and repeat both; blocks of 7
+    # split runs of equal ends
+    p = np.sort(np.array(p, dtype=np.float64))
+    xs = np.array(xs + xs[:3])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dl.geometry, "_BLOCK_ROWS", 7)
+        for side in ("left", "right"):
+            got = dl.sections._shifted_count(p, s, xs, side)
+            assert np.array_equal(got, np.searchsorted(p + s, xs, side=side))
+
+
 # ---------------------------------------------------------------------------
 # interval unions and projections
 
@@ -277,6 +299,31 @@ def test_profile_sample_masks_are_consistent():
     assert np.all(profile.qualifying <= profile.valid)
     assert 0.0 <= profile.qualifying_fraction <= 1.0
     assert np.isnan(profile.slopes[~profile.valid]).all()
+
+
+def test_a_sample_profile_holds_no_generation_sized_scratch(monkeypatch):
+    # the deepest generation's translations become its centers and its
+    # slices are counted from one sorted projection: 24 bytes per deepest
+    # cell, 16 per cell of each coarser generation asked for, and one
+    # block's temporaries.  A one-shot gather, a separate centers array and
+    # stored disk ends peaked at about 46 bytes per deepest cell here.
+    monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", 1024)
+    cfg = dl.mandelbrot_config(3, 2, 0.85)
+    sample, _ = dl.sample_surviving_tree(cfg.law, 5, seed=7)
+    scales = [cfg.ifs.diameter_proxy * 3.0 ** -k for k in (2, 3, 4, 5)]
+    counts = sample.counts()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dl.conservation_profile_sample(
+            sample, cfg.ifs, cfg.dimension, Direction.from_angle(0.0), 0.25,
+            scales, grid=64,
+        )
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert counts[5] > 16 * 1024
+    assert peak <= 24 * counts[5] + 16 * counts[2:5].sum() + 64 * 1024 + 2 ** 16
 
 
 def _per_offset_fits(profile, scales):
