@@ -275,13 +275,29 @@ class PercolationSample:
         return maps
 
 
-def _retained(law: OffspringLaw, hashes, child_hashes, syms) -> np.ndarray:
+def _retained(
+    law: OffspringLaw, hashes, child_hashes, syms, blocks=None
+) -> np.ndarray:
     """Whether child `syms` (0-based index or slice) of each parent is kept:
-    a draw per child hash (independent laws) or a mask per parent hash."""
+    a draw per child hash (independent laws) or a mask per parent hash.
+
+    With `blocks` (`_grow`'s buffers), `child_hashes` holds a block's
+    children flat in (parent, symbol) order, all m per parent: an
+    independent law's draws are then made in place in the buffers and
+    compared with the tiled thresholds, and the mask is a view of `keep`.
+    """
     if law.independent:
-        k = rng.mix64(child_hashes ^ rng.SALT_RETAIN)
+        if blocks is None:
+            draws = scratch = keep = None
+            thresholds = law._retain_thresholds()[syms]
+        else:
+            c = len(child_hashes)
+            draws, scratch, keep = blocks.draws[:c], blocks.scratch[:c], blocks.keep[:c]
+            thresholds = blocks.thresholds[:c]
+        k = np.bitwise_xor(child_hashes, rng.SALT_RETAIN, out=draws)
+        rng.mix64(k, out=k, scratch=scratch)
         k >>= 11
-        return k < law._retain_thresholds()[syms]
+        return np.less(k, thresholds, out=keep)
     u = rng.uniform_from_hash(hashes, rng.SALT_MASK)
     idx = np.searchsorted(law._cum_mask_probs(), u, side="right")
     idx = np.minimum(idx, len(law.mask_probs) - 1)
@@ -292,10 +308,32 @@ def _root(m: int) -> _Generation:
     return _Generation(np.full(1, -1, dtype=np.int32), np.zeros(1, _symbol_dtype(m)))
 
 
-# Child hashes per expansion block: a block's hashes, draws and kept indices
-# (a few hundred KB) stay in cache, and its temporaries never grow with the
-# generation.
+# Child hashes per expansion block: a block's buffers (a few hundred KB)
+# stay in cache, and never grow with the generation.
 _BLOCK_CHILDREN = 1 << 14
+
+
+class _Blocks:
+    """One `_grow` call's buffers for blocks of up to `parents` parents.
+
+    Child hashes, mixing scratch, draws and keep mask hold one slot per
+    child, flat in (parent, symbol) order; the symbol hashes and (for an
+    independent law) the keep thresholds are tiled to the same order, so
+    a block is hashed, drawn and compared elementwise, in place.  The
+    uint64 buffers are rows of one allocation: freed together, separate
+    ones below the allocator's mmap threshold can shrink the heap and
+    fault their pages in again on the next call.
+    """
+
+    def __init__(self, law: OffspringLaw, parents: int):
+        m = law.m
+        rows = np.empty((5 if law.independent else 3, parents * m), dtype=np.uint64)
+        self.hashes, self.scratch, self.symbols = rows[:3]
+        rng.symbol_table(m, parents, out=self.symbols)
+        if law.independent:
+            self.draws, self.thresholds = rows[3:]
+            self.thresholds.reshape(parents, m)[...] = law._retain_thresholds()
+            self.keep = np.empty(parents * m, dtype=bool)
 
 
 def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
@@ -311,12 +349,16 @@ def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
     (n*m for n parents) must fit.  The first count over it is `required`.
 
     A generation of n parents is grown in blocks of consecutive parents
-    holding about `_BLOCK_CHILDREN` child hashes.  Each block's kept
-    children (parent row, symbol, path hash) are written straight into
-    arrays of n*m slots allocated once per generation, which are then
-    shrunk in place to the kept prefix; pages past the prefix are never
-    touched.  Beyond what the sample keeps, a generation's peak is those
-    slots (13 bytes per child) plus one block's temporaries, not the n*m
+    holding about `_BLOCK_CHILDREN` child hashes.  Each block is hashed,
+    drawn and decided in place in `_Blocks` buffers, which belong to the
+    call: five arrays of 8 bytes and a mask of 1 byte per child of a
+    block, about 5 x 128 KiB + 16 KiB (three and no mask for a table law),
+    less when no frontier of `depth` generations can fill a block.  Each
+    block's kept children (parent row, symbol, path hash) are written
+    straight into arrays of n*m slots allocated once per generation, which
+    are then shrunk in place to the kept prefix; pages past the prefix are
+    never touched.  Beyond what the sample keeps, a generation's peak is
+    those slots (13 bytes per child) plus the block buffers, not the n*m
     hashes, draws and indices of a whole generation at once.  The deepest
     generation has no successor to hash, so it gets no path hash slots
     (5 bytes per child when m < 256).
@@ -329,6 +371,9 @@ def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
     total = len(hashes)
     if total * (depth + 1) > budget:
         raise BudgetExceededError(total * (depth + 1), budget, what="nodes")
+    # no frontier is wider than roots * m^(depth-1), and m^bits > step for m > 1
+    bits = min(max(depth - 1, 0), step.bit_length())
+    blocks = _Blocks(law, min(step, total * m**bits))
     for level in range(depth):
         n = len(hashes)
         if n == 0:
@@ -345,14 +390,18 @@ def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
         kept = 0
         for lo in range(0, n, step):
             block = hashes[lo : lo + step]
-            child_h = rng.child_hashes(block, m)
-            idx = np.flatnonzero(_retained(law, block, child_h, slice(None)))
+            c = len(block) * m
+            child_h = blocks.hashes[:c]
+            rng.child_hashes(
+                block, m, out=child_h, scratch=blocks.scratch[:c], table=blocks.symbols
+            )
+            idx = np.flatnonzero(_retained(law, block, child_h, slice(None), blocks))
             row = idx // m
             end = kept + len(idx)
             parent[kept:end] = row + lo
             symbol[kept:end] = idx - row * m + 1
             if frontier is not None:
-                frontier[kept:end] = child_h.ravel()[idx]
+                frontier[kept:end] = child_h[idx]
             kept = end
         total += kept
         for out in (parent, symbol, frontier):

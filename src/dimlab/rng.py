@@ -7,11 +7,15 @@ splitmix64 finalizer, applied over uint64 numpy arrays so millions of nodes
 can be keyed in one vectorized pass (numpy's counter-based bit generators
 cannot batch across distinct keys, which is the access pattern here).
 
-`mix64` is the one hashing entry point.  It copies its input once and runs
-every splitmix64 step in place on that copy with one scratch array, so a
-call allocates two arrays of the input's size; tree expansion calls it on
-blocks of about 16k child hashes, small enough to stay in cache.  The hashes
-of the symbols 1..m are mixed once per m and reused by `child_hashes`.  A
+`mix64` is the one hashing entry point.  It runs every splitmix64 step in
+place on one array with one scratch array.  Called on its own it copies its
+input and makes the scratch, two arrays of the input's size; given `out`
+(which may be the input itself) and `scratch`, it allocates nothing.  Tree
+expansion uses the in-place form on blocks of about 16k child hashes,
+buffers that each expansion allocates once and that stay in cache.  The
+hashes of the symbols 1..m are mixed once per m; `symbol_table` tiles them
+in (parent, symbol) order, and `child_hashes` xors that table with the
+repeated parent hashes, flat, into a caller's buffer or a fresh one.  A
 draw is the top 53 bits of a mixed hash: `uniform_from_hash` scales them
 into [0, 1), and the samplers' keep rule compares them with an integer
 threshold ceil(p * 2^53) instead, which is the same test as `uniform < p`
@@ -49,14 +53,22 @@ SALT_SUBSEED = np.uint64(0x165667B19E3779F9)
 _TO_UNIT = 2.0 ** -53
 
 
-def mix64(x) -> np.ndarray:
+def mix64(x, out=None, scratch=None) -> np.ndarray:
     """splitmix64 finalizer, vectorized over uint64 input.
 
-    Works on one copy of the input and one scratch array; a 0-d input
-    gives a numpy scalar, as the operator form of the same steps does.
+    The steps run in place in `out` (a uint64 array of the input's shape,
+    possibly the input itself) with `scratch` (another one) as the shift
+    buffer; missing ones are allocated, so by default the call works on one
+    copy of the input.  A 0-d input gives a numpy scalar, as the operator
+    form of the same steps does.
     """
-    z = np.array(x, dtype=np.uint64)  # in-place array ops wrap without warnings
-    t = np.empty_like(z)
+    if out is None:
+        z = np.array(x, dtype=np.uint64)  # in-place array ops wrap without warnings
+    else:
+        z = out
+        if x is not out:
+            z[...] = x
+    t = np.empty_like(z) if scratch is None else scratch
     z += _GOLDEN
     np.right_shift(z, 30, out=t)
     z ^= t
@@ -82,20 +94,41 @@ def root_hash(seed) -> np.ndarray:
         return mix64(mix64(np.asarray(seed, dtype=np.uint64)) ^ SALT_TREE)
 
 
-def child_hashes(parent: np.ndarray, m: int) -> np.ndarray:
+def child_hashes(
+    parent: np.ndarray, m: int, out=None, scratch=None, table=None
+) -> np.ndarray:
     """Hashes of the m children of each parent word; shape (n, m).
 
     Symbols are 1..m.  The chain h(w . i) = mix(h(w) ^ mix(i)) makes the
-    hash a function of the path alone.
+    hash a function of the path alone.  The n*m hashes are made flat in
+    (parent, symbol) order, in `out` when given (mixed there with
+    `scratch`, see `mix64`), and returned as an (n, m) view.  `table` is
+    `symbol_table(m, k)` for any k >= n, so a caller hashing block after
+    block tiles it once; by default it is tiled for this call.
     """
-    return mix64(np.asarray(parent, dtype=np.uint64)[:, None] ^ _symbol_hashes(m))
+    parent = np.asarray(parent, dtype=np.uint64)
+    n = len(parent)
+    if table is None:
+        table = symbol_table(m, n)
+    z = np.bitwise_xor(np.repeat(parent, m), table[: n * m], out=out)
+    return mix64(z, out=z, scratch=scratch).reshape(n, m)
+
+
+def symbol_table(m: int, parents: int, out=None) -> np.ndarray:
+    """mix(1), ..., mix(m) tiled for `parents` parents, flat in (parent,
+    symbol) order, in `out` when given: the table `child_hashes` xors the
+    repeated parent hashes with."""
+    if out is None:
+        out = np.empty(parents * m, dtype=np.uint64)
+    out.reshape(parents, m)[...] = _symbol_hashes(m)
+    return out
 
 
 _SYMBOL_LOCK = threading.Lock()
 
 
 def _symbol_hashes(m: int) -> np.ndarray:
-    """mix(1), ..., mix(m), shared read-only by every call of `child_hashes`.
+    """mix(1), ..., mix(m), shared read-only by every call of `symbol_table`.
 
     Mixed once per m: threads that miss the cache at the same time would
     each mix them, so the lookup holds a lock.

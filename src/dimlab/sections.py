@@ -224,7 +224,8 @@ def _line_fit(x, ys):
     each line is bitwise polyfit's; LAPACK solves a stacked right-hand
     side in another order and moves last bits.  The sums run along the
     contiguous last axis, so each series of a stack is summed exactly as
-    on its own.
+    on its own.  Series with the same bits have the same solution, so
+    each distinct one is solved once and its line shared.
     """
     x = np.asarray(x, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
@@ -232,13 +233,15 @@ def _line_fit(x, ys):
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     lhs /= scale
     rcond = len(x) * np.finfo(np.float64).eps
-    coef = np.empty((len(ys), 2))
-    for i, y in enumerate(ys):
+    # bit patterns, not values: -0.0 and 0.0 may solve to different bits
+    distinct, inverse = np.unique(ys.view(np.uint64), axis=0, return_inverse=True)
+    coef = np.empty((len(distinct), 2))
+    for i, y in enumerate(distinct.view(np.float64)):
         c, _, rank, _ = np.linalg.lstsq(lhs, y, rcond)
         if rank < 2:
             warnings.warn("Polyfit may be poorly conditioned", _RankWarning, stacklevel=2)
         coef[i] = c / scale
-    slope, intercept = coef.T
+    slope, intercept = coef[inverse.reshape(-1)].T
     resid = ys - (slope[:, None] * x + intercept[:, None])
     ss_res = np.sum(resid ** 2, axis=1)
     ss_tot = np.sum((ys - ys.mean(axis=1, keepdims=True)) ** 2, axis=1)

@@ -228,6 +228,11 @@ def test_parent_links_rebuild_the_surviving_words(law, depth):
             assert [tuple(r) for r in sym.tolist()] == want[k]
 
 
+def _unequal_law():
+    retain = np.array([0.9, 0.2, 0.7, 0.0, 1.0])
+    return percolation.OffspringLaw(kind="standard", m=5, retain=retain)
+
+
 def _mask_law():
     return dl.table_law([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]], [0.25, 0.25, 0.5])
 
@@ -325,8 +330,10 @@ def _assert_same_generations(gens, want):
         (dl.standard_law(dl.load_ifs("sierpinski_carpet"), 0.5), 7, 3),
         (dl.mandelbrot_config(3, 2, 0.7).law, 6, 3),
         (_mask_law(), 6, 4),
+        # a threshold per symbol: a table shifted by one symbol would differ
+        (_unequal_law(), 7, 3),
     ],
-    ids=["carpet", "mandelbrot", "table"],
+    ids=["carpet", "mandelbrot", "table", "unequal"],
 )
 def test_blocked_growth_equals_the_whole_generation_reference(
     law, depth, forest_depth, block, monkeypatch
@@ -576,7 +583,10 @@ def test_a_request_too_deep_for_its_budget_raises_before_any_draw(carpet, monkey
     assert dl.sample_tree(law, budget - 1, 7, budget=budget).extinct
     dl.batch_generation_counts(law, budget // 3 - 1, seeds, budget=budget)
 
-    def no_draws(*args):
+    drawn = []
+
+    def no_draws(*args, **kwargs):
+        drawn.append(args)
         raise AssertionError("children drawn before the depth check")
 
     monkeypatch.setattr(rng, "child_hashes", no_draws)
@@ -595,6 +605,13 @@ def test_a_request_too_deep_for_its_budget_raises_before_any_draw(carpet, monkey
         assert err.value.required == required
     with pytest.raises(ParameterError, match="depth"):
         dl.batch_generation_counts(law, -1, seeds)
+    # the tripwire is live: a request that fits draws through the patched name
+    assert drawn == []
+    for call in (lambda: dl.sample_tree(law, 1, 7, budget=budget),
+                 lambda: dl.batch_generation_counts(law, 1, seeds, budget=budget)):
+        with pytest.raises(AssertionError, match="drawn"):
+            call()
+    assert len(drawn) == 2
 
 
 def test_batch_intersection_codes_must_fit_62_bits(carpet):

@@ -76,6 +76,19 @@ def test_child_hashes_match_extend_hash():
         assert np.array_equal(table[:, j], col)
 
 
+def test_in_place_hashing_is_the_copying_form():
+    parents = rng.root_hash(np.arange(5, dtype=np.uint64))
+    want = rng.child_hashes(parents, 4)
+    # buffers and a symbol table for more parents than hashed, as in blocks
+    table = rng.symbol_table(4, 7)
+    out, scratch = np.empty(28, dtype=np.uint64), np.empty(28, dtype=np.uint64)
+    got = rng.child_hashes(parents, 4, out=out[:20], scratch=scratch[:20], table=table)
+    assert np.shares_memory(got, out) and np.array_equal(got, want)
+    x = np.arange(20, dtype=np.uint64)
+    assert rng.mix64(x, out=x, scratch=scratch[:20]) is x
+    assert np.array_equal(x, rng.mix64(np.arange(20, dtype=np.uint64)))
+
+
 def test_path_hash_ignores_construction_order():
     """h(w) depends on the path alone, not on how siblings were expanded."""
     root = rng.root_hash(np.uint64(99))

@@ -118,12 +118,28 @@ def test_fit_loglog_needs_three_points():
 
 
 @pytest.mark.parametrize("n", [3, 10])
-def test_line_fit_is_polyfit_per_series(n, rng_np):
+def test_line_fit_is_polyfit_per_series(n, rng_np, monkeypatch):
     x = np.log(1.0 / (3.0 ** -np.arange(2.0, 2.0 + n)))
-    ys = np.log(rng_np.integers(1, 10 ** 6, (300, n)).astype(np.float64))
+    series = np.log(rng_np.integers(1, 10 ** 6, (300, n)).astype(np.float64))
+    # repeated rows, and rows equal in value but not in bits (0.0 and -0.0)
+    zero = np.zeros((1, n))
+    ys = np.vstack([series, series[rng_np.integers(0, 300, 200)], zero, -zero, zero])
+    solves = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        solves.append(args[1].tobytes())
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
     slope, intercept, _ = dl.sections._line_fit(x, ys)
-    want = np.array([np.polyfit(x, y, 1) for y in ys])
-    assert np.array_equal(slope, want[:, 0]) and np.array_equal(intercept, want[:, 1])
+    monkeypatch.undo()
+    # one solve per distinct series
+    assert sorted(solves) == sorted({y.tobytes() for y in ys})
+    # bitwise polyfit: compared as bits, so that -0.0 is not 0.0
+    want = np.array([np.polyfit(x, y, 1) for y in ys]).view(np.uint64)
+    assert np.array_equal(slope.view(np.uint64), want[:, 0])
+    assert np.array_equal(intercept.view(np.uint64), want[:, 1])
 
 
 def test_line_fit_warns_as_polyfit_on_a_rank_deficient_design():
