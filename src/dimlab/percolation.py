@@ -319,7 +319,8 @@ class _Blocks:
     Child hashes, mixing scratch, draws and keep mask hold one slot per
     child, flat in (parent, symbol) order; the symbol hashes and (for an
     independent law) the keep thresholds are tiled to the same order, so
-    a block is hashed, drawn and compared elementwise, in place.  The
+    a block is hashed, drawn and compared elementwise into them; the hash
+    step's one per-block temporary is the repeated parent hashes.  The
     uint64 buffers are rows of one allocation: freed together, separate
     ones below the allocator's mmap threshold can shrink the heap and
     fault their pages in again on the next call.
@@ -350,18 +351,21 @@ def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
 
     A generation of n parents is grown in blocks of consecutive parents
     holding about `_BLOCK_CHILDREN` child hashes.  Each block is hashed,
-    drawn and decided in place in `_Blocks` buffers, which belong to the
-    call: five arrays of 8 bytes and a mask of 1 byte per child of a
-    block, about 5 x 128 KiB + 16 KiB (three and no mask for a table law),
-    less when no frontier of `depth` generations can fill a block.  Each
-    block's kept children (parent row, symbol, path hash) are written
-    straight into arrays of n*m slots allocated once per generation, which
-    are then shrunk in place to the kept prefix; pages past the prefix are
-    never touched.  Beyond what the sample keeps, a generation's peak is
-    those slots (13 bytes per child) plus the block buffers, not the n*m
-    hashes, draws and indices of a whole generation at once.  The deepest
-    generation has no successor to hash, so it gets no path hash slots
-    (5 bytes per child when m < 256).
+    drawn and decided in `_Blocks` buffers, which belong to the call: five
+    arrays of 8 bytes and a mask of 1 byte per child of a block, about
+    5 x 128 KiB + 16 KiB (three and no mask for a table law).  A block
+    also makes temporaries of its own: the repeated parent hashes that
+    `rng.child_hashes` xors with the symbol table (8 bytes per child, one
+    more 128 KiB) and the kept indices and rows (8 bytes each per kept
+    child).  Each block's kept children (parent row, symbol, path hash)
+    are written straight into arrays of n*m slots allocated once per
+    generation, which are then shrunk in place to the kept prefix; pages
+    past the prefix are never touched.  Beyond what the sample keeps, a
+    generation's peak is those slots (13 bytes per child) plus the block
+    buffers and one block's temporaries, not the n*m hashes, draws and
+    indices of a whole generation at once.  The deepest generation has no
+    successor to hash, so it gets no path hash slots (5 bytes per child
+    when m < 256).
     """
     if depth < 0:
         raise ParameterError("depth must be >= 0")
@@ -371,9 +375,7 @@ def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
     total = len(hashes)
     if total * (depth + 1) > budget:
         raise BudgetExceededError(total * (depth + 1), budget, what="nodes")
-    # no frontier is wider than roots * m^(depth-1), and m^bits > step for m > 1
-    bits = min(max(depth - 1, 0), step.bit_length())
-    blocks = _Blocks(law, min(step, total * m**bits))
+    blocks = _Blocks(law, step)
     for level in range(depth):
         n = len(hashes)
         if n == 0:

@@ -15,7 +15,8 @@ expansion uses the in-place form on blocks of about 16k child hashes,
 buffers that each expansion allocates once and that stay in cache.  The
 hashes of the symbols 1..m are mixed once per m; `symbol_table` tiles them
 in (parent, symbol) order, and `child_hashes` xors that table with the
-repeated parent hashes, flat, into a caller's buffer or a fresh one.  A
+repeated parent hashes, flat, into a caller's buffer or a fresh one; the
+repeat (`np.repeat`) is one more array of that size per call.  A
 draw is the top 53 bits of a mixed hash: `uniform_from_hash` scales them
 into [0, 1), and the samplers' keep rule compares them with an integer
 threshold ceil(p * 2^53) instead, which is the same test as `uniform < p`
