@@ -20,7 +20,6 @@ from .errors import (
     InvalidWordError,
     OutOfRangeError,
     ParameterError,
-    SeparationError,
     SubcriticalLawError,
     UnsupportedLawError,
 )

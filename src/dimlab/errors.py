@@ -44,9 +44,5 @@ class InsufficientDataError(DimlabError, ValueError):
     """Fewer than three usable scales remain after dropping empty counts."""
 
 
-class SeparationError(DimlabError, ValueError):
-    """Operation requires a separation condition the IFS does not carry."""
-
-
 class ConfigError(DimlabError, ValueError):
     """A scenario or IFS config file is malformed."""

@@ -166,7 +166,9 @@ def _compare(value, op: str, bound: float) -> bool:
 
 
 def _resolve_thresholds(spec: "ScenarioSpec", overrides) -> dict:
-    overrides = dict(overrides or {})
+    overrides = overrides or {}
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{spec.name}.thresholds: must be an object")
     unknown = set(overrides) - set(spec.thresholds)
     if unknown:
         raise ConfigError(
@@ -183,11 +185,18 @@ def _resolve_thresholds(spec: "ScenarioSpec", overrides) -> dict:
                     raise ConfigError(
                         f"{spec.name}.thresholds.{name}: missing 'value'"
                     )
-                new = float(entry["value"])
+                new = entry["value"]
                 override = bool(entry.get("override", False))
             else:
-                new = float(entry)
-                override = False
+                new, override = entry, False
+            try:
+                new = float(new)
+                if not math.isfinite(new):
+                    raise ValueError
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{spec.name}.thresholds.{name}: {new!r} is not a finite number"
+                ) from None
             looser = (
                 new < value if _TIGHTER_IS_LARGER[op] else new > value
             )
@@ -675,8 +684,11 @@ def _run_fourier_decay(params, seed):
 
 
 def _merge_params(spec: ScenarioSpec, params) -> dict:
+    params = params or {}
+    if not isinstance(params, dict):
+        raise ConfigError(f"{spec.name}.params: must be an object")
     merged = json.loads(json.dumps(spec.defaults))
-    for key, value in (params or {}).items():
+    for key, value in params.items():
         if key not in merged:
             raise ConfigError(f"{spec.name}.{key}: unknown parameter")
         merged[key] = value
@@ -690,7 +702,12 @@ def run_scenario(name: str, params=None, seed=None, thresholds=None) -> dict:
     spec = SCENARIOS[name]
     if seed is None:
         raise ConfigError(f"{name}.seed: a seed is required")
-    seed = int(seed)
+    try:
+        seed = int(seed)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}.seed: {seed!r} is not an integer") from None
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name}.seed: {seed} is outside 0..2^64-1")
     merged = _merge_params(spec, params)
     resolved = _resolve_thresholds(spec, thresholds)
 

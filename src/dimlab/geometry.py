@@ -142,7 +142,17 @@ class IFS:
     separation: str = "unverified"
     label: str = ""
     dense_rotations: bool = False
-    _arrays: dict = field(default_factory=dict, repr=False)
+    ratios: np.ndarray = field(init=False, repr=False)
+    angles: np.ndarray = field(init=False, repr=False)
+    translations: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # Built once and read-only: threads share one IFS and write nothing.
+        self.ratios = np.array([f.ratio for f in self.maps])
+        self.angles = np.array([f.angle for f in self.maps])
+        self.translations = np.array([f.translation for f in self.maps])
+        for a in (self.ratios, self.angles, self.translations):
+            a.flags.writeable = False
 
     @classmethod
     def from_maps(cls, maps, separation="unverified", label="",
@@ -169,25 +179,6 @@ class IFS:
     @property
     def m(self) -> int:
         return len(self.maps)
-
-    def _cached(self, key, fn):
-        if key not in self._arrays:
-            self._arrays[key] = fn()
-        return self._arrays[key]
-
-    @property
-    def ratios(self) -> np.ndarray:
-        return self._cached("ratios", lambda: np.array([f.ratio for f in self.maps]))
-
-    @property
-    def angles(self) -> np.ndarray:
-        return self._cached("angles", lambda: np.array([f.angle for f in self.maps]))
-
-    @property
-    def translations(self) -> np.ndarray:
-        return self._cached(
-            "translations", lambda: np.array([f.translation for f in self.maps])
-        )
 
     @property
     def equal_ratio(self) -> bool:

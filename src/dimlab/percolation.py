@@ -94,9 +94,7 @@ class OffspringLaw:
         return float(np.sum(self.mask_probs * np.power(float(z), pops)))
 
     def _cum_mask_probs(self) -> np.ndarray:
-        if "cum" not in self.meta:
-            self.meta["cum"] = np.cumsum(self.mask_probs)
-        return self.meta["cum"]
+        return np.cumsum(self.mask_probs)
 
     def _retain_thresholds(self) -> np.ndarray:
         """ceil(retain * 2^53) as uint64: a draw's top 53 bits k are kept
@@ -105,9 +103,7 @@ class OffspringLaw:
         k < 2^53 and k * 2^-53 are exact floats, and so is retain * 2^53
         for every retain in [0, 1]; for an integer k, k < x iff k < ceil(x).
         """
-        if "thresholds" not in self.meta:
-            self.meta["thresholds"] = np.ceil(self.retain * 2.0 ** 53).astype(np.uint64)
-        return self.meta["thresholds"]
+        return np.ceil(self.retain * 2.0 ** 53).astype(np.uint64)
 
 
 def standard_law(ifs: IFS, alpha: float) -> OffspringLaw:
@@ -320,7 +316,9 @@ class _Blocks:
     child, flat in (parent, symbol) order; the symbol hashes and (for an
     independent law) the keep thresholds are tiled to the same order, so
     a block is hashed, drawn and compared elementwise into them; the hash
-    step's one per-block temporary is the repeated parent hashes.  The
+    step's one per-block temporary is the repeated parent hashes.  Both
+    tables are computed here, once per call, from the law's m symbols:
+    nothing is cached on the law or shared between calls.  The
     uint64 buffers are rows of one allocation: freed together, separate
     ones below the allocator's mmap threshold can shrink the heap and
     fault their pages in again on the next call.

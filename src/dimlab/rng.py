@@ -12,11 +12,12 @@ place on one array with one scratch array.  Called on its own it copies its
 input and makes the scratch, two arrays of the input's size; given `out`
 (which may be the input itself) and `scratch`, it allocates nothing.  Tree
 expansion uses the in-place form on blocks of about 16k child hashes,
-buffers that each expansion allocates once and that stay in cache.  The
-hashes of the symbols 1..m are mixed once per m; `symbol_table` tiles them
-in (parent, symbol) order, and `child_hashes` xors that table with the
-repeated parent hashes, flat, into a caller's buffer or a fresh one; the
-repeat (`np.repeat`) is one more array of that size per call.  A
+buffers that each expansion allocates once and that stay in cache.
+`symbol_table` mixes the symbols 1..m once per call and tiles them in
+(parent, symbol) order, so an expansion mixes them once and nothing is
+cached between calls; `child_hashes` xors that table with the repeated
+parent hashes, flat, into a caller's buffer or a fresh one; the repeat
+(`np.repeat`) is one more array of that size per call.  A
 draw is the top 53 bits of a mixed hash: `uniform_from_hash` scales them
 into [0, 1), and the samplers' keep rule compares them with an integer
 threshold ceil(p * 2^53) instead, which is the same test as `uniform < p`
@@ -24,9 +25,6 @@ threshold ceil(p * 2^53) instead, which is the same test as `uniform < p`
 """
 
 from __future__ import annotations
-
-import functools
-import threading
 
 import numpy as np
 
@@ -116,33 +114,13 @@ def child_hashes(
 
 
 def symbol_table(m: int, parents: int, out=None) -> np.ndarray:
-    """mix(1), ..., mix(m) tiled for `parents` parents, flat in (parent,
-    symbol) order, in `out` when given: the table `child_hashes` xors the
-    repeated parent hashes with."""
+    """mix(1), ..., mix(m), mixed once per call and tiled for `parents`
+    parents, flat in (parent, symbol) order, in `out` when given: the table
+    `child_hashes` xors the repeated parent hashes with."""
     if out is None:
         out = np.empty(parents * m, dtype=np.uint64)
-    out.reshape(parents, m)[...] = _symbol_hashes(m)
+    out.reshape(parents, m)[...] = mix64(np.arange(1, m + 1, dtype=np.uint64))
     return out
-
-
-_SYMBOL_LOCK = threading.Lock()
-
-
-def _symbol_hashes(m: int) -> np.ndarray:
-    """mix(1), ..., mix(m), shared read-only by every call of `symbol_table`.
-
-    Mixed once per m: threads that miss the cache at the same time would
-    each mix them, so the lookup holds a lock.
-    """
-    with _SYMBOL_LOCK:
-        return _mixed_symbols(m)
-
-
-@functools.cache
-def _mixed_symbols(m: int) -> np.ndarray:
-    syms = mix64(np.arange(1, m + 1, dtype=np.uint64))
-    syms.flags.writeable = False
-    return syms
 
 
 def extend_hash(parent: np.ndarray, symbols: np.ndarray) -> np.ndarray:

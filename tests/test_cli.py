@@ -94,6 +94,34 @@ def test_loosened_threshold_is_rejected(runner, tmp_path):
     assert "looser" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "cfg, named",
+    [
+        ({"params": [1, 2], "seed": 1}, "moran.params"),
+        ({"thresholds": [3], "seed": 1}, "moran.thresholds"),
+        ({"thresholds": {"max_rel_excess": "abc"}, "seed": 1},
+         "moran.thresholds.max_rel_excess"),
+        ({"thresholds": {"max_rel_excess": {"value": None}}, "seed": 1},
+         "moran.thresholds.max_rel_excess"),
+        ({"thresholds": {"max_rel_excess": "nan"}, "seed": 1},
+         "moran.thresholds.max_rel_excess"),
+        ({"seed": "abc"}, "moran.seed"),
+        ({"seed": -1}, "moran.seed"),
+        ({"seed": math.inf}, "moran.seed"),
+    ],
+    ids=["params-list", "thresholds-list", "threshold-string", "threshold-null",
+         "threshold-nan", "seed-string", "seed-negative", "seed-infinite"],
+)
+def test_malformed_config_is_a_usage_error(runner, tmp_path, cfg, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["moran", "--config", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and named in res.stderr
+    assert "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
 def test_scenario_commands_come_from_the_registry(runner):
     listing = runner.invoke(main, ["--help"]).stdout
     assert len(SCENARIOS) == 8

@@ -479,6 +479,39 @@ def test_persistent_cloud_is_the_masked_full_cloud(carpet):
         assert np.array_equal(pr, radii[masks[k]])
 
 
+def _by_identity(obj):
+    """Attributes of `obj`, and the entries of its dict attributes."""
+    snap = {}
+    for key, value in vars(obj).items():
+        snap[key] = value
+        if isinstance(value, dict):
+            snap.update({(key, k): v for k, v in value.items()})
+    return snap
+
+
+def test_shared_inputs_are_never_written():
+    """Threads share one IFS and one law: no call may fill a cache on them."""
+    ifs = dl.load_ifs("sierpinski_carpet")
+    table = dl.table_law([[1] * 8, [1, 0] * 4, [0, 1] * 4], [0.5, 0.25, 0.25])
+    shared = [ifs, dl.standard_law(ifs, 0.4), table]
+    before = [_by_identity(obj) for obj in shared]
+    seeds = np.arange(20, dtype=np.uint64)
+    for law in shared[1:]:
+        sample = dl.sample_tree(law, 4, seed=3)
+        dl.batch_generation_counts(law, 4, seeds)
+        dl.path_survival(law, (2, 5, 1), seeds)
+        sample.cell_cloud(ifs, 3, persistent=True)
+    dl.conservation_profile(
+        ifs, dl.Direction.from_angle(0.0), 0.15, [3.0**-k for k in range(2, 5)], grid=64
+    )
+    for obj, snap in zip(shared, before):
+        now = _by_identity(obj)
+        assert now.keys() == snap.keys()
+        assert all(now[k] is snap[k] for k in snap)
+    with pytest.raises(ValueError, match="read-only"):
+        ifs.ratios[0] = 0.5
+
+
 # ---------------------------------------------------------------------------
 # intersections
 

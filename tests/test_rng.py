@@ -1,7 +1,3 @@
-import sys
-import threading
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,41 +26,6 @@ def test_uniforms_live_in_unit_interval():
     # distinct salts give distinct streams
     v = rng.uniform_from_hash(h, rng.SALT_MASK)
     assert not np.array_equal(u, v)
-
-
-def test_symbol_hashes_are_mixed_once_when_threads_miss_together(monkeypatch):
-    mixed = []
-    mix = rng.mix64
-
-    def slow_mix(x):
-        mixed.append(np.size(x))
-        time.sleep(0.01)  # holds the miss open while the other threads arrive
-        return mix(x)
-
-    monkeypatch.setattr(rng, "mix64", slow_mix)
-    rng._mixed_symbols.cache_clear()
-    m, n = 61, 8
-    start = threading.Barrier(n)
-    got = []
-
-    def worker():
-        start.wait(timeout=10)
-        got.append(rng._symbol_hashes(m))
-
-    threads = [threading.Thread(target=worker) for _ in range(n)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert mixed == [m]
-    assert len(got) == n and all(g is got[0] for g in got)
-    assert np.array_equal(got[0], mix(np.arange(1, m + 1, dtype=np.uint64)))
 
 
 def test_child_hashes_match_extend_hash():

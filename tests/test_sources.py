@@ -1,0 +1,21 @@
+"""Source-level checks that hold for every supported interpreter."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_source_parses_as_python_3_10():
+    # requires-python is >=3.10, so no syntax of a later version may slip in
+    with pytest.raises(SyntaxError):  # the guard can fail: 3.11's except*
+        ast.parse("try:\n    pass\nexcept* OSError:\n    pass", feature_version=(3, 10))
+    sources = [
+        p for d in ("src/dimlab", "tests", "dimbench") for p in (ROOT / d).rglob("*.py")
+    ]
+    assert {p.parent.name for p in sources} >= {"dimlab", "tests", "dimbench"}
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        ast.parse(text, filename=str(path), feature_version=(3, 10))
