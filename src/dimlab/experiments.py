@@ -186,7 +186,12 @@ def _resolve_thresholds(spec: "ScenarioSpec", overrides) -> dict:
                         f"{spec.name}.thresholds.{name}: missing 'value'"
                     )
                 new = entry["value"]
-                override = bool(entry.get("override", False))
+                override = entry.get("override", False)
+                if not isinstance(override, bool):
+                    raise ConfigError(
+                        f"{spec.name}.thresholds.{name}.override: {override!r} "
+                        f"is not true or false"
+                    )
             else:
                 new, override = entry, False
             try:
@@ -702,6 +707,10 @@ def run_scenario(name: str, params=None, seed=None, thresholds=None) -> dict:
     spec = SCENARIOS[name]
     if seed is None:
         raise ConfigError(f"{name}.seed: a seed is required")
+    # int() would truncate 1.5 and read True as 1: two configs, one digest
+    fractional = isinstance(seed, (float, np.floating)) and not float(seed).is_integer()
+    if fractional or isinstance(seed, (bool, np.bool_)):
+        raise ConfigError(f"{name}.seed: {seed!r} is not an integer")
     try:
         seed = int(seed)
     except (TypeError, ValueError, OverflowError):

@@ -30,7 +30,7 @@ from .geometry import (
     stopping_sets,
 )
 from .percolation import PercolationSample, standard_law, sample_tree
-from . import rng
+from . import geometry, rng
 
 # np.polyfit's warning class (np.RankWarning before numpy 1.25)
 _RankWarning = getattr(np, "exceptions", np).RankWarning
@@ -132,13 +132,37 @@ def slice_counts(cloud: CellCloud, direction: Direction, xs) -> np.ndarray:
     equal, x -> fl(x -+ r) is monotone, so the ends are shifts of the one
     sorted projection, counted a block at a time without being stored.
     Otherwise the projection's own buffer becomes the lower ends.
+
+    Only the disks that can reach a flat are counted.  For G >= 2 offsets
+    with step h = (x_{G-1} - x_0)/(G - 1) and dev = max_j |x_j - (x_0 +
+    j*h)|, a disk is kept when |u - rint(u)| <= reach, where u = (p -
+    x_0)/h and reach = (r_max + dev)/h + eta, eta = 2^-40 * (G + (|x_0| +
+    |x_{G-1}| + r_max)/h); `_reach` says when no disk could be dropped.
+    Why no count moves: a disk meeting x_j has |p - x_j| <= r plus
+    rounding, so |u - j| <= reach; rint(u) is a nearest integer, so
+    |u - rint(u)| <= |u - j|, and u - rint(u) is exact (Sterbenz).  A
+    dropped disk therefore meets no flat: every x is below both its ends
+    or above both (r >= 0, so fl(p - r) <= fl(p + r)), and it adds the
+    same 0 or 1 to the lower-end and the upper-end count.  With eps =
+    2^-53, the rounding of the disk ends, of dev, of u and of reach adds
+    at most eps * (8G + 2(|x_0| + r_max)/h) to |u - j| (using reach <
+    1/2, so r_max and dev are below h/2 and |u - j| < G for a disk that
+    meets x_j), which eta exceeds by a factor of at least 2^10.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    proj = cloud.project(direction)
     radii = cloud.radii
-    if len(radii) and radii.min() == radii.max():
+    r_min, r_max = _radius_range(radii)
+    shared = r_min == r_max
+    near = _reach(xs, r_min, r_max)
+    if near is None:
+        proj = cloud.project(direction)
+    else:
+        proj, kept = _near_flats(cloud, direction, xs[0], *near, shared)
+        if not shared:
+            radii = kept
+    if shared:
         proj.sort()
-        r = radii[0]
+        r = cloud.radii[0]
         lo_count = _shifted_count(proj, -r, xs, "right")
         return lo_count - _shifted_count(proj, r, xs, "left")
     hi = proj + radii
@@ -146,6 +170,72 @@ def slice_counts(cloud: CellCloud, direction: Direction, xs) -> np.ndarray:
     lo.sort()
     hi.sort()
     return np.searchsorted(lo, xs, side="right") - np.searchsorted(hi, xs, side="left")
+
+
+def _radius_range(radii):
+    """(min, max) of the radii, NaN for none; a broadcast's is its one value."""
+    if len(radii) == 0:
+        return math.nan, math.nan
+    if radii.strides == (0,):
+        return (float(radii[0]),) * 2
+    return float(radii.min()), float(radii.max())
+
+
+def _reach(xs, r_min, r_max):
+    """(h, reach) of `slice_counts`' disk filter, or None to keep every disk.
+
+    None when the offsets have no positive finite step (fewer than two,
+    decreasing, or not finite), when there are no radii or one is negative
+    or not finite, or when reach >= 1/2, where every disk is within reach
+    of a flat.
+    """
+    g = len(xs)
+    if g < 2 or not r_min >= 0.0:
+        return None
+    x0, x1 = float(xs[0]), float(xs[-1])
+    h = (x1 - x0) / (g - 1)
+    if not (math.isfinite(h) and h > 0.0):
+        return None
+    with np.errstate(all="ignore"):
+        dev = float(np.max(np.abs(xs - (x0 + np.arange(g) * h))))
+    eta = 2.0 ** -40 * (g + (abs(x0) + abs(x1) + r_max) / h)
+    reach = (r_max + dev) / h + eta
+    if not reach < 0.5:
+        return None
+    return h, reach
+
+
+def _near_flats(cloud, direction, x0, h, reach, shared):
+    """Projections (and radii, unless shared) of the disks kept by the reach
+    test, in cloud order, compacted to the front of arrays of the cloud's
+    length.  Each block's centers[b] @ w is bitwise those rows of the whole
+    projection; scratch is one block's."""
+    centers, radii, w = cloud.centers, cloud.radii, direction.vector
+    n = len(centers)
+    proj = np.empty(n)
+    kept = None if shared else np.empty(n)
+    width = min(n, geometry._BLOCK_ROWS)
+    p_buf, u_buf, t_buf = np.empty((3, width))
+    keep_buf = np.empty(width, dtype=bool)
+    k = 0
+    # rows beyond the float range give inf - inf = nan here, and are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in _row_blocks(n):
+            rows = centers[b]
+            size = len(rows)
+            p = np.matmul(rows, w, out=p_buf[:size])
+            u, t, keep = u_buf[:size], t_buf[:size], keep_buf[:size]
+            np.subtract(p, x0, out=u)
+            u /= h
+            np.rint(u, out=t)
+            u -= t
+            np.less_equal(np.abs(u, out=u), reach, out=keep)
+            m = np.count_nonzero(keep)
+            np.compress(keep, p, out=proj[k:k + m])
+            if kept is not None:
+                np.compress(keep, radii[b], out=kept[k:k + m])
+            k += m
+    return proj[:k], None if kept is None else kept[:k]
 
 
 def _shifted_count(p, s, xs, side) -> np.ndarray:
