@@ -208,22 +208,29 @@ def _reach(xs, r_min, r_max):
 def _near_flats(cloud, direction, x0, h, reach, shared):
     """Projections (and radii, unless shared) of the disks kept by the reach
     test, in cloud order, compacted to the front of arrays of the cloud's
-    length.  Each block's centers[b] @ w is bitwise those rows of the whole
-    projection; scratch is one block's."""
+    length; scratch is one block's.
+
+    A block of two or more rows projects through the same BLAS product as
+    the whole cloud, row for row bitwise; numpy takes a one-row product
+    through a dot, which rounds differently.  So a one-row last block is
+    projected together with the row before it, as the whole cloud is.
+    """
     centers, radii, w = cloud.centers, cloud.radii, direction.vector
     n = len(centers)
     proj = np.empty(n)
     kept = None if shared else np.empty(n)
     width = min(n, geometry._BLOCK_ROWS)
-    p_buf, u_buf, t_buf = np.empty((3, width))
+    p_buf = np.empty(max(width, 2))
+    u_buf, t_buf = np.empty((2, width))
     keep_buf = np.empty(width, dtype=bool)
     k = 0
     # rows beyond the float range give inf - inf = nan here, and are dropped
     with np.errstate(over="ignore", invalid="ignore"):
         for b in _row_blocks(n):
-            rows = centers[b]
-            size = len(rows)
-            p = np.matmul(rows, w, out=p_buf[:size])
+            start, stop = b.start, min(b.stop, n)
+            first = max(0, min(start, stop - 2))
+            size = stop - start
+            p = np.matmul(centers[first:stop], w, out=p_buf[:stop - first])[start - first:]
             u, t, keep = u_buf[:size], t_buf[:size], keep_buf[:size]
             np.subtract(p, x0, out=u)
             u /= h
