@@ -116,13 +116,23 @@ def _alignment_fractions(params: AlignmentParams, bt: np.ndarray, betas):
         scales = params.r ** exponents
     phase = params.gamma - n * qk * params.theta
     threshold = params.threshold
+    # the block and its rounding live in two rows of scratch that only grow,
+    # so a scan does not return ~0.5 MB to the allocator per direction;
+    # whether that memory went back to the OS, to fault in again, depended
+    # on the heap's layout left by unrelated code and moved the scan's
+    # time by up to 28%
+    scratch = np.empty((2, 0))
     for beta in betas:
         with np.errstate(over="ignore", invalid="ignore"):
             c = scales * np.cos(beta + phase)
             cols = _decidable_columns(bt, c)
-            vals = c[cols][:, None] * bt[None, :]
-            ok = np.abs(vals) < _REPRESENTABLE
-            np.subtract(vals, np.round(vals), out=vals)
+            size = len(cols) * len(bt)
+            if scratch.shape[1] < size:
+                scratch = np.empty((2, size))
+            vals, rounded = (row[:size].reshape(len(cols), len(bt)) for row in scratch)
+            np.multiply(c[cols][:, None], bt[None, :], out=vals)
+            ok = np.abs(vals, out=rounded) < _REPRESENTABLE
+            np.subtract(vals, np.round(vals, out=rounded), out=vals)
             np.abs(vals, out=vals)
             ok &= vals <= threshold
         yield np.count_nonzero(ok, axis=0) / params.big_n

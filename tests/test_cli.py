@@ -108,9 +108,20 @@ def test_loosened_threshold_is_rejected(runner, tmp_path):
         ({"seed": "abc"}, "moran.seed"),
         ({"seed": -1}, "moran.seed"),
         ({"seed": math.inf}, "moran.seed"),
+        ({"seed": 1.5}, "moran.seed"),
+        ({"seed": True}, "moran.seed"),
+        ({"seed": False}, "moran.seed"),
+        ({"thresholds": {"max_rel_excess": {"value": 5.0, "override": "false"}},
+          "seed": 1}, "moran.thresholds.max_rel_excess.override"),
+        ({"thresholds": {"max_rel_excess": {"value": 5.0, "override": 1}},
+          "seed": 1}, "moran.thresholds.max_rel_excess.override"),
+        ({"thresholds": {"max_rel_excess": {"value": 5.0, "override": None}},
+          "seed": 1}, "moran.thresholds.max_rel_excess.override"),
     ],
     ids=["params-list", "thresholds-list", "threshold-string", "threshold-null",
-         "threshold-nan", "seed-string", "seed-negative", "seed-infinite"],
+         "threshold-nan", "seed-string", "seed-negative", "seed-infinite",
+         "seed-fractional", "seed-true", "seed-false", "override-string",
+         "override-one", "override-null"],
 )
 def test_malformed_config_is_a_usage_error(runner, tmp_path, cfg, named):
     path = tmp_path / "cfg.json"
@@ -120,6 +131,18 @@ def test_malformed_config_is_a_usage_error(runner, tmp_path, cfg, named):
     assert res.stderr.startswith("error: ") and named in res.stderr
     assert "Traceback" not in res.output
     assert isinstance(res.exception, SystemExit)
+
+
+def test_integral_seeds_are_one_config(runner, tmp_path):
+    reports = []
+    for seed in (2, 2.0):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": seed}))
+        res = runner.invoke(main, ["moran", "--config", str(path)])
+        assert res.exit_code == 0
+        reports.append(json.loads(res.stdout))
+    assert [r["seed"] for r in reports] == [2, 2]
+    assert reports[0]["config_digest"] == reports[1]["config_digest"]
 
 
 def test_scenario_commands_come_from_the_registry(runner):

@@ -61,6 +61,13 @@ def test_slice_counts_match_scalar_enumeration(carpet, rot3, triangle, mixed):
         assert lo <= got <= hi, (ifs.label, beta, x, rho, lo, got, hi)
 
 
+def _direct_counts(cloud, d, xs):
+    """The disk test fl(p - r) <= x <= fl(p + r), offset by offset."""
+    p = cloud.centers @ d.vector
+    lo, hi = p - cloud.radii, p + cloud.radii
+    return [int(np.count_nonzero((lo <= x) & (x <= hi))) for x in xs]
+
+
 @pytest.mark.parametrize("equal_radii", [True, False])
 def test_slice_counts_are_the_direct_disk_test(equal_radii, rng_np):
     n = 2000
@@ -76,8 +83,149 @@ def test_slice_counts_are_the_direct_disk_test(equal_radii, rng_np):
     xs = np.concatenate(
         [rng_np.uniform(-1.5, 1.5, 300), (p - radii)[:100], (p + radii)[:100]]
     )
-    want = [int(np.count_nonzero((p - radii <= x) & (x <= p + radii))) for x in xs]
+    assert dl.slice_counts(cloud, d, xs).tolist() == _direct_counts(cloud, d, xs)
+
+
+@st.composite
+def _filtered_cases(draw):
+    """(cloud, direction, offsets, filter expected on) for the reach test.
+
+    Disks sit on offsets, a radius either side of them, and one ulp either
+    side of those; offsets are a linspace grid, one moved by a few ulps or
+    by 1e-6 h, or the grid reversed."""
+    g = draw(st.sampled_from([1, 2, 3, 17, 64]))
+    x0 = draw(st.sampled_from([0.0, -0.37, 1e6]))
+    h = draw(st.sampled_from([0.01, 1.0 / 3.0, 1e-9]))
+    xs = np.linspace(x0, x0 + (g - 1) * h, g)
+    grid = draw(st.sampled_from(["exact", "ulps", "relative", "decreasing"]))
+    j = draw(st.integers(0, g - 1))
+    if grid == "ulps":
+        steps = draw(st.integers(-4, 4))
+        xs[j] = xs[j] + steps * np.spacing(xs[j])
+    elif grid == "relative":
+        xs[j] += draw(st.sampled_from([-1e-6, 1e-6])) * h
+    elif grid == "decreasing":
+        xs = xs[::-1].copy()
+    n = draw(st.integers(0, 40))
+    scale = draw(st.sampled_from([0.0, 1e-3, 0.2, 0.45]))
+    mixed = draw(st.booleans())
+    fracs = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n))
+    radii = np.array(fracs if mixed else [1.0] * n, dtype=np.float64) * scale * h
+    at = draw(st.lists(st.integers(0, g - 1), min_size=n, max_size=n))
+    side = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n, max_size=n))
+    ulp = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+    p = xs[np.array(at, dtype=np.intp)] + np.array(side) * radii
+    p = np.where(np.array(ulp) > 0, np.nextafter(p, np.inf), p)
+    p = np.where(np.array(ulp) < 0, np.nextafter(p, -np.inf), p)
+    d = Direction.from_angle(0.0)
+    # a second coordinate that w = (1, 0) ignores: p is each disk's projection
+    centers = np.column_stack([p, np.linspace(-1.0, 1.0, n)])
+    cloud = CellCloud(centers=centers, radii=radii, scale=h)
+    active = g >= 2 and grid != "decreasing" and h >= 0.01 and scale <= 0.2 and n > 0
+    return cloud, d, xs, active
+
+
+@given(case=_filtered_cases())
+@settings(max_examples=300, deadline=None)
+def test_slice_counts_with_the_reach_filter_are_the_direct_disk_test(case):
+    cloud, d, xs, active = case
+    if active:
+        assert dl.sections._reach(xs, *dl.sections._radius_range(cloud.radii))
+    assert dl.slice_counts(cloud, d, xs).tolist() == _direct_counts(cloud, d, xs)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.9])
+@pytest.mark.parametrize("equal_radii", [True, False])
+def test_the_reach_filter_drops_most_fine_disks(beta, equal_radii, rng_np, monkeypatch):
+    # radius 0.1 h: about a fifth of the disks can touch a flat
+    xs = np.linspace(-0.5, 0.5, 256)
+    h = xs[1] - xs[0]
+    n = 5000
+    centers = rng_np.uniform(-0.6, 0.6, (n, 2))
+    radii = np.full(n, 0.1 * h) if equal_radii else rng_np.uniform(0.0, 0.1 * h, n)
+    cloud = CellCloud(centers=centers, radii=radii, scale=h)
+    d = Direction.from_angle(beta)
+    kept = []
+    near_flats = dl.sections._near_flats
+
+    def spy(*args):
+        out = near_flats(*args)
+        kept.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(dl.sections, "_near_flats", spy)
+    got = dl.slice_counts(cloud, d, xs)
+    assert len(kept) == 1 and 0 < kept[0] < n // 2
+    assert got.tolist() == _direct_counts(cloud, d, xs)
+    assert got.sum() > 0
+
+
+def test_the_reach_needs_the_grid_deviation(monkeypatch):
+    # one offset moved by 1e-6 h, and a point disk on it: without dev in
+    # the reach the disk is dropped, though it meets that flat
+    xs = np.linspace(0.0, 1.0, 11)
+    h = xs[1] - xs[0]
+    xs[5] += 1e-6 * h
+    centers = np.array([[xs[5], 0.0], [xs[2], 0.3], [0.43, 0.1]])
+    cloud = CellCloud(centers=centers, radii=np.zeros(3), scale=h)
+    d = Direction.from_angle(0.0)
+    want = _direct_counts(cloud, d, xs)
+    assert want[5] == 1
     assert dl.slice_counts(cloud, d, xs).tolist() == want
+    reach = dl.sections._reach
+
+    def without_dev(xs, r_min, r_max):
+        return reach(np.linspace(xs[0], xs[-1], len(xs)), r_min, r_max)
+
+    monkeypatch.setattr(dl.sections, "_reach", without_dev)
+    got = dl.slice_counts(cloud, d, xs).tolist()
+    assert got[5] == 0 and got[:5] == want[:5] and got[6:] == want[6:]
+
+
+def _projection_clouds(carpet):
+    cfg = dl.mandelbrot_config(3, 2, 0.85)
+    sample, _ = dl.sample_surviving_tree(cfg.law, 5, seed=7)
+    rng = np.random.Generator(np.random.PCG64(5))
+    yield sample.cell_cloud(cfg.ifs, 5)[0]
+    # 4096 rows: blocks of 7 leave a one-row last block
+    yield dl.sample_tree(dl.deterministic_law(carpet.m), 4, seed=0).cell_cloud(carpet, 4)[0]
+    yield dl.stopping_set(carpet, 3.0 ** -5).centers
+    yield rng.uniform(-1.0, 1.0, (3001, 2))
+    yield rng.uniform(-1.0, 1.0, (2049, 2))
+    yield rng.normal(0.0, 1e6, (2500, 2))
+
+
+@pytest.mark.parametrize("block_rows", [7, 1024])
+def test_blockwise_projection_is_bitwise_the_whole_projection(
+    block_rows, carpet, monkeypatch
+):
+    # the reach filter projects a block at a time and must see the bits of
+    # centers @ w; reach 1 keeps every disk, so the kept prefix is all of it
+    monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", block_rows)
+    one_row_tails = 0
+    for centers in _projection_clouds(carpet):
+        n = len(centers)
+        assert n > 2 * block_rows
+        one_row_tails += n % block_rows == 1
+        cloud = CellCloud(centers=centers, radii=np.zeros(n), scale=1.0)
+        for beta in (0.0, 0.5, 1.0, 1.75, 2.7):
+            d = Direction.from_angle(beta)
+            want = (centers @ d.vector).view(np.uint64)
+            for b in dl.geometry._row_blocks(n):
+                if len(centers[b]) >= 2:
+                    assert np.array_equal((centers[b] @ d.vector).view(np.uint64), want[b])
+            got, _ = dl.sections._near_flats(cloud, d, 0.0, 1.0, 1.0, True)
+            assert np.array_equal(got.view(np.uint64), want)
+    assert one_row_tails > 0
+
+
+def test_a_one_row_product_rounds_as_a_dot(carpet):
+    # why a one-row last block is projected with the row before it
+    centers = dl.sample_tree(dl.deterministic_law(carpet.m), 4, seed=0).cell_cloud(carpet, 4)[0]
+    w = Direction.from_angle(1.75).vector
+    whole = centers @ w
+    alone = np.concatenate([centers[i:i + 1] @ w for i in range(len(centers))])
+    assert not np.array_equal(alone.view(np.uint64), whole.view(np.uint64))
 
 
 def test_carpet_axis_counts_match_column_products(carpet):
