@@ -200,7 +200,10 @@ def test_blockwise_projection_is_bitwise_the_whole_projection(
     block_rows, carpet, monkeypatch
 ):
     # the reach filter projects a block at a time and must see the bits of
-    # centers @ w; reach 1 keeps every disk, so the kept prefix is all of it
+    # centers @ w.  numpy takes a one-row product through a dot that rounds
+    # otherwise, so one-row last blocks are checked only through
+    # _near_flats, which projects them with the row before.  Reach 1 keeps
+    # every disk, so the kept prefix is all of it.
     monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", block_rows)
     one_row_tails = 0
     for centers in _projection_clouds(carpet):
@@ -217,15 +220,6 @@ def test_blockwise_projection_is_bitwise_the_whole_projection(
             got, _ = dl.sections._near_flats(cloud, d, 0.0, 1.0, 1.0, True)
             assert np.array_equal(got.view(np.uint64), want)
     assert one_row_tails > 0
-
-
-def test_a_one_row_product_rounds_as_a_dot(carpet):
-    # why a one-row last block is projected with the row before it
-    centers = dl.sample_tree(dl.deterministic_law(carpet.m), 4, seed=0).cell_cloud(carpet, 4)[0]
-    w = Direction.from_angle(1.75).vector
-    whole = centers @ w
-    alone = np.concatenate([centers[i:i + 1] @ w for i in range(len(centers))])
-    assert not np.array_equal(alone.view(np.uint64), whole.view(np.uint64))
 
 
 def test_carpet_axis_counts_match_column_products(carpet):
