@@ -110,9 +110,12 @@ def _finish_scenario(name, config, seed, out, fmt):
     return 0 if report["all_pass"] else 1
 
 
+# run_scenario's rule for every --seed: a uint64, as the samplers key trees by
+_SEED = click.IntRange(0, 2**64 - 1)
+
 _SCENARIO_OPTIONS = [
     click.Option(["--config"], default=None, help="JSON config with params/thresholds/seed."),
-    click.Option(["--seed"], type=int, default=None, help="Seed (required here or in the config)."),
+    click.Option(["--seed"], type=_SEED, default=None, help="Seed (required here or in the config)."),
     click.Option(["--out"], default=None, help="Report path (stdout when omitted)."),
     click.Option(
         ["--format", "fmt"],
@@ -223,8 +226,9 @@ def _percolate_rows(law, depth, n_seeds, seed, budget):
 @click.option("--ifs", "ifs_path", required=True, help="System file or catalog name.")
 @click.option("--law", "law_spec", required=True, help="standard:A | uniform:P | table:FILE")
 @click.option("--depth", type=int, default=8)
-@click.option("--seeds", "n_seeds", type=int, default=1000, help="Number of independent trees.")
-@click.option("--seed", type=int, required=True, help="Base seed for the tree streams.")
+@click.option("--seeds", "n_seeds", type=click.IntRange(min=1), default=1000,
+              help="Number of independent trees.")
+@click.option("--seed", type=_SEED, required=True, help="Base seed for the tree streams.")
 @click.option("--out", default=None)
 @click.option("--budget", type=int, default=DEFAULT_BUDGET, help=_TREE_BUDGET_HELP)
 @_guarded
@@ -243,8 +247,8 @@ def percolate_command(ifs_path, law_spec, depth, n_seeds, seed, out, budget):
 @click.option("--d", type=int, default=2, help="Ambient dimension.")
 @click.option("--p", type=float, required=True, help="Retention probability.")
 @click.option("--depth", type=int, default=8)
-@click.option("--seeds", "n_seeds", type=int, default=1000)
-@click.option("--seed", type=int, required=True)
+@click.option("--seeds", "n_seeds", type=click.IntRange(min=1), default=1000)
+@click.option("--seed", type=_SEED, required=True)
 @click.option("--out", default=None)
 @click.option("--budget", type=int, default=DEFAULT_BUDGET, help=_TREE_BUDGET_HELP)
 @_guarded
@@ -304,7 +308,7 @@ def sections_command(ifs_path, beta, eps, scales, grid, out, budget):
 @click.option("--beta", type=float, default=0.7)
 @click.option("--ladder", default="2:6", help="lo:hi range of ladder exponents N.")
 @click.option("--tau", type=float, default=1.0)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=_SEED, required=True)
 @click.option("--out", default=None)
 @_guarded
 def fourier_command(ifs_path, q, k, eps, beta, ladder, tau, seed, out):
@@ -333,7 +337,7 @@ def fourier_command(ifs_path, q, k, eps, beta, ladder, tau, seed, out):
 @click.option("--eps", type=float, default=0.3)
 @click.option("--q", type=int, default=None)
 @click.option("--trials", type=int, default=100000)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=_SEED, required=True)
 @_guarded
 def measure_dim_command(ifs_path, eps, q, trials, seed):
     """Monte Carlo dimension of the random-subset measure."""

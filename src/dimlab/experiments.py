@@ -448,28 +448,26 @@ def _run_mandelbrot_slices(params, seed):
 
     def one(i):
         sample, _ = surviving(i)
-        out = []
-        for beta in betas:
-            profile = conservation_profile_sample(
-                sample,
-                cfg.ifs,
-                cfg.dimension,
-                Direction.from_angle(beta),
-                params["epsilon"],
-                scales,
-                grid=params["grid"],
-            )
-            out.append(
-                [
-                    i,
-                    sample.seed,
-                    beta,
-                    profile.qualifying_fraction,
-                    profile.valid_fraction,
-                    profile.n_valid,
-                ]
-            )
-        return out
+        profiles = conservation_profile_sample(
+            sample,
+            cfg.ifs,
+            cfg.dimension,
+            [Direction.from_angle(beta) for beta in betas],
+            params["epsilon"],
+            scales,
+            grid=params["grid"],
+        )
+        return [
+            [
+                i,
+                sample.seed,
+                beta,
+                profile.qualifying_fraction,
+                profile.valid_fraction,
+                profile.n_valid,
+            ]
+            for beta, profile in zip(betas, profiles)
+        ]
 
     rows = [row for chunk in parallel_map(one, range(params["samples"])) for row in chunk]
     metrics = {"theory_dim": cfg.dimension}

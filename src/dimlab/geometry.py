@@ -489,8 +489,8 @@ class StoppingSet:
 
     Rows are in lexicographic word order.  Words are not stored: each row
     keeps its length and its index among the children of the frontier it
-    was cut from, and `words()` rebuilds python tuples lazily by walking
-    the frontier's parent links.
+    was cut from, and each `words()` call rebuilds the python tuples by
+    walking the frontier's parent links.
     """
 
     ifs: IFS
@@ -502,7 +502,6 @@ class StoppingSet:
     radii: np.ndarray
     _index: np.ndarray = field(repr=False)
     _links: list = field(repr=False)
-    _words: list | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -516,20 +515,18 @@ class StoppingSet:
         return int(self.lengths.max()) if len(self.lengths) else 0
 
     def words(self) -> list:
-        if self._words is None:
-            m = self.ifs.m
-            words = [()] * len(self)
-            for length in np.unique(self.lengths).tolist():
-                rows = np.flatnonzero(self.lengths == length)
-                child = self._index[rows]
-                symbols = np.empty((len(rows), length), dtype=np.int64)
-                for j in range(length, 0, -1):
-                    symbols[:, j - 1] = child % m + 1
-                    child = self._links[j - 1][child // m]
-                for row, word in zip(rows.tolist(), symbols.tolist()):
-                    words[row] = tuple(word)
-            self._words = words
-        return self._words
+        m = self.ifs.m
+        words = [()] * len(self)
+        for length in np.unique(self.lengths).tolist():
+            rows = np.flatnonzero(self.lengths == length)
+            child = self._index[rows]
+            symbols = np.empty((len(rows), length), dtype=np.int64)
+            for j in range(length, 0, -1):
+                symbols[:, j - 1] = child % m + 1
+                child = self._links[j - 1][child // m]
+            for row, word in zip(rows.tolist(), symbols.tolist()):
+                words[row] = tuple(word)
+        return words
 
 
 def stopping_set(ifs: IFS, rho: float, budget: int = DEFAULT_BUDGET) -> StoppingSet:

@@ -168,20 +168,15 @@ class PercolationSample:
     """Surviving words per depth; word in gen k iff its whole path retained.
 
     Each generation stores only parent links and last symbols; whole words
-    are rebuilt on demand by walking the links.  Composed cylinder maps are
-    folded top-down through the generations; the cylinder disks of each
-    generation asked for are kept so that later clouds of the same sample
-    reuse them, and the maps only while a deeper fold can extend them.
-    The deepest generation's maps are never kept, so its translations
-    become its centers in place.
+    are rebuilt on demand by walking the links.  The sample holds nothing
+    else: cylinder disks are folded from the root by `cell_clouds` each
+    time they are asked for, a whole ladder of generations in one pass.
     """
 
     law: OffspringLaw | None
     seed: object
     depth: int
     generations: list
-    _maps: dict = field(default_factory=dict, repr=False)
-    _disks: dict = field(default_factory=dict, repr=False)
 
     def counts(self) -> np.ndarray:
         return np.array([len(g.parent) for g in self.generations], dtype=np.int64)
@@ -225,50 +220,48 @@ class PercolationSample:
         return np.array([int(m.sum()) for m in self.persistent_masks()], dtype=np.int64)
 
     def cell_cloud(self, ifs: IFS, k: int, persistent: bool = False):
-        """(centers, radii) of the surviving depth-k cylinder disks.
+        """(centers, radii) of the surviving depth-k cylinder disks: the
+        ladder of one generation."""
+        return self.cell_clouds(ifs, [k], persistent)[0]
 
-        The arrays are computed once per (IFS, generation), kept on the
-        sample and returned read-only.
+    def cell_clouds(self, ifs: IFS, ks, persistent: bool = False) -> list:
+        """(centers, radii) of the surviving cylinder disks of each
+        generation in ks, in the order of ks (repeats allowed).
+
+        One top-down pass folds the composed maps from the root to max(ks);
+        each generation's maps are dropped once the next one is folded
+        from them.  The deepest generation asked for has no successor, so
+        its translations become its centers in place; the others' centers
+        are copies.  With `persistent`, one walk up the parent links from
+        the deepest generation of the sample to min(ks) masks each
+        generation asked for.
         """
         if ifs.m != (self.law.m if self.law is not None else ifs.m):
             raise ParameterError("law arity does not match the IFS")
-        disks = self._disks.setdefault(ifs, {})
-        if k not in disks:
-            # `_fold` keeps the maps of every generation but the deepest
-            maps = self._fold(ifs, k)
-            disks[k] = _cell_disks(ifs, *maps, in_place=k == self.depth)
-            for a in disks[k]:
-                a.flags.writeable = False
-        centers, radii = disks[k]
+        if not 0 <= min(ks) <= max(ks) <= self.depth:
+            raise ParameterError(f"generations must lie in 0..{self.depth}, got {ks}")
+        top = max(ks)
+        # a ratio or angle that every map has is folded as one value per
+        # generation, shared by all rows; any other is folded per row
+        ratio, angle, trans = _identity_maps(1, ifs.ambient_dim)
+        maps = (
+            ratio[0] if ifs.equal_ratio else ratio,
+            angle[0] if ifs.equal_angle else angle,
+            trans,
+        )
+        disks = {}
+        for k, gen in enumerate(self.generations[: top + 1]):
+            if k:
+                maps = _extend(*maps, ifs, gen.parent, gen.symbol - 1)
+            if k in ks:
+                disks[k] = _cell_disks(ifs, *maps, in_place=k == top)
         if persistent:
-            for keep in self._persistent_walk(k):
-                pass  # the last mask is generation k's; earlier ones are dropped
-            centers, radii = centers[keep], radii[keep]
-        return centers, radii
-
-    def _fold(self, ifs: IFS, k: int):
-        """Composed maps of generation k, folded top-down.
-
-        Only the maps of the generation folded last are kept, and only
-        below `depth`: the next deeper request extends them, and each
-        generation is dropped once its successor is folded.  A request
-        for an earlier generation folds again from the root.
-        """
-        j, maps = self._maps.pop(ifs, (0, None))
-        if maps is None or j > k:
-            # a ratio or angle that every map has is folded as one value
-            # per generation, shared by all rows; any other is folded per row
-            ratio, angle, trans = _identity_maps(1, ifs.ambient_dim)
-            j, maps = 0, (
-                ratio[0] if ifs.equal_ratio else ratio,
-                angle[0] if ifs.equal_angle else angle,
-                trans,
-            )
-        for gen in self.generations[j + 1 : k + 1]:
-            maps = _extend(*maps, ifs, gen.parent, gen.symbol - 1)
-        if k < self.depth:
-            self._maps[ifs] = (k, maps)
-        return maps
+            walk = zip(range(self.depth, -1, -1), self._persistent_walk(min(ks)))
+            for k, keep in walk:
+                if k in disks:
+                    centers, radii = disks[k]
+                    disks[k] = centers[keep], radii[keep]
+        return [disks[k] for k in ks]
 
 
 def _retained(

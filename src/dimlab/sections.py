@@ -96,9 +96,7 @@ class CellCloud:
         rho: float,
         persistent: bool = False,
     ) -> "CellCloud":
-        k = generation_for_scale(sample, ifs, rho)
-        centers, radii = sample.cell_cloud(ifs, k, persistent=persistent)
-        return cls(centers=centers, radii=radii, scale=rho)
+        return _clouds_for_sample(sample, ifs, [rho], persistent)[0]
 
     def project(self, direction: Direction) -> np.ndarray:
         return self.centers @ direction.vector
@@ -355,10 +353,10 @@ def _clouds_for_ifs(ifs, scales, budget) -> list:
 
 
 def _clouds_for_sample(sample, ifs, scales, persistent=False) -> list:
-    return [
-        CellCloud.from_sample(sample, ifs, rho, persistent=persistent)
-        for rho in scales
-    ]
+    """The sample's cloud at each scale, from one ladder of generations."""
+    ks = [generation_for_scale(sample, ifs, rho) for rho in scales]
+    clouds = sample.cell_clouds(ifs, ks, persistent)
+    return [CellCloud(*cloud, scale=rho) for cloud, rho in zip(clouds, scales)]
 
 
 def section_dim(
@@ -547,25 +545,31 @@ def conservation_profile_sample(
     sample: PercolationSample,
     ifs: IFS,
     dim_formula: float,
-    direction: Direction,
+    directions,
     epsilon: float,
     scales,
     grid: int = 512,
     x_grid=None,
-) -> ConservationProfile:
-    """Same profile against the surviving cells of a percolation sample.
+) -> list:
+    """Same profile against the surviving cells of a percolation sample,
+    one per direction, all counted from one ladder of generations.
 
     dim_formula is the almost-sure dimension of the surviving set (from
     percolation_dimension); qualifying means slope > dim_formula - 1 - eps.
+    A given x_grid serves every direction; otherwise each direction gets
+    its default grid.
     """
     if epsilon <= 0.0:
         raise ParameterError("epsilon must be positive")
     if x_grid is None:
-        x_grid = _default_grid(ifs, direction, scales, grid)
-    clouds = _clouds_for_sample(sample, ifs, scales, persistent=False)
-    return _profile_from_clouds(
-        clouds, direction, epsilon, dim_formula, np.asarray(x_grid), scales
-    )
+        grids = [_default_grid(ifs, w, scales, grid) for w in directions]
+    else:
+        grids = [np.asarray(x_grid)] * len(directions)
+    clouds = _clouds_for_sample(sample, ifs, scales)
+    return [
+        _profile_from_clouds(clouds, w, epsilon, dim_formula, xs, scales)
+        for w, xs in zip(directions, grids)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,46 @@ def test_count_options_that_would_print_nan_exit_2(runner, args, named):
     assert res.stdout == ""
 
 
+_PERCOLATE = ["percolate", "--ifs", "sierpinski_carpet", "--law", "standard:0.5",
+              "--depth", "2", "--seeds", "2"]
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (_PERCOLATE + ["--seed", "-1"], "'--seed'"),
+        (_PERCOLATE + ["--seed", str(2**64)], "'--seed'"),
+        (["mandelbrot", "--M", "3", "--p", "0.7", "--depth", "2", "--seed", "-1"],
+         "'--seed'"),
+        (["probe", "--alpha", "0.8", "--seed", "-1", "--trials", "2", "--depth", "3",
+          "--grid", "8"], "'--seed'"),
+        (["fourier", "--seed", "-1", "--ladder", "2:3"], "'--seed'"),
+        (["measure-dim", "--trials", "100", "--seed", "-1"], "'--seed'"),
+        (["percolate", "--ifs", "sierpinski_carpet", "--law", "standard:0.5",
+          "--seeds", "-5", "--seed", "1"], "'--seeds'"),
+        (["mandelbrot", "--M", "3", "--p", "0.7", "--seeds", "0", "--seed", "1"],
+         "'--seeds'"),
+    ],
+    ids=["percolate-seed-negative", "percolate-seed-2^64", "mandelbrot-seed-negative",
+         "probe-alpha-seed-negative", "fourier-seed-negative",
+         "measure-dim-seed-negative", "percolate-seeds-negative", "mandelbrot-seeds-0"],
+)
+def test_out_of_range_utility_seeds_exit_2(runner, args, named):
+    # the seeds used to raise a traceback (exit 1), and --seeds -5 printed
+    # "0/-5 trees survive" with exit 0
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert named in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_the_largest_seed_is_a_valid_seed(runner):
+    res = runner.invoke(main, _PERCOLATE + ["--seed", str(2**64 - 1)])
+    assert res.exit_code == 0
+    header, rows = read_csv(res.stdout)
+    assert header[0] == "seed" and len(rows) == 2
+
+
 # ---------------------------------------------------------------------------
 # fourier / measure-dim / exceptional
 

@@ -424,48 +424,36 @@ def test_cell_cloud_order_of_requests_does_not_matter(carpet):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-def test_cell_cloud_keeps_only_the_maps_a_later_fold_extends(carpet):
-    law = dl.standard_law(carpet, 0.3)
-    sample = dl.sample_tree(law, 4, seed=8)
-    fresh = dl.sample_tree(law, 4, seed=8)
-
-    def held():
-        return {ifs: (k, len(maps[2])) for ifs, (k, maps) in sample._maps.items()}
-
-    counts = sample.counts()
-    for k, want in ((2, {carpet: 2}), (3, {carpet: 3}), (1, {carpet: 1}), (4, {})):
-        got = sample.cell_cloud(carpet, k)
-        assert held() == {ifs: (j, counts[j]) for ifs, j in want.items()}
-        # a fresh sample folds generation k from the root in one pass
-        ref = dl.sample_tree(law, 4, seed=8).cell_cloud(carpet, k)
-        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-    # generation 2's disks are kept, so no fold runs and nothing is held
-    sample.cell_cloud(carpet, 2)
-    assert held() == {}
-    # the deepest generation first: its maps are dropped once its disks exist
-    fresh.cell_cloud(carpet, 4)
-    assert fresh._maps == {}
-
-
+@pytest.mark.parametrize("persistent", [False, True])
 @pytest.mark.parametrize("name", ["rot3", "carpet", "turns", "mixed"])
-def test_deepest_centers_never_share_memory_with_kept_maps(name, request, monkeypatch):
-    # the deepest generation's centers are its translations, turned into
-    # centers in place, a block of 7 rows at a time; the maps a later fold
-    # extends must come through untouched
+def test_cell_clouds_are_bitwise_fresh_single_generation_clouds(
+    name, persistent, request, monkeypatch
+):
+    # one pass folds every generation asked for; the deepest one's
+    # translations become its centers in place, a block of 7 rows at a
+    # time, while the coarser ones' centers are copies of the maps the
+    # next generation is folded from
     ifs = request.getfixturevalue(name)
     monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", 7)
     law = dl.uniform_law(ifs.m, 0.8)
     sample = dl.sample_tree(law, 4, seed=13)
-    got = {}
-    for k in (4, 2, 4, 3, 1, 4):
-        got[k] = sample.cell_cloud(ifs, k)
-        for _, maps in sample._maps.values():
-            for a in maps:
-                assert not any(np.shares_memory(a, b) for b in got[4] + got[k])
-    for k, (centers, radii) in got.items():
-        want = dl.sample_tree(law, 4, seed=13).cell_cloud(ifs, k)
-        assert np.array_equal(centers, want[0]) and np.array_equal(radii, want[1])
-        assert not centers.flags.writeable
+    assert sample.counts()[3] > 7
+    for ks in ([4, 2, 4, 3, 1], [1, 3, 3, 0], [2], [0, 4, 1, 2, 3, 4]):
+        got = sample.cell_clouds(ifs, ks, persistent)
+        assert len(got) == len(ks)
+        for k, (centers, radii) in zip(ks, got):
+            want = dl.sample_tree(law, 4, seed=13).cell_cloud(ifs, k, persistent)
+            assert np.array_equal(centers, want[0]) and np.array_equal(radii, want[1])
+        for i, j in itertools.combinations(range(len(ks)), 2):
+            if ks[i] != ks[j]:
+                assert not np.shares_memory(got[i][0], got[j][0])
+
+
+def test_cell_clouds_reject_generations_the_sample_lacks(carpet):
+    sample = dl.sample_tree(dl.standard_law(carpet, 0.3), 3, seed=8)
+    for ks in ([4], [-1, 2]):
+        with pytest.raises(ParameterError, match="generations"):
+            sample.cell_clouds(carpet, ks)
 
 
 def test_persistent_cloud_is_the_masked_full_cloud(carpet):
@@ -487,6 +475,26 @@ def _by_identity(obj):
         if isinstance(value, dict):
             snap.update({(key, k): v for k, v in value.items()})
     return snap
+
+
+def test_samples_and_stopping_sets_keep_only_what_they_were_built_with(carpet):
+    """No call fills a cache on a sample or a stopping set."""
+    sample = dl.sample_tree(dl.uniform_law(carpet.m, 0.8), 4, seed=3)
+    ss = dl.stopping_set(carpet, 3.0 ** -3)
+    before = [_by_identity(obj) for obj in (sample, ss)]
+    assert set(before[0]) == {"law", "seed", "depth", "generations"}
+    sample.cell_cloud(carpet, 3)
+    sample.cell_cloud(carpet, 4, persistent=True)
+    sample.cell_clouds(carpet, [1, 2, 2], persistent=True)
+    scales = [carpet.diameter_proxy * 3.0 ** -k for k in (2, 3, 4)]
+    dl.conservation_profile_sample(
+        sample, carpet, 1.5, [dl.Direction.from_angle(0.3)], 0.25, scales, grid=32
+    )
+    ss.words()
+    for obj, snap in zip((sample, ss), before):
+        now = _by_identity(obj)
+        assert now.keys() == snap.keys()
+        assert all(now[k] is snap[k] for k in snap)
 
 
 def test_shared_inputs_are_never_written():

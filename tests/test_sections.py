@@ -449,8 +449,8 @@ def test_profile_sample_masks_are_consistent():
     cfg = dl.mandelbrot_config(3, 2, 0.85)
     sample, _ = dl.sample_surviving_tree(cfg.law, 5, seed=6)
     scales = [cfg.ifs.diameter_proxy * 3.0 ** -k for k in (2, 3, 4, 5)]
-    profile = dl.conservation_profile_sample(
-        sample, cfg.ifs, cfg.dimension, Direction.from_angle(0.5), 0.25, scales,
+    (profile,) = dl.conservation_profile_sample(
+        sample, cfg.ifs, cfg.dimension, [Direction.from_angle(0.5)], 0.25, scales,
         grid=64,
     )
     assert profile.valid.shape == (64,)
@@ -474,7 +474,7 @@ def test_a_sample_profile_holds_no_generation_sized_scratch(monkeypatch):
     try:
         start = tracemalloc.get_traced_memory()[0]
         dl.conservation_profile_sample(
-            sample, cfg.ifs, cfg.dimension, Direction.from_angle(0.0), 0.25,
+            sample, cfg.ifs, cfg.dimension, [Direction.from_angle(0.0)], 0.25,
             scales, grid=64,
         )
         peak = tracemalloc.get_traced_memory()[1] - start
@@ -482,6 +482,44 @@ def test_a_sample_profile_holds_no_generation_sized_scratch(monkeypatch):
         tracemalloc.stop()
     assert counts[5] > 16 * 1024
     assert peak <= 24 * counts[5] + 16 * counts[2:5].sum() + 64 * 1024 + 2 ** 16
+
+
+def _same_profile(a, b):
+    return a.direction is b.direction and all(
+        np.array_equal(getattr(a, f), getattr(b, f), equal_nan=True)
+        for f in ("x_grid", "slopes", "r2", "valid", "qualifying", "counts")
+    ) and (a.epsilon, a.threshold) == (b.epsilon, b.threshold)
+
+
+@pytest.mark.parametrize("x_grid", [None, np.linspace(0.1, 0.9, 48)])
+def test_a_multi_direction_profile_is_the_single_direction_profiles(x_grid, monkeypatch):
+    cfg = dl.mandelbrot_config(3, 2, 0.7)
+    sample, _ = dl.sample_surviving_tree(cfg.law, 5, seed=4)
+    scales = [cfg.ifs.diameter_proxy * 3.0 ** -k for k in (5, 2, 3, 4)]
+    directions = [Direction.from_angle(b) for b in (0.0, 0.5, 1.0, 2.2)]
+    folds = []
+    extend = dl.percolation._extend
+
+    def counted(*args):
+        folds.append(len(args[4]))
+        return extend(*args)
+
+    monkeypatch.setattr(dl.percolation, "_extend", counted)
+    profiles = dl.conservation_profile_sample(
+        sample, cfg.ifs, cfg.dimension, directions, 0.25, scales, grid=96, x_grid=x_grid
+    )
+    # one pass: each of generations 1..5 is folded once, whatever the directions
+    assert folds == sample.counts()[1:].tolist()
+    assert len(profiles) == len(directions)
+    for w, got in zip(directions, profiles):
+        (want,) = dl.conservation_profile_sample(
+            sample, cfg.ifs, cfg.dimension, [w], 0.25, scales, grid=96, x_grid=x_grid
+        )
+        assert _same_profile(got, want)
+        assert len(got.x_grid) == (96 if x_grid is None else 48)
+    # a given grid serves every direction; default grids follow the direction
+    same_grid = np.array_equal(profiles[0].x_grid, profiles[2].x_grid)
+    assert same_grid == (x_grid is not None)
 
 
 def _per_offset_fits(profile, scales):
@@ -510,9 +548,9 @@ def _sparse_sample_profile(request):
     sample, _ = dl.sample_surviving_tree(cfg.law, 7, seed=5)
     scales = [cfg.ifs.diameter_proxy * 3.0 ** -k for k in range(2, 8)]
     return scales, dl.conservation_profile_sample(
-        sample, cfg.ifs, cfg.dimension, Direction.from_angle(1.0), 0.25, scales,
+        sample, cfg.ifs, cfg.dimension, [Direction.from_angle(1.0)], 0.25, scales,
         grid=256,
-    )
+    )[0]
 
 
 def _long_ladder_profile(request):
@@ -521,9 +559,9 @@ def _long_ladder_profile(request):
     sample = dl.sample_tree(dl.uniform_law(4, 0.85), 10, seed=3)
     scales = [ifs.diameter_proxy * 0.5 ** k for k in range(1, 11)]
     return scales, dl.conservation_profile_sample(
-        sample, ifs, 2.0 + math.log(0.85) / math.log(2.0), Direction.from_angle(0.3),
+        sample, ifs, 2.0 + math.log(0.85) / math.log(2.0), [Direction.from_angle(0.3)],
         0.25, scales, x_grid=np.linspace(0.02, 1.23, 256),
-    )
+    )[0]
 
 
 @pytest.mark.parametrize(

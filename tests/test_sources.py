@@ -19,3 +19,18 @@ def test_every_source_parses_as_python_3_10():
     for path in sources:
         text = path.read_text(encoding="utf-8")
         ast.parse(text, filename=str(path), feature_version=(3, 10))
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # a rename in dimlab would otherwise only print "not traced (absent)"
+    # in the benchmark's smoke run, and its layer would read 0
+    monkeypatch.syspath_prepend(str(ROOT / "dimbench"))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
+    assert tracer.leftovers() == []
