@@ -331,9 +331,13 @@ def _row_blocks(n: int):
     return (slice(s, s + _BLOCK_ROWS) for s in range(0, n, _BLOCK_ROWS))
 
 
-def _identity_maps(n: int, d: int):
-    """n copies of the empty-word composition as (ratios, angles, trans)."""
-    return np.ones(n), np.zeros(n), np.zeros((n, d))
+def _identity_maps(ifs: IFS, n: int = 1):
+    """n copies of the empty-word composition as (ratios, angles, trans):
+    the one place that decides that a ratio (angle) every map has is folded
+    as one value shared by every row (0-d), and any other per row."""
+    ratio = np.float64(1.0) if ifs.equal_ratio else np.ones(n)
+    angle = np.float64(0.0) if ifs.equal_angle else np.zeros(n)
+    return ratio, angle, np.zeros((n, ifs.ambient_dim))
 
 
 def _extend(ratios, angles, trans, ifs: IFS, rows, syms):
@@ -344,10 +348,9 @@ def _extend(ratios, angles, trans, ifs: IFS, rows, syms):
     word's composed map is bitwise the same whichever fold built it.
 
     ratios and angles are each either per row or one value shared by every
-    row (0-d).  A shared value is only passed where every map has the same
-    one (IFS.equal_ratio, IFS.equal_angle) and stays shared; a per-row value
-    stays per row.  A shared value is the float every row would have
-    gathered, so the result is the same either way.
+    row (0-d), as `_identity_maps` decides, and stay so.  A shared value is
+    there only when every map has the same one, so it is the float every
+    row would have gathered, and the result is the same either way.
 
     The symbol and parent translations are gathered a block of rows at a
     time, straight into the output, so the only generation-sized arrays
@@ -419,15 +422,15 @@ def _add_linear_part(out, ratios, angles, v, rotate):
 
 def _compose_step(ratios, angles, trans, ifs: IFS):
     """All one-symbol extensions of composed maps, row-major (word, symbol)."""
-    n, m = len(ratios), ifs.m
-    rows = np.repeat(np.arange(n), m)
-    syms = np.tile(np.arange(m), n)
+    n, m = len(trans), ifs.m
+    rows = np.repeat(np.arange(n, dtype=np.int32), m)
+    syms = np.tile(np.arange(m, dtype=np.min_scalar_type(m - 1)), n)
     return _extend(ratios, angles, trans, ifs, rows, syms)
 
 
 def _all_compositions(ifs: IFS, q: int):
     """Composed maps of all m^q words of length q, lexicographic order."""
-    maps = _identity_maps(1, ifs.ambient_dim)
+    maps = _identity_maps(ifs)
     for _ in range(q):
         maps = _compose_step(*maps, ifs)
     return maps
@@ -467,12 +470,16 @@ def _cell_disks(ifs: IFS, ratios, angles, trans, in_place=False):
 def word_geometry(ifs: IFS, symbols: np.ndarray):
     """Centers and radii for a batch of equal-length words.
 
-    symbols: (n, k) array of symbols 1..m, composed first symbol first, so
-    the cost is O(n k) and the result matches every other fold bitwise.
+    symbols: (n, k) integer array of symbols 1..m, composed first symbol
+    first, so the cost is O(n k) and the disks are bitwise every other fold's.
     """
     symbols = np.asarray(symbols)
+    if symbols.ndim != 2 or not np.issubdtype(symbols.dtype, np.integer) or (
+        symbols.size and not 1 <= symbols.min() <= symbols.max() <= ifs.m
+    ):
+        raise InvalidWordError(f"symbols must be an (n, k) integer array of 1..{ifs.m}")
     n, k = symbols.shape
-    maps = _identity_maps(n, ifs.ambient_dim)
+    maps = _identity_maps(ifs, n)
     rows = np.arange(n)
     for j in range(k):
         maps = _extend(*maps, ifs, rows, symbols[:, j] - 1)
@@ -490,14 +497,14 @@ class StoppingSet:
     Rows are in lexicographic word order.  Words are not stored: each row
     keeps its length and its index among the children of the frontier it
     was cut from, and each `words()` call rebuilds the python tuples by
-    walking the frontier's parent links.
+    walking the frontier's parent links.  Ratios are not stored: with one
+    ratio for every map, `radii` is a read-only broadcast of one radius.
     """
 
     ifs: IFS
     rho: float
     c1: float
     lengths: np.ndarray
-    ratios: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
     _index: np.ndarray = field(repr=False)
@@ -509,10 +516,6 @@ class StoppingSet:
     @property
     def diameters(self) -> np.ndarray:
         return 2.0 * self.radii
-
-    @property
-    def max_depth(self) -> int:
-        return int(self.lengths.max()) if len(self.lengths) else 0
 
     def words(self) -> list:
         m = self.ifs.m
@@ -545,7 +548,9 @@ def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
     c1 rho, is extended a level at a time by `_compose_step`.  A scale's
     cells are the children below its cut whose parent is not (or the root,
     when c0 is below the cut); a scale is assembled once no frontier word
-    is at or above its cut.
+    is at or above its cut.  Scales can share their cells' maps, so only
+    the last one assembled, after the frontier is spent and the others
+    have copied theirs, turns its translations into centers in place.
 
     The budget check is the single-scale one, emitted + active * m before
     every level, made for the finest scale.  At every level each coarser
@@ -563,8 +568,7 @@ def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
     finest = cuts.index(min(cuts))
     m = ifs.m
 
-    maps = _identity_maps(1, ifs.ambient_dim)
-    diam = np.full(1, c0)
+    maps = _identity_maps(ifs)
     # links[k]: each level-k frontier word's index among the level's children
     links = [np.zeros(1, dtype=np.intp)]
     # per scale, level -> (child indices, composed maps) of its cells
@@ -573,6 +577,7 @@ def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
     out = [None] * len(rhos)
     level = 0
     while True:
+        diam = np.broadcast_to(c0 * maps[0], (len(maps[2]),))
         active = {}
         for i, cut in enumerate(cuts):
             if out[i] is None:
@@ -580,7 +585,8 @@ def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
                 if act.any():
                     active[i] = act
                 else:
-                    out[i] = _assemble(ifs, rhos[i], c1, cells[i], links)
+                    last = out.count(None) == 1
+                    out[i] = _assemble(ifs, rhos[i], c1, cells[i], links, last)
                     cells[i] = None
         # while any scale is active the finest is, on the whole frontier
         need = emitted + len(diam) * m if active else emitted
@@ -589,7 +595,7 @@ def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
         if not active:
             return out
         children = _compose_step(*maps, ifs)
-        ch_diam = c0 * children[0]
+        ch_diam = np.broadcast_to(c0 * children[0], (len(children[2]),))
         level += 1
         for i, act in active.items():
             done = (ch_diam < cuts[i]).reshape(-1, m)
@@ -602,24 +608,26 @@ def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
         keep = np.flatnonzero(ch_diam >= cuts[finest])
         links.append(keep)
         maps = _rows_of(children, keep)
-        diam = ch_diam[keep]
         del children
 
 
 def _rows_of(maps, idx):
-    """The rows idx of composed maps; all rows are taken without a copy."""
-    if len(idx) == len(maps[0]):
+    """The rows idx of composed maps; a 0-d value and all rows are not copied."""
+    if len(idx) == len(maps[2]):
         return maps
-    return tuple(a[idx] for a in maps)
+    return tuple(a[idx] if a.ndim else a for a in maps)
 
 
-def _assemble(ifs: IFS, rho: float, c1: float, cells: dict, links: list) -> StoppingSet:
+def _assemble(
+    ifs: IFS, rho: float, c1: float, cells: dict, links: list, in_place: bool
+) -> StoppingSet:
     """One scale's stopping set from its cells, in lexicographic order.
 
     Within a level, children come in (parent, symbol) order, which is
     lexicographic, so cells cut at one level (always so for equal ratios)
     are in order as they stand; cells of several levels are placed by
-    `_lex_rows`.
+    `_lex_rows`.  With in_place the centers are written over the cells'
+    translations, which nothing may read afterwards.
     """
     if len(cells) == 1:
         ((level, (index, maps)),) = cells.items()
@@ -635,14 +643,12 @@ def _assemble(ifs: IFS, rho: float, c1: float, cells: dict, links: list) -> Stop
             index[rows[k]] = idx
             for a, b in zip(maps, part):
                 a[rows[k]] = b
-    ratios = maps[0]
-    centers, radii = _cell_disks(ifs, *maps)
+    centers, radii = _cell_disks(ifs, *maps, in_place=in_place)
     return StoppingSet(
         ifs=ifs,
         rho=rho,
         c1=c1,
         lengths=lengths,
-        ratios=ratios,
         centers=centers,
         radii=radii,
         _index=index,
@@ -718,6 +724,7 @@ def iterate_system(ifs: IFS, q: int, budget: int = DEFAULT_BUDGET) -> IFS:
     if count > budget:
         raise BudgetExceededError(count, budget)
     r, th, t = _all_compositions(ifs, q)
+    r, th = np.broadcast_to(r, (count,)), np.broadcast_to(th, (count,))
     maps = tuple(
         Similarity(ratio=float(r[i]), angle=float(th[i]), translation=t[i])
         for i in range(count)

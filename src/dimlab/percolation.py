@@ -241,14 +241,7 @@ class PercolationSample:
         if not 0 <= min(ks) <= max(ks) <= self.depth:
             raise ParameterError(f"generations must lie in 0..{self.depth}, got {ks}")
         top = max(ks)
-        # a ratio or angle that every map has is folded as one value per
-        # generation, shared by all rows; any other is folded per row
-        ratio, angle, trans = _identity_maps(1, ifs.ambient_dim)
-        maps = (
-            ratio[0] if ifs.equal_ratio else ratio,
-            angle[0] if ifs.equal_angle else angle,
-            trans,
-        )
+        maps = _identity_maps(ifs)
         disks = {}
         for k, gen in enumerate(self.generations[: top + 1]):
             if k:

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -238,3 +241,26 @@ def test_mandelbrot_slices_scenario_reduced():
     fr = rep["metrics"]["min_mean_qualifying_fraction"]
     assert 0.0 <= fr <= 1.0
     assert rep["metrics"]["theory_dim"] == pytest.approx(1.8520, abs=2e-4)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_sections_conservation_peak_rss_in_a_fresh_process():
+    # the carpet ladder 3^-2 .. 3^-7 is the largest peak of any scenario;
+    # a fresh process measures it alone, with BLAS and dimlab on one thread
+    code = (
+        "import resource\n"
+        "from dimlab.experiments import run_scenario\n"
+        "run_scenario('sections-conservation', seed=7)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(dl.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", DIMLAB_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=300,
+    )
+    peak_mb = int(done.stdout.split()[-1]) / 1024
+    # per-row ratios and angles, stored ratios, full radii and fresh
+    # centers peaked at 206.8 MB
+    assert peak_mb <= 150, peak_mb

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,11 @@ def test_word_validation(triangle):
     a = dl.cylinder(triangle, (np.uint16(2), np.int64(1)))
     b = dl.cylinder(triangle, (2, 1))
     assert np.array_equal(a.center, b.center)
+    # a batch of words is checked as a whole: symbol 0 once folded as
+    # symbol m, m + 1 raised IndexError and 1.7 acted as symbol 1
+    for bad in ([[0, 1]], [[4, 1]], [[1.7, 1.0]], [1, 2]):
+        with pytest.raises(InvalidWordError):
+            dl.word_geometry(triangle, np.array(bad))
 
 
 def test_word_geometry_agrees_with_cylinder(rot3):
@@ -256,7 +262,8 @@ def test_stopping_set_diameter_window_and_completeness(mixed):
             for v in words[i + 1 :]:
                 k = min(len(w), len(v))
                 assert w[:k] != v[:k], f"{w} is comparable with {v}"
-        assert math.fsum(r ** s for r in ss.ratios) == pytest.approx(1.0, abs=1e-9)
+        ratios = ss.diameters / ifs.diameter_proxy
+        assert math.fsum(r ** s for r in ratios) == pytest.approx(1.0, abs=1e-9)
         assert words == sorted(words)
 
 
@@ -283,12 +290,19 @@ def test_stopping_ladder_is_the_single_scale_sets(name, request):
     scales = [ifs.diameter_proxy * f for f in LADDER]
     if name == "carpet":
         scales = scales[:2] + scales[3:]  # 8^7 cells at the finest
+    # the finest scale again, and a coarser scale cut at the same words
+    # (equal ratios): scales whose cells share one level's maps, which
+    # only the last scale assembled may turn into centers in place
+    fine = min(scales)
+    scales += [fine, 1.02 * fine]
     ladder = dl.geometry.stopping_sets(ifs, scales)
     assert len(ladder) == len(scales)
+    if ifs.equal_ratio:
+        assert ladder[-1].words() == ladder[-2].words()
     for rho, ss in zip(scales, ladder):
         alone = dl.stopping_set(ifs, rho)
         assert ss.rho == rho and ss.c1 == alone.c1
-        for attr in ("lengths", "ratios", "centers", "radii"):
+        for attr in ("lengths", "centers", "radii"):
             assert np.array_equal(getattr(ss, attr), getattr(alone, attr)), attr
         words, _ = oracles.stopping_words(ifs, rho)
         assert ss.words() == words == alone.words()
@@ -331,6 +345,20 @@ def test_stopping_ladder_raises_exactly_when_one_scale_would(name, request):
             assert len(dl.geometry.stopping_sets(ifs, scales, budget=budget)) == 4
 
 
+def test_stopping_ladder_of_a_shared_ratio_stays_lean(carpet):
+    scales = [3.0 ** -k for k in range(2, 7)]
+    tracemalloc.start()
+    try:
+        ladder = dl.geometry.stopping_sets(carpet, scales)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ladder[-1]) == 8 ** 6 and ladder[-1].radii.strides == (0,)
+    # per-row ratios, angles, radii and stored ratios, with intp rows and
+    # symbols per child, peaked at 21.1 MB here
+    assert peak < 12 * 2 ** 20
+
+
 def test_overlap_count_matches_direct_loop(carpet):
     ss = dl.stopping_set(carpet, 0.2)
     for point in ((0.5, 0.5), (0.01, 0.98), (1.2, 1.2)):
@@ -355,9 +383,11 @@ def test_extend_in_blocks_is_the_one_shot_gather(name, shared, request, monkeypa
     ifs = request.getfixturevalue(name)
     monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", 7)
     ratios, angles, trans = dl.geometry._all_compositions(ifs, 2)
-    if shared:
-        ratios = ratios[0] if ifs.equal_ratio else ratios
-        angles = angles[0] if ifs.equal_angle else angles
+    assert (np.ndim(ratios) == 0) == ifs.equal_ratio
+    assert (np.ndim(angles) == 0) == ifs.equal_angle
+    if not shared:
+        n = len(trans)
+        ratios, angles = (np.broadcast_to(v, (n,)).copy() for v in (ratios, angles))
     gen = np.random.Generator(np.random.PCG64(11))
     rows = gen.integers(0, len(trans), 50).astype(np.int32)
     syms = gen.integers(0, ifs.m, 50).astype(np.uint8)

@@ -402,6 +402,7 @@ def test_cell_cloud_is_bitwise_the_word_fold_and_stopping_set(name, request):
         assert np.array_equal(centers, wc) and np.array_equal(radii, wr)
         # a ratio shared by every map is kept as one value per generation
         assert (radii.strides == (0,)) == ifs.equal_ratio
+        assert (wr.strides == (0,)) == ifs.equal_ratio
         # all words of one length form a stopping set only for equal ratios
         if k == 0 or not ifs.equal_ratio:
             continue
@@ -412,6 +413,7 @@ def test_cell_cloud_is_bitwise_the_word_fold_and_stopping_set(name, request):
             code = code * ifs.m + (sym[:, j].astype(np.int64) - 1)
         assert np.array_equal(centers, ss.centers[code])
         assert np.array_equal(radii, ss.radii[code])
+        assert ss.radii.strides == (0,)
 
 
 def test_cell_cloud_order_of_requests_does_not_matter(carpet):
