@@ -5,9 +5,9 @@ path was retained.  Retention decisions are a pure function of (seed, word
 path) via the counter-based PRF in `rng`, so samples are bit-for-bit
 reproducible and independent of traversal order.
 
-One keep rule (`_retained`) and one expansion (`_grow`) serve every sampler:
-a batch of trees grows as one forest and is counted per tree id, carried
-down the parent links.
+One keep rule (`_retained`) and one expansion (`_Growth`) serve every
+sampler: a batch of trees grows as one forest and is counted per tree id,
+carried down the parent links.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ def _retained(
     """Whether child `syms` (0-based index or slice) of each parent is kept:
     a draw per child hash (independent laws) or a mask per parent hash.
 
-    With `blocks` (`_grow`'s buffers), `child_hashes` holds a block's
+    With `blocks` (a `_Blocks`), `child_hashes` holds a block's
     children flat in (parent, symbol) order, all m per parent: an
     independent law's draws are then made in place in the buffers and
     compared with the tiled thresholds, and the mask is a view of `keep`.
@@ -296,22 +296,24 @@ _BLOCK_CHILDREN = 1 << 14
 
 
 class _Blocks:
-    """One `_grow` call's buffers for blocks of up to `parents` parents.
+    """Expansion buffers for blocks of up to `parents` consecutive parents.
 
     Child hashes, mixing scratch, draws and keep mask hold one slot per
     child, flat in (parent, symbol) order; the symbol hashes and (for an
     independent law) the keep thresholds are tiled to the same order, so
     a block is hashed, drawn and compared elementwise into them; the hash
     step's one per-block temporary is the repeated parent hashes.  Both
-    tables are computed here, once per call, from the law's m symbols:
-    nothing is cached on the law or shared between calls.  The
-    uint64 buffers are rows of one allocation: freed together, separate
-    ones below the allocator's mmap threshold can shrink the heap and
-    fault their pages in again on the next call.
+    tables are computed here from the law's m symbols: nothing is cached on
+    the law.  Each `_Growth` makes a set unless it is given one, so a caller
+    growing many trees of one law (`sections.probe_sections`) makes one.
+    The uint64 buffers are rows of one allocation: freed together,
+    separate ones below the allocator's mmap threshold can shrink the heap
+    and fault their pages in again on the next call.
     """
 
-    def __init__(self, law: OffspringLaw, parents: int):
+    def __init__(self, law: OffspringLaw):
         m = law.m
+        self.parents = parents = max(1, _BLOCK_CHILDREN // m)
         rows = np.empty((5 if law.independent else 3, parents * m), dtype=np.uint64)
         self.hashes, self.scratch, self.symbols = rows[:3]
         rng.symbol_table(m, parents, out=self.symbols)
@@ -321,58 +323,70 @@ class _Blocks:
             self.keep = np.empty(parents * m, dtype=bool)
 
 
-def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
-    """Yield the `depth` generations below a frontier of root path hashes.
+def _check_budget(required: int, budget: int) -> None:
+    """The one budget comparison of trees and forests, in node slots."""
+    if required > budget:
+        raise BudgetExceededError(required, budget, what="nodes")
 
-    Rows come in (parent row, symbol) order, so one pass grows one tree or
-    a forest of them.  Path hashes are kept for the frontier only.
 
-    This is the one budget check of trees and forests, in node slots.  Each
-    tree holds a slot per generation at least, so roots * (depth + 1) must
-    fit `budget` before any draw; then, before each generation, the nodes
-    kept so far (roots included) plus a slot per child about to be drawn
-    (n*m for n parents) must fit.  The first count over it is `required`.
+class _Growth:
+    """A tree or forest grown one generation at a time below a frontier of
+    path hashes: the one tree expansion, and the one place that counts node
+    slots against `budget`.
+
+    Rows come in (parent row, symbol) order, so one growth grows one tree
+    or a forest of them.  Path hashes are kept for the frontier only.
+    `narrow` drops frontier rows before the next generation is drawn; that
+    generation's parent rows then index the narrowed frontier.
+
+    Each tree holds a slot per generation at least, so roots * (depth + 1)
+    must fit `budget` before any draw; then, before each generation, the
+    nodes kept so far (roots included, and rows dropped by `narrow`, which
+    were kept when drawn) plus a slot per child about to be drawn (n*m for
+    n frontier rows) must fit.  The first count over it is `required`.
 
     A generation of n parents is grown in blocks of consecutive parents
     holding about `_BLOCK_CHILDREN` child hashes.  Each block is hashed,
-    drawn and decided in `_Blocks` buffers, which belong to the call: five
-    arrays of 8 bytes and a mask of 1 byte per child of a block, about
-    5 x 128 KiB + 16 KiB (three and no mask for a table law).  A block
-    also makes temporaries of its own: the repeated parent hashes that
-    `rng.child_hashes` xors with the symbol table (8 bytes per child, one
-    more 128 KiB) and the kept indices and rows (8 bytes each per kept
-    child).  Each block's kept children (parent row, symbol, path hash)
-    are written straight into arrays of n*m slots allocated once per
-    generation, which are then shrunk in place to the kept prefix; pages
-    past the prefix are never touched.  Beyond what the sample keeps, a
-    generation's peak is those slots (13 bytes per child) plus the block
-    buffers and one block's temporaries, not the n*m hashes, draws and
-    indices of a whole generation at once.  The deepest generation has no
-    successor to hash, so it gets no path hash slots (5 bytes per child
-    when m < 256).
+    drawn and decided in `_Blocks` buffers: five arrays of 8 bytes and a
+    mask of 1 byte per child of a block, about 5 x 128 KiB + 16 KiB (three
+    and no mask for a table law).  A block also makes temporaries of its
+    own: the repeated parent hashes that `rng.child_hashes` xors with the
+    symbol table (8 bytes per child, one more 128 KiB) and the kept indices
+    and rows (8 bytes each per kept child).  Each block's kept children
+    (parent row, symbol, path hash) are written straight into arrays of n*m
+    slots allocated once per generation, which are then shrunk in place to
+    the kept prefix; pages past the prefix are never touched.  Beyond what
+    the caller keeps, a generation's peak is those slots (13 bytes per
+    child) plus the block buffers and one block's temporaries, not the n*m
+    hashes, draws and indices of a whole generation at once.  The deepest
+    generation has no successor to hash, so it gets no path hash slots
+    (5 bytes per child when m < 256).
     """
-    if depth < 0:
-        raise ParameterError("depth must be >= 0")
-    m = law.m
-    dtype = _symbol_dtype(m)
-    step = max(1, _BLOCK_CHILDREN // m)
-    total = len(hashes)
-    if total * (depth + 1) > budget:
-        raise BudgetExceededError(total * (depth + 1), budget, what="nodes")
-    blocks = _Blocks(law, step)
-    for level in range(depth):
-        n = len(hashes)
-        if n == 0:
-            # an extinct frontier stays extinct: one shared empty generation
-            # stands for every level left
-            empty = _Generation(np.empty(0, dtype=np.int32), np.empty(0, dtype=dtype))
-            yield from itertools.repeat(empty, depth - level)
-            return
-        if total + n * m > budget:
-            raise BudgetExceededError(total + n * m, budget, what="nodes")
+
+    def __init__(
+        self, law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int,
+        blocks: _Blocks | None = None,
+    ):
+        if depth < 0:
+            raise ParameterError("depth must be >= 0")
+        self.law, self.hashes, self.left, self.budget = law, hashes, depth, budget
+        self.total = len(hashes)
+        _check_budget(self.total * (depth + 1), budget)
+        self.blocks = _Blocks(law) if blocks is None else blocks
+
+    def narrow(self, keep) -> None:
+        """Grow on only from the frontier rows `keep` selects."""
+        self.hashes = self.hashes[keep]
+
+    def step(self) -> _Generation:
+        """Draw the next generation below the frontier."""
+        law, hashes, blocks = self.law, self.hashes, self.blocks
+        m, n, step = law.m, len(hashes), blocks.parents
+        _check_budget(self.total + n * m, self.budget)
+        self.left -= 1
         parent = np.empty(n * m, dtype=np.int32)
-        symbol = np.empty(n * m, dtype=dtype)
-        frontier = np.empty(n * m, dtype=np.uint64) if level < depth - 1 else None
+        symbol = np.empty(n * m, dtype=_symbol_dtype(m))
+        frontier = np.empty(n * m, dtype=np.uint64) if self.left else None
         kept = 0
         for lo in range(0, n, step):
             block = hashes[lo : lo + step]
@@ -389,12 +403,27 @@ def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
             if frontier is not None:
                 frontier[kept:end] = child_h[idx]
             kept = end
-        total += kept
+        self.total += kept
         for out in (parent, symbol, frontier):
             if out is not None:
                 out.resize(kept, refcheck=False)  # shrinks in place; no view of it is left
-        yield _Generation(parent=parent, symbol=symbol)
-        hashes = frontier
+        self.hashes = frontier
+        return _Generation(parent=parent, symbol=symbol)
+
+
+def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
+    """Yield the `depth` generations below a frontier of root path hashes,
+    grown whole by one `_Growth`, which checks `budget`."""
+    growth = _Growth(law, hashes, depth, budget)
+    while growth.left:
+        if len(growth.hashes) == 0:
+            # an extinct frontier stays extinct: one shared empty generation
+            # stands for every level left
+            dtype = _symbol_dtype(law.m)
+            empty = _Generation(np.empty(0, dtype=np.int32), np.empty(0, dtype=dtype))
+            yield from itertools.repeat(empty, growth.left)
+            return
+        yield growth.step()
 
 
 def sample_tree(
@@ -404,7 +433,7 @@ def sample_tree(
 
     Node decisions are keyed by (seed, word hash): two runs with the same
     arguments produce identical samples, and a word's fate never depends on
-    its siblings.  `budget` bounds node slots as `_grow` counts them.
+    its siblings.  `budget` bounds node slots as `_Growth` counts them.
     """
     gens = [_root(law.m)]
     gens.extend(_grow(law, rng.root_hash(np.uint64(seed)).reshape(1), depth, budget))

@@ -24,12 +24,15 @@ from .geometry import (
     DEFAULT_BUDGET,
     IFS,
     StoppingSet,
+    _cell_disks,
+    _extend,
+    _identity_maps,
     _row_blocks,
     moran_dimension,
     stopping_set,
     stopping_sets,
 )
-from .percolation import PercolationSample, standard_law, sample_tree
+from .percolation import PercolationSample, _Blocks, _Growth, sample_tree, standard_law
 from . import geometry, rng
 
 # np.polyfit's warning class (np.RankWarning before numpy 1.25)
@@ -203,44 +206,75 @@ def _reach(xs, r_min, r_max):
     return h, reach
 
 
-def _near_flats(cloud, direction, x0, h, reach, shared):
-    """Projections (and radii, unless shared) of the disks kept by the reach
-    test, in cloud order, compacted to the front of arrays of the cloud's
-    length; scratch is one block's.
+def _reach_blocks(cloud, direction, x0, h, reach):
+    """The reach test of `slice_counts`, one row block at a time.
+
+    Yields (b, p, keep) for each block b of the cloud's rows: the disks'
+    projections and which of them are within reach of a flat, |u -
+    rint(u)| <= reach with u = (p - x0)/h.  p and keep are views of one
+    block's scratch, overwritten by the next block.
 
     A block of two or more rows projects through the same BLAS product as
     the whole cloud, row for row bitwise; numpy takes a one-row product
     through a dot, which rounds differently.  So a one-row last block is
-    projected together with the row before it, as the whole cloud is.
+    projected together with the row before it, as the whole cloud is, and
+    a one-row cloud as two copies of its row: a disk's projection does not
+    depend on which other disks share its cloud.
     """
-    centers, radii, w = cloud.centers, cloud.radii, direction.vector
+    centers, w = cloud.centers, direction.vector
     n = len(centers)
-    proj = np.empty(n)
-    kept = None if shared else np.empty(n)
+    if n == 1:
+        centers = np.repeat(centers, 2, axis=0)
     width = min(n, geometry._BLOCK_ROWS)
     p_buf = np.empty(max(width, 2))
     u_buf, t_buf = np.empty((2, width))
     keep_buf = np.empty(width, dtype=bool)
-    k = 0
-    # rows beyond the float range give inf - inf = nan here, and are dropped
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b in _row_blocks(n):
-            start, stop = b.start, min(b.stop, n)
-            first = max(0, min(start, stop - 2))
-            size = stop - start
-            p = np.matmul(centers[first:stop], w, out=p_buf[:stop - first])[start - first:]
-            u, t, keep = u_buf[:size], t_buf[:size], keep_buf[:size]
+    for b in _row_blocks(n):
+        start, stop = b.start, min(b.stop, n)
+        first = max(0, min(start, stop - 2))
+        last = max(stop, first + 2)
+        size = stop - start
+        u, t, keep = u_buf[:size], t_buf[:size], keep_buf[:size]
+        # rows beyond the float range give inf - inf = nan here, and are dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = np.matmul(centers[first:last], w, out=p_buf[:last - first])
+            p = p[start - first:stop - first]
             np.subtract(p, x0, out=u)
             u /= h
             np.rint(u, out=t)
             u -= t
             np.less_equal(np.abs(u, out=u), reach, out=keep)
-            m = np.count_nonzero(keep)
-            np.compress(keep, p, out=proj[k:k + m])
-            if kept is not None:
-                np.compress(keep, radii[b], out=kept[k:k + m])
-            k += m
+        yield b, p, keep
+
+
+def _near_flats(cloud, direction, x0, h, reach, shared):
+    """Projections (and radii, unless shared) of the disks kept by the reach
+    test, in cloud order, compacted to the front of arrays of the cloud's
+    length."""
+    n = len(cloud.centers)
+    proj = np.empty(n)
+    kept = None if shared else np.empty(n)
+    k = 0
+    for b, p, keep in _reach_blocks(cloud, direction, x0, h, reach):
+        m = np.count_nonzero(keep)
+        np.compress(keep, p, out=proj[k:k + m])
+        if kept is not None:
+            np.compress(keep, cloud.radii[b], out=kept[k:k + m])
+        k += m
     return proj[:k], None if kept is None else kept[:k]
+
+
+def _reach_mask(cloud, direction, xs):
+    """Which disks of the cloud are within reach of a flat of the offsets
+    xs, by the test `slice_counts` uses with the cloud's largest radius,
+    or None when `_reach` keeps every disk."""
+    near = _reach(xs, *_radius_range(cloud.radii))
+    if near is None:
+        return None
+    keep = np.empty(len(cloud.centers), dtype=bool)
+    for b, _, block_keep in _reach_blocks(cloud, direction, xs[0], *near):
+        keep[b] = block_keep
+    return keep
 
 
 def _shifted_count(p, s, xs, side) -> np.ndarray:
@@ -423,7 +457,8 @@ def projection_measure(
     else:
         raise ParameterError("source must be an IFS or a PercolationSample")
     proj = cloud.project(direction)
-    return interval_union_length(proj - cloud.radii, proj + cloud.radii)
+    hi = proj + cloud.radii
+    return interval_union_length(np.subtract(proj, cloud.radii, out=proj), hi)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +639,13 @@ def probe_sections(
 
     For each trial, a fresh sample is drawn and each grid offset records
     whether some surviving depth-`depth` cylinder disk meets its flat.
+
+    A trial's tree is grown only where a flat can see it (`_pruned_hits`),
+    and the hits are bit for bit those of the whole tree.  Any hit is a
+    surviving depth-`depth` word; a trial with no hit decides survival by
+    growing its whole tree, under the same `budget`.  Pruned growth draws
+    fewer node slots, so a probe can fit a budget that its whole trees
+    would exceed.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -612,19 +654,50 @@ def probe_sections(
         x_grid = _default_grid(ifs, direction, [rho], grid)
     x_grid = np.asarray(x_grid, dtype=np.float64)
     law = standard_law(ifs, alpha)
+    blocks = _Blocks(law)
     hits = np.zeros((trials, len(x_grid)), dtype=bool)
     survived = np.zeros(trials, dtype=bool)
     for t in range(trials):
         sub = int(rng.derive_seed(np.uint64(seed), np.uint64(t)))
-        sample = sample_tree(law, depth, sub, budget=budget)
-        if sample.extinct:
-            continue
-        survived[t] = True
-        cloud = CellCloud(*sample.cell_cloud(ifs, depth), scale=rho)
-        hits[t] = slice_counts(cloud, direction, x_grid) > 0
+        root = rng.root_hash(np.uint64(sub)).reshape(1)
+        growth = _Growth(law, root, depth, budget, blocks)
+        hits[t] = _pruned_hits(ifs, growth, direction, x_grid, rho)
+        survived[t] = hits[t].any() or not sample_tree(law, depth, sub, budget).extinct
     return ProbeResult(
         x_grid=x_grid, hits=hits, survived=survived, alpha=alpha, depth=depth
     )
+
+
+def _pruned_hits(ifs, growth, direction, xs, rho) -> np.ndarray:
+    """Which flats of the offsets xs the deepest disks of a tree meet,
+    growing only the subtrees whose disks can reach one.
+
+    Each generation is folded as soon as it is drawn, and before its
+    children are drawn the rows whose disks `_reach_mask` drops leave the
+    frontier.  This is exact.  By the proof in `slice_counts`, a dropped
+    disk's projected center is farther than its radius plus eta*h from
+    every flat.  `enclosing_ball` makes f_i(B) lie inside B with a 1e-9
+    relative margin, so every descendant disk lies inside its ancestor's
+    disk; float error in the folded centers is some ulps, far below both
+    that margin and eta*h.  So no disk of a dropped subtree meets a flat.
+    A node's keep draw depends only on its path hash, so the subtrees kept
+    grow as in the whole tree, their deepest disks are bitwise the whole
+    tree's, and each disk projects to the same bits in any cloud
+    (`_reach_blocks`): every slice count is the whole generation's.
+    """
+    maps = _identity_maps(ifs)
+    while growth.left:
+        keep = _reach_mask(CellCloud(*_cell_disks(ifs, *maps), scale=rho), direction, xs)
+        if keep is not None:
+            rows = np.flatnonzero(keep)
+            growth.narrow(rows)
+            maps = tuple(np.take(v, rows, axis=0) if v.ndim else v for v in maps)
+        if not len(growth.hashes):
+            return np.zeros(len(xs), dtype=bool)
+        gen = growth.step()
+        maps = _extend(*maps, ifs, gen.parent, gen.symbol - 1)
+    cloud = CellCloud(*_cell_disks(ifs, *maps, in_place=True), scale=rho)
+    return slice_counts(cloud, direction, xs) > 0
 
 
 # ---------------------------------------------------------------------------

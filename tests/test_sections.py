@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import dimlab as dl
 from dimlab import CellCloud, Direction
 from dimlab.errors import (
+    BudgetExceededError,
     DepthMismatchError,
     InsufficientDataError,
     OutOfRangeError,
@@ -219,6 +220,11 @@ def test_blockwise_projection_is_bitwise_the_whole_projection(
                     assert np.array_equal((centers[b] @ d.vector).view(np.uint64), want[b])
             got, _ = dl.sections._near_flats(cloud, d, 0.0, 1.0, 1.0, True)
             assert np.array_equal(got.view(np.uint64), want)
+            # a cloud of one of these rows projects it to the same bits
+            for i in (0, n // 2, n - 1):
+                one = CellCloud(centers=centers[i:i + 1], radii=np.zeros(1), scale=1.0)
+                got, _ = dl.sections._near_flats(one, d, 0.0, 1.0, 1.0, True)
+                assert got.view(np.uint64).tolist() == [want[i]]
     assert one_row_tails > 0
 
 
@@ -388,6 +394,20 @@ def test_sample_projection_below_full_projection():
             part = dl.projection_measure(sample, d, rho, ifs=cfg.ifs)
             full = dl.projection_measure(cfg.ifs, d, rho)
             assert part <= full + 1e-12
+
+
+def test_projection_measure_is_the_union_of_the_projected_disks(carpet):
+    cfg = dl.mandelbrot_config(3, 2, 0.85)
+    sample, _ = dl.sample_surviving_tree(cfg.law, 5, seed=7)
+    d = Direction.from_angle(0.7)
+    for source, ifs, rho in ((carpet, None, 3.0 ** -5), (sample, cfg.ifs, 3.0 ** -4)):
+        if ifs is None:
+            cloud = CellCloud.from_stopping_set(dl.stopping_set(source, rho))
+        else:
+            cloud = CellCloud.from_sample(source, ifs, rho, persistent=True)
+        p, r = cloud.project(d), cloud.radii
+        want = dl.interval_union_length(p - r, p + r)
+        assert dl.projection_measure(source, d, rho, ifs=ifs) == want > 0.0
 
 
 def test_projection_measure_requires_ifs_for_samples():
@@ -594,3 +614,146 @@ def test_probe_hits_vanish_off_support(square):
     # extinct trees cannot hit anything
     dead = ~res.survived
     assert not res.hits[dead].any()
+
+
+def _trial_seed(seed, t):
+    return int(dl.rng.derive_seed(np.uint64(seed), np.uint64(t)))
+
+
+def _whole_tree_probe(ifs, alpha, direction, depth, trials, seed, xs):
+    """Slice counts and survival of each probe trial from its whole tree:
+    every deepest disk is folded and counted."""
+    law = dl.standard_law(ifs, alpha)
+    counts = np.zeros((trials, len(xs)), dtype=np.intp)
+    survived = np.zeros(trials, dtype=bool)
+    for t in range(trials):
+        sample = dl.sample_tree(law, depth, _trial_seed(seed, t))
+        survived[t] = not sample.extinct
+        cloud = CellCloud(*sample.cell_cloud(ifs, depth), scale=1.0)
+        counts[t] = dl.slice_counts(cloud, direction, xs)
+    return counts, survived
+
+
+def _uneven_grid(lo, hi, n):
+    u = np.linspace(-1.0, 1.0, n)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.sign(u) * u ** 2
+
+
+# system, alpha, beta, depth, x grid, and what the reach test does
+_PROBES = {
+    "carpet beta 0": ("carpet", 0.79, 0.0, 8, None, "prunes"),
+    "carpet beta 0.7": ("carpet", 0.79, 0.7, 8, None, "prunes"),
+    "carpet beta pi/2": ("carpet", 0.79, math.pi / 2, 8, None, "prunes"),
+    "rotational_m3": ("rot3", 0.49, 0.7, 12, None, "prunes"),
+    "unequal ratios": ("mixed", 0.3, 0.7, 9, None, "prunes"),
+    "cantor x interval": ("cantor_interval", 0.53, 0.0, 7, None, "prunes"),
+    "uneven grid": ("carpet", 0.79, 0.7, 7, _uneven_grid(0.05, 0.95, 301), "keeps all"),
+    "one offset": ("carpet", 0.79, 0.7, 7, np.array([0.43]), "keeps all"),
+    "off the support": ("carpet", 0.79, 0.0, 7, np.linspace(2.0, 3.0, 64), "no hits"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PROBES))
+def test_a_pruned_probe_is_the_whole_tree_probe(case, request, monkeypatch):
+    name, alpha, beta, depth, x_grid, pruning = _PROBES[case]
+    ifs = request.getfixturevalue(name)
+    d = Direction.from_angle(beta)
+    trials, seed = 6, 11
+    masks, counted, regrown = [], [], []
+    reach_mask, slice_counts, sample_tree = (
+        dl.sections._reach_mask, dl.sections.slice_counts, dl.sections.sample_tree
+    )
+
+    def spy_mask(*args):
+        masks.append(reach_mask(*args))
+        return masks[-1]
+
+    def spy_counts(*args):
+        counted.append(slice_counts(*args))
+        return counted[-1]
+
+    def spy_tree(*args, **kwargs):
+        regrown.append(args)
+        return sample_tree(*args, **kwargs)
+
+    monkeypatch.setattr(dl.sections, "_reach_mask", spy_mask)
+    monkeypatch.setattr(dl.sections, "slice_counts", spy_counts)
+    monkeypatch.setattr(dl.sections, "sample_tree", spy_tree)
+    res = dl.probe_sections(
+        ifs, alpha, d, depth=depth, trials=trials, seed=seed, grid=256, x_grid=x_grid
+    )
+    counts, survived = _whole_tree_probe(ifs, alpha, d, depth, trials, seed, res.x_grid)
+    assert np.array_equal(res.hits, counts > 0)
+    assert np.array_equal(res.survived, survived)
+    # every count of the deepest pruned disks is the whole generation's
+    assert [c.tolist() for c in counted if c.any()] == [c.tolist() for c in counts if c.any()]
+    assert survived.any()
+    dropped = [k is not None and not k.all() for k in masks]
+    if pruning == "no hits":
+        assert not res.hits.any() and len(regrown) == trials
+    else:
+        assert res.hits.any() and len(regrown) == trials - int(res.hits.any(axis=1).sum())
+        assert any(dropped) == (pruning == "prunes")
+        assert all(k is None for k in masks) == (pruning == "keeps all")
+
+
+def _pruned_growth_checks(ifs, law, direction, xs, depth, seed):
+    """The budget checks of one pruned probe trial, replayed on its whole
+    tree: a node is grown when every ancestor's disk passed the reach test
+    of its generation, and a grown node draws children when its own disk
+    passes it too.  The first check is the tree's depth + 1 slots."""
+    sample = dl.sample_tree(law, depth, seed)
+    clouds = sample.cell_clouds(ifs, list(range(depth + 1)))
+    grown = np.ones(1, dtype=bool)
+    total, checks = 1, [depth + 1]
+    for k in range(depth):
+        centers, radii = clouds[k]
+        near = dl.sections._reach(xs, *dl.sections._radius_range(radii[grown]))
+        frontier = grown.copy()
+        if near is not None:
+            h, reach = near
+            u = (centers @ direction.vector - xs[0]) / h
+            frontier &= np.abs(u - np.rint(u)) <= reach
+        if not frontier.any():
+            break
+        checks.append(total + int(frontier.sum()) * law.m)
+        grown = frontier[sample.generations[k + 1].parent]
+        total += int(grown.sum())
+    return checks
+
+
+def test_a_pruned_probe_is_held_to_its_own_growth_checks(carpet):
+    alpha, depth, seed = 0.79, 8, 3
+    d = Direction.from_angle(0.7)
+    law = dl.standard_law(carpet, alpha)
+    sub = _trial_seed(seed, 0)
+    want = dl.probe_sections(carpet, alpha, d, depth, 1, seed, grid=256)
+    xs = want.x_grid
+    assert want.hits.any()
+    checks = _pruned_growth_checks(carpet, law, d, xs, depth, sub)
+    for budget in sorted({c + e for c in checks for e in (-1, 0, 1)}):
+        if budget >= max(checks):
+            got = dl.probe_sections(carpet, alpha, d, depth, 1, seed, x_grid=xs, budget=budget)
+            assert np.array_equal(got.hits, want.hits) and got.survived[0]
+            continue
+        with pytest.raises(BudgetExceededError) as err:
+            dl.probe_sections(carpet, alpha, d, depth, 1, seed, x_grid=xs, budget=budget)
+        assert err.value.required == next(c for c in checks if c > budget)
+    # the whole tree does not fit the largest pruned check, so a probe that
+    # grew it raised at this budget
+    with pytest.raises(BudgetExceededError):
+        dl.sample_tree(law, depth, sub, budget=max(checks))
+
+
+def test_a_trial_with_no_hit_regrows_its_whole_tree_under_the_budget(carpet):
+    alpha, depth, seed = 0.79, 7, 3
+    d = Direction.from_angle(0.0)
+    law = dl.standard_law(carpet, alpha)
+    sub = _trial_seed(seed, 0)
+    xs = np.linspace(2.0, 3.0, 64)
+    budget = max(_pruned_growth_checks(carpet, law, d, xs, depth, sub))
+    with pytest.raises(BudgetExceededError) as want:
+        dl.sample_tree(law, depth, sub, budget=budget)
+    with pytest.raises(BudgetExceededError) as err:
+        dl.probe_sections(carpet, alpha, d, depth, 1, seed, x_grid=xs, budget=budget)
+    assert err.value.required == want.value.required
