@@ -232,7 +232,7 @@ def _reach_blocks(cloud, direction, x0, h, reach):
     for b in _row_blocks(n):
         start, stop = b.start, min(b.stop, n)
         first = max(0, min(start, stop - 2))
-        last = max(stop, first + 2)
+        last = max(stop, first + 2)  # past stop only into a one-row cloud's copy
         size = stop - start
         u, t, keep = u_buf[:size], t_buf[:size], keep_buf[:size]
         # rows beyond the float range give inf - inf = nan here, and are dropped
