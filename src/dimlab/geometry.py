@@ -340,59 +340,91 @@ def _identity_maps(ifs: IFS, n: int = 1):
     return ratio, angle, np.zeros((n, ifs.ambient_dim))
 
 
-def _extend(ratios, angles, trans, ifs: IFS, rows, syms):
-    """Per-row one-symbol extensions: maps[rows[i]] o f_{syms[i] + 1}.
+def _extend(ratios, angles, trans, ifs: IFS, keep=None):
+    """The children of composed maps: maps[i] o f_{j + 1} for each (i, j)
+    that keep[i, j] holds, in (row, symbol) order.
 
-    syms are 0-based.  Every composition fold (stopping sets, sample cell
-    clouds, word batches, iterated systems) goes through this step, so a
-    word's composed map is bitwise the same whichever fold built it.
+    keep is an (n, m) bool mask over the n rows and the m symbols, such as
+    a percolation generation; None keeps all n*m children (a level of a
+    stopping set, or of all words).  (row, symbol) pairs are derived a
+    block of parents at a time: the block's slice of the mask compresses
+    a table of each slot's row and symbol within a block, and with no mask
+    the block's bounds slice the tables as they are.  So no links are
+    made for a whole generation.
+    """
+    n, m = len(trans), ifs.m
+    parents = max(1, _BLOCK_ROWS // m)
+    width = min(n, parents)
+    row_of = np.repeat(np.arange(width), m)
+    sym_of = np.tile(np.arange(m), width)
+
+    def links():
+        for lo in range(0, n, parents):
+            block = slice(lo, lo + parents)
+            c = (min(n, lo + parents) - lo) * m
+            if keep is None:
+                yield block, row_of[:c], sym_of[:c]
+            else:
+                slots = keep[block].reshape(-1)
+                yield block, np.compress(slots, row_of[:c]), np.compress(slots, sym_of[:c])
+
+    size = n * m if keep is None else int(np.count_nonzero(keep))
+    return _fold(ratios, angles, trans, ifs, size, links())
+
+
+def _extend_rows(ratios, angles, trans, ifs: IFS, rows, syms):
+    """Per-row one-symbol extensions maps[rows[i]] o f_{syms[i] + 1}, for
+    rows in any order and 0-based syms: `_extend` for word batches."""
+    links = ((slice(None), rows[b], syms[b]) for b in _row_blocks(len(rows)))
+    return _fold(ratios, angles, trans, ifs, len(rows), links)
+
+
+def _fold(ratios, angles, trans, ifs: IFS, size, links):
+    """The one composition step: `size` children of composed maps, made
+    block by block from `links`.  For each block of consecutive children,
+    links yields (parents, rows, syms): a slice of the parent rows, rows
+    within that slice, and 0-based symbols.  Every composition fold
+    (stopping sets, sample cell clouds, word batches, iterated systems)
+    goes through this step, so a word's composed map is bitwise the same
+    whichever fold built it.
 
     ratios and angles are each either per row or one value shared by every
     row (0-d), as `_identity_maps` decides, and stay so.  A shared value is
     there only when every map has the same one, so it is the float every
     row would have gathered, and the result is the same either way.
 
-    The symbol and parent translations are gathered a block of rows at a
-    time, straight into the output, so the only generation-sized arrays
-    made are the outputs.  Each row's arithmetic does not depend on the
-    blocks: a row's translation is fl(parent + step), as a one-shot gather
-    computes it.  Gathers into an output use mode "clip", which writes in
-    place; "raise" would first copy the output.  rows index the parent maps
-    by construction.
+    A block's parent values are gathered straight into the outputs, so the
+    only generation-sized arrays made are the outputs.  Each row's
+    arithmetic does not depend on the blocks: a row's translation is
+    fl(parent + step), as a one-shot gather computes it.  Gathers into an
+    output use mode "clip", which writes in place; "raise" would first copy
+    the output.  rows index their parent slice by construction.  Rows are
+    rotated when any parent angle is non-zero: R(0) has cos 1 and sin 0,
+    so a row with a zero angle gets the same product either way.
     """
     r, th, a = ifs.ratios, ifs.angles, ifs.translations
-    pr = _per_row(ratios, rows)
-    pth = _per_row(angles, rows)
-    rotate = ifs.ambient_dim == 2 and np.any(pth != 0.0)
-    out_t = np.empty((len(rows), ifs.ambient_dim))
-    for b in _row_blocks(len(rows)):
-        s = syms[b].astype(np.intp, copy=False)
-        br, bth = _rows_in(pr, b), _rows_in(pth, b)
-        t = np.take(trans, rows[b], axis=0, out=out_t[b], mode="clip")
+    out_r = np.empty(size) if ratios.ndim else ratios * r[0]
+    out_th = np.empty(size) if angles.ndim else angles + th[0]
+    out_t = np.empty((size, ifs.ambient_dim))
+    rotate = ifs.ambient_dim == 2 and bool(np.any(angles != 0.0))
+    start = 0
+    for parents, rows, syms in links:
+        b = slice(start, start + len(rows))
+        start = b.stop
+        s = syms.astype(np.intp, copy=False)
+        t = np.take(trans[parents], rows, axis=0, out=out_t[b], mode="clip")
+        br, bth = ratios, angles
+        if ratios.ndim:
+            br = np.take(ratios[parents], rows, out=out_r[b], mode="clip")
+        if angles.ndim:
+            bth = np.take(angles[parents], rows, out=out_th[b], mode="clip")
         _add_linear_part(t, br, bth, np.take(a, s, axis=0), rotate)
         # the parent values of the block are spent: extend them in place
-        if pr.ndim:
+        if ratios.ndim:
             br *= r[s]
-        if pth.ndim:
+        if angles.ndim:
             bth += th[s]
-    if not pr.ndim:
-        pr = pr * r[0]
-    if not pth.ndim:
-        pth = pth + th[0]
-    return pr, pth, out_t
-
-
-def _per_row(values, rows):
-    """The parent values of `rows`: a shared (0-d) value stays shared.
-
-    A per-row value is gathered a block at a time into a fresh array.
-    """
-    if not values.ndim:
-        return values
-    out = np.empty(len(rows))
-    for b in _row_blocks(len(rows)):
-        np.take(values, rows[b], out=out[b], mode="clip")
-    return out
+    return out_r, out_th, out_t
 
 
 def _rows_in(values, b):
@@ -420,19 +452,11 @@ def _add_linear_part(out, ratios, angles, v, rotate):
             out[:, j] += ratios * vj
 
 
-def _compose_step(ratios, angles, trans, ifs: IFS):
-    """All one-symbol extensions of composed maps, row-major (word, symbol)."""
-    n, m = len(trans), ifs.m
-    rows = np.repeat(np.arange(n, dtype=np.int32), m)
-    syms = np.tile(np.arange(m, dtype=np.min_scalar_type(m - 1)), n)
-    return _extend(ratios, angles, trans, ifs, rows, syms)
-
-
 def _all_compositions(ifs: IFS, q: int):
     """Composed maps of all m^q words of length q, lexicographic order."""
     maps = _identity_maps(ifs)
     for _ in range(q):
-        maps = _compose_step(*maps, ifs)
+        maps = _extend(*maps, ifs)
     return maps
 
 
@@ -461,10 +485,13 @@ def _cell_disks(ifs: IFS, ratios, angles, trans, in_place=False):
     A shared ratio gives radii as a read-only broadcast of its one value.
     """
     centers = _apply_composed(ratios, angles, trans, ifs.ball_center, in_place)
+    return centers, _cell_radii(ifs, ratios, len(trans))
+
+
+def _cell_radii(ifs: IFS, ratios, n: int):
+    """The radii of `_cell_disks` for n composed maps of the given ratios."""
     radii = ifs.ball_radius * ratios
-    if radii.ndim == 0:
-        radii = np.broadcast_to(radii, (len(trans),))
-    return centers, radii
+    return np.broadcast_to(radii, (n,)) if radii.ndim == 0 else radii
 
 
 def word_geometry(ifs: IFS, symbols: np.ndarray):
@@ -482,7 +509,7 @@ def word_geometry(ifs: IFS, symbols: np.ndarray):
     maps = _identity_maps(ifs, n)
     rows = np.arange(n)
     for j in range(k):
-        maps = _extend(*maps, ifs, rows, symbols[:, j] - 1)
+        maps = _extend_rows(*maps, ifs, rows, symbols[:, j] - 1)
     return _cell_disks(ifs, *maps, in_place=True)
 
 
@@ -545,7 +572,7 @@ def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
     prefix-free and complete.
 
     One frontier, the words whose diameter c0 r is at least the finest cut
-    c1 rho, is extended a level at a time by `_compose_step`.  A scale's
+    c1 rho, is extended a level at a time by `_extend`.  A scale's
     cells are the children below its cut whose parent is not (or the root,
     when c0 is below the cut); a scale is assembled once no frontier word
     is at or above its cut.  Scales can share their cells' maps, so only
@@ -594,7 +621,7 @@ def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
             raise BudgetExceededError(need, budget)
         if not active:
             return out
-        children = _compose_step(*maps, ifs)
+        children = _extend(*maps, ifs)
         ch_diam = np.broadcast_to(c0 * children[0], (len(children[2]),))
         level += 1
         for i, act in active.items():

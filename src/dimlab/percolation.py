@@ -7,7 +7,13 @@ reproducible and independent of traversal order.
 
 One keep rule (`_retained`) and one expansion (`_Growth`) serve every
 sampler: a batch of trees grows as one forest and is counted per tree id,
-carried down the parent links.
+carried down from parent to kept children.
+
+A generation is stored as its keep mask: an (n, m) bool array over the m
+child slots of each of the n words of the generation above, whose true
+slots, in (row, symbol) order, are the generation's words: a word's
+parent row is its slot's row and its last symbol the slot's column.  Those
+links are derived from the mask only where they are read.
 """
 
 from __future__ import annotations
@@ -153,24 +159,31 @@ def table_law(masks, probs) -> OffspringLaw:
 # sampling
 
 
-@dataclass(eq=False)
-class _Generation:
-    parent: np.ndarray   # (n,) int32 rows into the previous generation, -1 at the root
-    symbol: np.ndarray   # (n,) last symbol of each word, 1..m (0 at the root)
-
-
 def _symbol_dtype(m: int):
-    return np.uint8 if m < 256 else np.uint16
+    """The unsigned dtype of `symbols_at`: uint16, or uint32 once m does
+    not fit it."""
+    return np.uint16 if m < 1 << 16 else np.uint32
+
+
+def _row_any(keep: np.ndarray) -> np.ndarray:
+    """keep.any(axis=1), a column at a time: numpy reduces a short row
+    with a loop per row, several times slower for m < 10."""
+    out = keep[:, 0].copy()
+    for j in range(1, keep.shape[1]):
+        out |= keep[:, j]
+    return out
 
 
 @dataclass(eq=False)
 class PercolationSample:
     """Surviving words per depth; word in gen k iff its whole path retained.
 
-    Each generation stores only parent links and last symbols; whole words
-    are rebuilt on demand by walking the links.  The sample holds nothing
-    else: cylinder disks are folded from the root by `cell_clouds` each
-    time they are asked for, a whole ladder of generations in one pass.
+    Each generation k >= 1 is stored as its keep mask, one byte per child
+    slot drawn (see the module docstring); generation 0 is the root, one
+    kept slot.  Whole words are rebuilt on demand from the masks.  The
+    sample holds nothing else: cylinder disks are folded from the root by
+    `cell_clouds` each time they are asked for, a whole ladder of
+    generations in one pass.
     """
 
     law: OffspringLaw | None
@@ -179,21 +192,22 @@ class PercolationSample:
     generations: list
 
     def counts(self) -> np.ndarray:
-        return np.array([len(g.parent) for g in self.generations], dtype=np.int64)
+        return np.array([np.count_nonzero(g) for g in self.generations], dtype=np.int64)
 
     @property
     def extinct(self) -> bool:
-        return len(self.generations[-1].parent) == 0
+        return not self.generations[-1].any()
 
     def symbols_at(self, k: int) -> np.ndarray:
-        """(n, k) uint16 words of generation k, lexicographic order."""
-        n = len(self.generations[k].parent)
-        out = np.empty((n, k), dtype=np.uint16)
-        rows = np.arange(n)
+        """(n, k) words of generation k, lexicographic order, as uint16
+        (uint32 when m >= 2^16)."""
+        gens = self.generations
+        out = np.empty((np.count_nonzero(gens[k]), k), dtype=_symbol_dtype(gens[k].shape[1]))
+        rows = slice(None)
         for j in range(k, 0, -1):
-            gen = self.generations[j]
-            out[:, j - 1] = gen.symbol[rows]
-            rows = gen.parent[rows]
+            parent, symbol = np.nonzero(gens[j])
+            out[:, j - 1] = symbol[rows] + 1
+            rows = parent[rows]
         return out
 
     def words_at(self, k: int) -> list:
@@ -201,15 +215,24 @@ class PercolationSample:
 
     def _persistent_walk(self, k: int):
         """Masks of words with descendants in the deepest generation, from
-        the deepest generation down to generation k, one at a time."""
-        mask = np.ones(len(self.generations[-1].parent), dtype=bool)
+        the deepest generation down to generation k, one at a time.
+
+        A word persists when a slot of its row in the next generation's
+        mask holds a persisting word: the row's OR, once the persisting
+        words are placed in their slots.  When every word of that
+        generation persists (always so for the deepest), the mask's own
+        rows are ORed.
+        """
+        gens = self.generations
+        mask = np.ones(np.count_nonzero(gens[-1]), dtype=bool)
         yield mask
-        for j in range(len(self.generations) - 1, k, -1):
-            parent = self.generations[j].parent
-            prev = np.zeros(len(self.generations[j - 1].parent), dtype=bool)
-            # an all-true mask (always the deepest one) needs no gathered copy
-            prev[parent if mask.all() else parent[mask]] = True
-            mask = prev
+        for j in range(len(gens) - 1, k, -1):
+            keep = gens[j]
+            if not mask.all():
+                held = np.zeros(keep.shape, dtype=bool)
+                np.place(held, keep, mask)
+                keep = held
+            mask = _row_any(keep)
             yield mask
 
     def persistent_masks(self) -> list:
@@ -217,7 +240,7 @@ class PercolationSample:
         return list(self._persistent_walk(0))[::-1]
 
     def persistent_counts(self) -> np.ndarray:
-        return np.array([int(m.sum()) for m in self.persistent_masks()], dtype=np.int64)
+        return np.array([np.count_nonzero(m) for m in self.persistent_masks()], dtype=np.int64)
 
     def cell_cloud(self, ifs: IFS, k: int, persistent: bool = False):
         """(centers, radii) of the surviving depth-k cylinder disks: the
@@ -232,9 +255,9 @@ class PercolationSample:
         each generation's maps are dropped once the next one is folded
         from them.  The deepest generation asked for has no successor, so
         its translations become its centers in place; the others' centers
-        are copies.  With `persistent`, one walk up the parent links from
-        the deepest generation of the sample to min(ks) masks each
-        generation asked for.
+        are copies.  With `persistent`, one walk up the generations from
+        the deepest one of the sample to min(ks) masks each generation
+        asked for.
         """
         if ifs.m != (self.law.m if self.law is not None else ifs.m):
             raise ParameterError("law arity does not match the IFS")
@@ -243,9 +266,9 @@ class PercolationSample:
         top = max(ks)
         maps = _identity_maps(ifs)
         disks = {}
-        for k, gen in enumerate(self.generations[: top + 1]):
+        for k, keep in enumerate(self.generations[: top + 1]):
             if k:
-                maps = _extend(*maps, ifs, gen.parent, gen.symbol - 1)
+                maps = _extend(*maps, ifs, keep)
             if k in ks:
                 disks[k] = _cell_disks(ifs, *maps, in_place=k == top)
         if persistent:
@@ -258,36 +281,39 @@ class PercolationSample:
 
 
 def _retained(
-    law: OffspringLaw, hashes, child_hashes, syms, blocks=None
+    law: OffspringLaw, hashes, child_hashes, syms, blocks=None, out=None
 ) -> np.ndarray:
     """Whether child `syms` (0-based index or slice) of each parent is kept:
     a draw per child hash (independent laws) or a mask per parent hash.
 
     With `blocks` (a `_Blocks`), `child_hashes` holds a block's
-    children flat in (parent, symbol) order, all m per parent: an
-    independent law's draws are then made in place in the buffers and
-    compared with the tiled thresholds, and the mask is a view of `keep`.
+    children flat in (parent, symbol) order, all m per parent, and `out`
+    is the block's (parents, m) slice of a generation's mask: an
+    independent law's draws are made in place in the buffers and compared
+    with the tiled thresholds straight into `out`.
     """
     if law.independent:
         if blocks is None:
-            draws = scratch = keep = None
+            draws = scratch = None
             thresholds = law._retain_thresholds()[syms]
         else:
             c = len(child_hashes)
-            draws, scratch, keep = blocks.draws[:c], blocks.scratch[:c], blocks.keep[:c]
+            draws, scratch = blocks.draws[:c], blocks.scratch[:c]
             thresholds = blocks.thresholds[:c]
+            out = out.reshape(-1)
         k = np.bitwise_xor(child_hashes, rng.SALT_RETAIN, out=draws)
         rng.mix64(k, out=k, scratch=scratch)
         k >>= 11
-        return np.less(k, thresholds, out=keep)
+        return np.less(k, thresholds, out=out)
     u = rng.uniform_from_hash(hashes, rng.SALT_MASK)
     idx = np.searchsorted(law._cum_mask_probs(), u, side="right")
     idx = np.minimum(idx, len(law.mask_probs) - 1)
-    return law.masks[idx, syms].astype(bool)
+    return np.not_equal(law.masks[idx, syms], 0.0, out=out)
 
 
-def _root(m: int) -> _Generation:
-    return _Generation(np.full(1, -1, dtype=np.int32), np.zeros(1, _symbol_dtype(m)))
+def _root() -> np.ndarray:
+    """Generation 0: the root, one kept slot."""
+    return np.ones((1, 1), dtype=bool)
 
 
 # Child hashes per expansion block: a block's buffers (a few hundred KB)
@@ -298,8 +324,8 @@ _BLOCK_CHILDREN = 1 << 14
 class _Blocks:
     """Expansion buffers for blocks of up to `parents` consecutive parents.
 
-    Child hashes, mixing scratch, draws and keep mask hold one slot per
-    child, flat in (parent, symbol) order; the symbol hashes and (for an
+    Child hashes, mixing scratch and draws hold one slot per child, flat
+    in (parent, symbol) order; the symbol hashes and (for an
     independent law) the keep thresholds are tiled to the same order, so
     a block is hashed, drawn and compared elementwise into them; the hash
     step's one per-block temporary is the repeated parent hashes.  Both
@@ -320,7 +346,6 @@ class _Blocks:
         if law.independent:
             self.draws, self.thresholds = rows[3:]
             self.thresholds.reshape(parents, m)[...] = law._retain_thresholds()
-            self.keep = np.empty(parents * m, dtype=bool)
 
 
 def _check_budget(required: int, budget: int) -> None:
@@ -346,21 +371,22 @@ class _Growth:
     n frontier rows) must fit.  The first count over it is `required`.
 
     A generation of n parents is grown in blocks of consecutive parents
-    holding about `_BLOCK_CHILDREN` child hashes.  Each block is hashed,
-    drawn and decided in `_Blocks` buffers: five arrays of 8 bytes and a
-    mask of 1 byte per child of a block, about 5 x 128 KiB + 16 KiB (three
-    and no mask for a table law).  A block also makes temporaries of its
-    own: the repeated parent hashes that `rng.child_hashes` xors with the
-    symbol table (8 bytes per child, one more 128 KiB) and the kept indices
-    and rows (8 bytes each per kept child).  Each block's kept children
-    (parent row, symbol, path hash) are written straight into arrays of n*m
-    slots allocated once per generation, which are then shrunk in place to
-    the kept prefix; pages past the prefix are never touched.  Beyond what
-    the caller keeps, a generation's peak is those slots (13 bytes per
-    child) plus the block buffers and one block's temporaries, not the n*m
-    hashes, draws and indices of a whole generation at once.  The deepest
-    generation has no successor to hash, so it gets no path hash slots
-    (5 bytes per child when m < 256).
+    holding about `_BLOCK_CHILDREN` child hashes.  Each block is hashed and
+    drawn in `_Blocks` buffers: five arrays of 8 bytes per child of a
+    block, about 5 x 128 KiB (three for a table law).  Each block's keep
+    mask is written straight into its rows of the generation's (n, m) bool
+    mask, which is what the generation stores: 1 byte per child slot.  A
+    block also makes one temporary of its own, the repeated parent hashes
+    that `rng.child_hashes` xors with the symbol table (8 bytes per child,
+    one more 128 KiB).  The kept children's path hashes, the next
+    frontier, are compressed into an array of n*m slots allocated once per
+    generation and then shrunk in place to the kept prefix; pages past the
+    prefix are never touched.  Beyond what the caller keeps, a generation's
+    peak is its mask and those slots (9 bytes per child) plus the block
+    buffers and one block's temporary, not the n*m hashes and draws of a
+    whole generation at once.  The deepest generation has no successor to
+    hash, so it makes no path hash slots and does no index work: its draws
+    make its mask and nothing else.
     """
 
     def __init__(
@@ -378,14 +404,13 @@ class _Growth:
         """Grow on only from the frontier rows `keep` selects."""
         self.hashes = self.hashes[keep]
 
-    def step(self) -> _Generation:
-        """Draw the next generation below the frontier."""
+    def step(self) -> np.ndarray:
+        """Draw the next generation below the frontier: its keep mask."""
         law, hashes, blocks = self.law, self.hashes, self.blocks
         m, n, step = law.m, len(hashes), blocks.parents
         _check_budget(self.total + n * m, self.budget)
         self.left -= 1
-        parent = np.empty(n * m, dtype=np.int32)
-        symbol = np.empty(n * m, dtype=_symbol_dtype(m))
+        keep = np.empty((n, m), dtype=bool)
         frontier = np.empty(n * m, dtype=np.uint64) if self.left else None
         kept = 0
         for lo in range(0, n, step):
@@ -395,20 +420,17 @@ class _Growth:
             rng.child_hashes(
                 block, m, out=child_h, scratch=blocks.scratch[:c], table=blocks.symbols
             )
-            idx = np.flatnonzero(_retained(law, block, child_h, slice(None), blocks))
-            row = idx // m
-            end = kept + len(idx)
-            parent[kept:end] = row + lo
-            symbol[kept:end] = idx - row * m + 1
+            slots = _retained(law, block, child_h, slice(None), blocks, keep[lo : lo + step])
             if frontier is not None:
-                frontier[kept:end] = child_h[idx]
-            kept = end
-        self.total += kept
-        for out in (parent, symbol, frontier):
-            if out is not None:
-                out.resize(kept, refcheck=False)  # shrinks in place; no view of it is left
+                slots = slots.reshape(-1)
+                end = kept + np.count_nonzero(slots)
+                np.compress(slots, child_h, out=frontier[kept:end])
+                kept = end
+        if frontier is not None:
+            frontier.resize(kept, refcheck=False)  # shrinks in place; no view of it is left
+        self.total += int(np.count_nonzero(keep))
         self.hashes = frontier
-        return _Generation(parent=parent, symbol=symbol)
+        return keep
 
 
 def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
@@ -419,8 +441,7 @@ def _grow(law: OffspringLaw, hashes: np.ndarray, depth: int, budget: int):
         if len(growth.hashes) == 0:
             # an extinct frontier stays extinct: one shared empty generation
             # stands for every level left
-            dtype = _symbol_dtype(law.m)
-            empty = _Generation(np.empty(0, dtype=np.int32), np.empty(0, dtype=dtype))
+            empty = np.empty((0, law.m), dtype=bool)
             yield from itertools.repeat(empty, growth.left)
             return
         yield growth.step()
@@ -435,7 +456,7 @@ def sample_tree(
     arguments produce identical samples, and a word's fate never depends on
     its siblings.  `budget` bounds node slots as `_Growth` counts them.
     """
-    gens = [_root(law.m)]
+    gens = [_root()]
     gens.extend(_grow(law, rng.root_hash(np.uint64(seed)).reshape(1), depth, budget))
     return PercolationSample(law=law, seed=seed, depth=depth, generations=gens)
 
@@ -465,10 +486,11 @@ def _check_code_bits(n_roots: int, depth: int, m: int) -> None:
         raise BudgetExceededError(bits, 62, what="code bits")
 
 
-def _codes(codes: np.ndarray, gen: _Generation, m: int) -> np.ndarray:
+def _codes(codes: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Base-m codes of a generation from its parents' codes; strictly
     increasing whenever the parents' codes are."""
-    return codes[gen.parent] * m + (gen.symbol.astype(np.int64) - 1)
+    parent, symbol = np.nonzero(keep)
+    return codes[parent] * keep.shape[1] + symbol
 
 
 def _common(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -482,10 +504,11 @@ def _common(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def intersect_samples(a: PercolationSample, b: PercolationSample) -> PercolationSample:
     """Per-depth intersection of two samples over the same alphabet.
 
-    Words are matched by base-m codes built down the parent links
+    Words are matched by base-m codes built down the generations
     (code = parent_code * m + symbol - 1).  The result is again downward
-    closed (a prefix of a common word is a common word), so parent links
-    are rebuilt.
+    closed (a prefix of a common word is a common word), so each common
+    generation is the mask of the common codes' slots below the common
+    generation above.
     """
     law = a.law if a.law is not None else b.law
     if law is None:
@@ -496,18 +519,14 @@ def intersect_samples(a: PercolationSample, b: PercolationSample) -> Percolation
         raise ParameterError("samples must share alphabet and depth")
     m = law.m
     _check_code_bits(1, a.depth, m)
-    dtype = _symbol_dtype(m)
-    gens = [_root(m)]
+    gens = [_root()]
     ca = cb = common = np.zeros(1, dtype=np.int64)
     for ga, gb in zip(a.generations[1:], b.generations[1:]):
-        ca, cb = _codes(ca, ga, m), _codes(cb, gb, m)
+        ca, cb = _codes(ca, ga), _codes(cb, gb)
         prev, common = common, _common(ca, cb)
-        gens.append(
-            _Generation(
-                parent=np.searchsorted(prev, common // m).astype(np.int32),
-                symbol=(common % m + 1).astype(dtype),
-            )
-        )
+        keep = np.zeros((len(prev), m), dtype=bool)
+        keep[np.searchsorted(prev, common // m), common % m] = True
+        gens.append(keep)
     return PercolationSample(
         law=None, seed=(a.seed, b.seed), depth=a.depth, generations=gens
     )
@@ -631,13 +650,13 @@ def batch_generation_counts(
     """Surviving-word counts per depth for many seeds at once.
 
     The trees grow as one forest that must fit `budget` whole; each node
-    carries its tree's index down the parent links; counts are per tree.
+    carries its tree's index to its kept children; counts are per tree.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     tree = np.arange(len(seeds))
     counts = [np.ones(len(seeds), dtype=np.int64)]
-    for gen in _grow(law, rng.root_hash(seeds), depth, budget):
-        tree = tree[gen.parent]
+    for keep in _grow(law, rng.root_hash(seeds), depth, budget):
+        tree = tree[np.nonzero(keep)[0]]
         counts.append(np.bincount(tree, minlength=len(seeds)))
     return np.stack(counts, axis=1)
 
@@ -670,7 +689,7 @@ def batch_intersection_counts(
         _grow(law2, rng.root_hash(seeds2), depth, budget),
     )
     for k, (ga, gb) in enumerate(forests, 1):
-        ca, cb = _codes(ca, ga, m), _codes(cb, gb, m)
+        ca, cb = _codes(ca, ga), _codes(cb, gb)
         counts.append(np.bincount(_common(ca, cb) // m**k, minlength=n))
     return np.stack(counts, axis=1)
 

@@ -25,6 +25,7 @@ from .geometry import (
     IFS,
     StoppingSet,
     _cell_disks,
+    _cell_radii,
     _extend,
     _identity_maps,
     _row_blocks,
@@ -190,8 +191,15 @@ def _reach(xs, r_min, r_max):
     or not finite, or when reach >= 1/2, where every disk is within reach
     of a flat.
     """
+    return _grid_reach(_grid_step(xs), r_min, r_max)
+
+
+def _grid_step(xs):
+    """The terms of `_reach` that depend on the offsets alone, computed
+    once per grid: (G, h, dev, |x_0| + |x_{G-1}|), or None when the offsets
+    have no positive finite step."""
     g = len(xs)
-    if g < 2 or not r_min >= 0.0:
+    if g < 2:
         return None
     x0, x1 = float(xs[0]), float(xs[-1])
     h = (x1 - x0) / (g - 1)
@@ -199,7 +207,15 @@ def _reach(xs, r_min, r_max):
         return None
     with np.errstate(all="ignore"):
         dev = float(np.max(np.abs(xs - (x0 + np.arange(g) * h))))
-    eta = 2.0 ** -40 * (g + (abs(x0) + abs(x1) + r_max) / h)
+    return g, h, dev, abs(x0) + abs(x1)
+
+
+def _grid_reach(step, r_min, r_max):
+    """`_reach` from a grid's `_grid_step`."""
+    if step is None or not r_min >= 0.0:
+        return None
+    g, h, dev, ends = step
+    eta = 2.0 ** -40 * (g + (ends + r_max) / h)
     reach = (r_max + dev) / h + eta
     if not reach < 0.5:
         return None
@@ -264,15 +280,11 @@ def _near_flats(cloud, direction, x0, h, reach, shared):
     return proj[:k], None if kept is None else kept[:k]
 
 
-def _reach_mask(cloud, direction, xs):
-    """Which disks of the cloud are within reach of a flat of the offsets
-    xs, by the test `slice_counts` uses with the cloud's largest radius,
-    or None when `_reach` keeps every disk."""
-    near = _reach(xs, *_radius_range(cloud.radii))
-    if near is None:
-        return None
+def _reach_mask(cloud, direction, x0, h, reach):
+    """Which disks of the cloud are within reach of a flat, by the test
+    `slice_counts` makes with the (h, reach) that `_reach` gives."""
     keep = np.empty(len(cloud.centers), dtype=bool)
-    for b, _, block_keep in _reach_blocks(cloud, direction, xs[0], *near):
+    for b, _, block_keep in _reach_blocks(cloud, direction, x0, h, reach):
         keep[b] = block_keep
     return keep
 
@@ -655,31 +667,37 @@ def probe_sections(
     x_grid = np.asarray(x_grid, dtype=np.float64)
     law = standard_law(ifs, alpha)
     blocks = _Blocks(law)
+    step = _grid_step(x_grid)
     hits = np.zeros((trials, len(x_grid)), dtype=bool)
     survived = np.zeros(trials, dtype=bool)
     for t in range(trials):
         sub = int(rng.derive_seed(np.uint64(seed), np.uint64(t)))
         root = rng.root_hash(np.uint64(sub)).reshape(1)
         growth = _Growth(law, root, depth, budget, blocks)
-        hits[t] = _pruned_hits(ifs, growth, direction, x_grid, rho)
+        hits[t] = _pruned_hits(ifs, growth, direction, x_grid, step, rho)
         survived[t] = hits[t].any() or not sample_tree(law, depth, sub, budget).extinct
     return ProbeResult(
         x_grid=x_grid, hits=hits, survived=survived, alpha=alpha, depth=depth
     )
 
 
-def _pruned_hits(ifs, growth, direction, xs, rho) -> np.ndarray:
-    """Which flats of the offsets xs the deepest disks of a tree meet,
-    growing only the subtrees whose disks can reach one.
+def _pruned_hits(ifs, growth, direction, xs, step, rho) -> np.ndarray:
+    """Which flats of the offsets xs (whose `_grid_step` is step) the
+    deepest disks of a tree meet, growing only the subtrees whose disks
+    can reach one.
 
-    Each generation is folded as soon as it is drawn, and before its
-    children are drawn the rows whose disks `_reach_mask` drops leave the
-    frontier.  This is exact.  By the proof in `slice_counts`, a dropped
-    disk's projected center is farther than its radius plus eta*h from
-    every flat.  `enclosing_ball` makes f_i(B) lie inside B with a 1e-9
-    relative margin, so every descendant disk lies inside its ancestor's
-    disk; float error in the folded centers is some ulps, far below both
-    that margin and eta*h.  So no disk of a dropped subtree meets a flat.
+    Each generation is folded from its keep mask as soon as it is drawn,
+    and before its children are drawn the rows whose disks `_reach_mask`
+    drops leave the frontier.  The reach is decided from the radii, which
+    the maps' ratios give, before any disk is made: a generation that
+    `_reach` would keep whole (reach >= 1/2) makes no centers.
+
+    This is exact.  By the proof in `slice_counts`, a dropped disk's
+    projected center is farther than its radius plus eta*h from every
+    flat.  `enclosing_ball` makes f_i(B) lie inside B with a 1e-9 relative
+    margin, so every descendant disk lies inside its ancestor's disk;
+    float error in the folded centers is some ulps, far below both that
+    margin and eta*h.  So no disk of a dropped subtree meets a flat.
     A node's keep draw depends only on its path hash, so the subtrees kept
     grow as in the whole tree, their deepest disks are bitwise the whole
     tree's, and each disk projects to the same bits in any cloud
@@ -687,15 +705,15 @@ def _pruned_hits(ifs, growth, direction, xs, rho) -> np.ndarray:
     """
     maps = _identity_maps(ifs)
     while growth.left:
-        keep = _reach_mask(CellCloud(*_cell_disks(ifs, *maps), scale=rho), direction, xs)
-        if keep is not None:
-            rows = np.flatnonzero(keep)
+        near = _grid_reach(step, *_radius_range(_cell_radii(ifs, maps[0], len(maps[2]))))
+        if near is not None:
+            cloud = CellCloud(*_cell_disks(ifs, *maps), scale=rho)
+            rows = np.flatnonzero(_reach_mask(cloud, direction, xs[0], *near))
             growth.narrow(rows)
             maps = tuple(np.take(v, rows, axis=0) if v.ndim else v for v in maps)
         if not len(growth.hashes):
             return np.zeros(len(xs), dtype=bool)
-        gen = growth.step()
-        maps = _extend(*maps, ifs, gen.parent, gen.symbol - 1)
+        maps = _extend(*maps, ifs, growth.step())
     cloud = CellCloud(*_cell_disks(ifs, *maps, in_place=True), scale=rho)
     return slice_counts(cloud, direction, xs) > 0
 

@@ -264,3 +264,28 @@ def test_sections_conservation_peak_rss_in_a_fresh_process():
     # per-row ratios and angles, stored ratios, full radii and fresh
     # centers peaked at 206.8 MB
     assert peak_mb <= 150, peak_mb
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_percolate_dim_peak_rss_in_a_fresh_process():
+    # four depth-8 trees grown and box-counted one after another, with BLAS
+    # and dimlab on one thread.  The child reads its VmHWM (KiB), the peak
+    # of its own address space: Linux carries ru_maxrss over an exec, so a
+    # child started from this test process would read at least this
+    # process's own peak there.
+    code = (
+        "from dimlab.experiments import run_scenario\n"
+        "run_scenario('percolate-dim', params={'samples': 4}, seed=7)\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+    )
+    src = os.path.dirname(os.path.dirname(dl.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", DIMLAB_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=300,
+    )
+    peak_mb = int(done.stdout.split()[-1]) / 1024
+    # 48.1 MB here, 34.7 MB of it the imports; trees stored as parent rows
+    # and symbols, 5 bytes per kept node, peaked at 60.0 MB
+    assert peak_mb <= 56, peak_mb

@@ -391,11 +391,20 @@ def test_extend_in_blocks_is_the_one_shot_gather(name, shared, request, monkeypa
     gen = np.random.Generator(np.random.PCG64(11))
     rows = gen.integers(0, len(trans), 50).astype(np.int32)
     syms = gen.integers(0, ifs.m, 50).astype(np.uint8)
-    got = dl.geometry._extend(ratios, angles, trans, ifs, rows, syms)
+    got = dl.geometry._extend_rows(ratios, angles, trans, ifs, rows, syms)
     want = oracles.extend_one_shot(ratios, angles, trans, ifs, rows, syms)
     for g, w in zip(got, want):
         assert np.ndim(g) == np.ndim(w)
         assert np.array_equal(g, w)
+    # the mask form derives its links a block of parents at a time; no
+    # mask keeps every child
+    mask = gen.random((len(trans), ifs.m)) < 0.6
+    for keep, links in ((mask, np.nonzero(mask)), (None, np.nonzero(mask | True))):
+        got = dl.geometry._extend(ratios, angles, trans, ifs, keep)
+        want = oracles.extend_one_shot(ratios, angles, trans, ifs, *links)
+        for g, w in zip(got, want):
+            assert np.ndim(g) == np.ndim(w)
+            assert np.array_equal(g, w)
     # evaluating the maps in blocks, in place or into a copy, is one-shot too
     point = ifs.ball_center
     centers = dl.geometry._apply_composed(*got, point)

@@ -317,10 +317,13 @@ def _whole_generation_reference(law, seeds, depth):
 
 
 def _assert_same_generations(gens, want):
+    # each generation is its keep mask; the links derived from it are the
+    # reference's parent rows and symbols
     assert len(gens) == len(want)
     for gen, (rows, syms) in zip(gens, want):
-        assert gen.parent.dtype == np.int32
-        assert np.array_equal(gen.parent, rows) and np.array_equal(gen.symbol, syms)
+        assert gen.dtype == bool and gen.ndim == 2
+        parent, symbol = np.nonzero(gen)
+        assert np.array_equal(parent, rows) and np.array_equal(symbol + 1, syms)
 
 
 @pytest.mark.parametrize("block", ["default", "one-parent", "three-parents"])
@@ -380,6 +383,53 @@ def test_an_extinct_tree_costs_nothing_per_level_left():
     assert deep.extinct
     # a new pair of empty arrays per level peaked at 31 MB here
     assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize(
+    "law, depth, seed",
+    [(dl.uniform_law(8, 0.3), 6, 8), (dl.uniform_law(4, 0.3), 12, 12)],
+    ids=["alive", "extinct"],
+)
+def test_a_generation_is_its_keep_mask_one_byte_per_drawn_slot(law, depth, seed):
+    sample = dl.sample_tree(law, depth, seed)
+    counts, gens = sample.counts(), sample.generations
+    assert gens[0].shape == (1, 1) and gens[0].all()  # the root
+    for k in range(1, depth + 1):
+        assert gens[k].dtype == bool and gens[k].shape == (counts[k - 1], law.m)
+    assert sum(g.nbytes for g in gens[1:]) == law.m * counts[:-1].sum()
+
+
+def test_growing_and_box_counting_a_tree_peaks_near_two_bytes_per_drawn_slot():
+    # what stays is one byte per drawn child slot; the deepest generation's
+    # frontier hashes add 8 bytes per parent, 8/9 per slot here.  1.94
+    # bytes per slot measured, 14% under the bound's 2 bytes per slot plus
+    # 1 MiB for the growth's block buffers.  Parent rows and symbols, 5
+    # bytes per kept node, peaked at 5.77 bytes per slot.
+    law = dl.mandelbrot_config(3, 2, 0.7).law
+    tracemalloc.start()
+    try:
+        sample = dl.sample_tree(law, 8, 3)
+        sample.persistent_counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slots = law.m * int(sample.counts()[:-1].sum())
+    assert slots > 4 * 10 ** 6
+    assert peak <= 2 * slots + 2 ** 20
+
+
+def test_symbols_and_codes_hold_an_alphabet_of_65536_maps():
+    # uint16 symbols wrapped the last of 2^16 symbols to 0, and its code to -1
+    cfg = dl.mandelbrot_config(256, 2, 1.0)
+    a, b = (dl.sample_tree(cfg.law, 1, seed) for seed in (3, 4))
+    want = np.arange(1, 2 ** 16 + 1)
+    for sample in (a, dl.intersect_samples(a, b)):
+        sym = sample.symbols_at(1)
+        assert sym.dtype == np.uint32 and np.array_equal(sym[:, 0], want)
+    codes = percolation._codes(np.zeros(1, dtype=np.int64), a.generations[1])
+    assert np.array_equal(codes, want - 1)
+    batch = dl.batch_intersection_counts(cfg.law, [3], cfg.law, [4], 1)
+    assert batch.tolist() == [[1, 2 ** 16]]
 
 
 def _same_words_stopping_set(ifs, k):
