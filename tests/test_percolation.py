@@ -191,6 +191,30 @@ def test_persistent_counts_are_ancestor_counts(carpet):
     assert pcounts[5] == counts[5]
 
 
+@pytest.mark.parametrize(
+    "law, depth",
+    [
+        (dl.uniform_law(2, 0.6), 9),
+        (dl.uniform_law(3, 0.45), 7),
+        (dl.table_law([[1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [0.4, 0.4, 0.2]), 8),
+    ],
+    ids=["m2", "m3", "table"],
+)
+def test_persistent_masks_mark_the_ancestors_of_the_deepest_words(law, depth):
+    # small, thin trees: rows whose only kept child sits in any one slot,
+    # the last included, and generations where some words die out
+    partial = 0
+    for seed in range(8):
+        sample = dl.sample_tree(law, depth, seed)
+        deepest = sample.words_at(depth)
+        masks = sample.persistent_masks()
+        for k in range(depth + 1):
+            ancestors = {w[:k] for w in deepest}
+            assert masks[k].tolist() == [w in ancestors for w in sample.words_at(k)]
+        partial += sum(not m.all() for m in masks)
+    assert partial > 0
+
+
 def test_cell_cloud_sizes_and_radii(carpet):
     law = dl.standard_law(carpet, 0.6)
     sample = dl.sample_tree(law, 5, seed=21)
