@@ -43,7 +43,6 @@ from .sections import (
     box_count_estimate,
     conservation_profile,
     conservation_profile_sample,
-    interval_union_length,
     probe_sections,
 )
 
@@ -365,12 +364,10 @@ def _run_projection_positivity(params, seed):
     def one(i):
         sample, _ = surviving(i)
         cloud = CellCloud.from_sample(sample, cfg.ifs, params["rho"], persistent=True)
-        out = []
-        for j, beta in enumerate(betas):
-            proj = cloud.project(Direction.from_angle(beta))
-            length = interval_union_length(proj - cloud.radii, proj + cloud.radii)
-            out.append([i, j, float(beta), length])
-        return out
+        return [
+            [i, j, float(beta), cloud.projected_length(Direction.from_angle(beta))]
+            for j, beta in enumerate(betas)
+        ]
 
     rows = [row for chunk in parallel_map(one, range(params["samples"])) for row in chunk]
     measures = np.array([r[3] for r in rows])

@@ -521,42 +521,65 @@ def word_geometry(ifs: IFS, symbols: np.ndarray):
 class StoppingSet:
     """A complete prefix-free family {words : rho <= diameter < c1 rho}.
 
-    Rows are in lexicographic word order.  Words are not stored: each row
-    keeps its length and its index among the children of the frontier it
-    was cut from, and each `words()` call rebuilds the python tuples by
-    walking the frontier's parent links.  Ratios are not stored: with one
-    ratio for every map, `radii` is a read-only broadcast of one radius.
+    Rows are in lexicographic word order.  Words are not stored: the cut is
+    kept as keep masks, as a percolation sample keeps its generations
+    (`_mask_symbols`).  `_frontier[j]` marks the level-j frontier words and
+    `_cells[j]` this scale's cells among the m children of each frontier
+    word of level j - 1, with the root at level 0; `lengths` and `words()`
+    are derived from them.  Ratios are not stored: with one ratio for
+    every map, `radii` is a read-only broadcast of one radius.
     """
 
     ifs: IFS
     rho: float
     c1: float
-    lengths: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
-    _index: np.ndarray = field(repr=False)
-    _links: list = field(repr=False)
+    _frontier: list = field(repr=False)
+    _cells: dict = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.lengths)
+        return len(self.centers)
 
     @property
     def diameters(self) -> np.ndarray:
         return 2.0 * self.radii
 
+    @property
+    def lengths(self) -> np.ndarray:
+        lengths = np.empty(len(self), dtype=np.int32)
+        for level, rows in _lex_rows(self._cells, self._frontier).items():
+            lengths[rows] = level
+        return lengths
+
     def words(self) -> list:
-        m = self.ifs.m
         words = [()] * len(self)
-        for length in np.unique(self.lengths).tolist():
-            rows = np.flatnonzero(self.lengths == length)
-            child = self._index[rows]
-            symbols = np.empty((len(rows), length), dtype=np.int64)
-            for j in range(length, 0, -1):
-                symbols[:, j - 1] = child % m + 1
-                child = self._links[j - 1][child // m]
+        for level, rows in _lex_rows(self._cells, self._frontier).items():
+            symbols = _mask_symbols(self._frontier[:level] + [self._cells[level]])
             for row, word in zip(rows.tolist(), symbols.tolist()):
                 words[row] = tuple(word)
         return words
+
+
+def _root() -> np.ndarray:
+    """The keep mask of level 0: the root, one kept slot."""
+    return np.ones((1, 1), dtype=bool)
+
+
+def _mask_symbols(masks: list) -> np.ndarray:
+    """The (n, k) words, symbols 1..m in row order, that the last of a
+    chain of k + 1 keep masks holds: masks[0] is the root, and the true
+    slots of each later (n, m) mask, in (row, symbol) order, extend the n
+    words of the one before.  uint16, or uint32 once m does not fit it."""
+    last, k = masks[-1], len(masks) - 1
+    dtype = np.uint16 if last.shape[1] < 1 << 16 else np.uint32
+    out = np.empty((np.count_nonzero(last), k), dtype=dtype)
+    rows = slice(None)
+    for j in range(k, 0, -1):
+        parent, symbol = np.nonzero(masks[j])
+        out[:, j - 1] = symbol[rows] + 1
+        rows = parent[rows]
+    return out
 
 
 def stopping_set(ifs: IFS, rho: float, budget: int = DEFAULT_BUDGET) -> StoppingSet:
@@ -596,10 +619,9 @@ def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
     m = ifs.m
 
     maps = _identity_maps(ifs)
-    # links[k]: each level-k frontier word's index among the level's children
-    links = [np.zeros(1, dtype=np.intp)]
-    # per scale, level -> (child indices, composed maps) of its cells
-    cells = [{0: (links[0], maps)} if c0 < cut else {} for cut in cuts]
+    frontier = [_root()]  # per level, the keep mask of the frontier words
+    # per scale, level -> (keep mask, composed maps) of its cells
+    cells = [{0: (frontier[0], maps)} if c0 < cut else {} for cut in cuts]
     emitted = len(cells[finest])
     out = [None] * len(rhos)
     level = 0
@@ -613,7 +635,7 @@ def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
                     active[i] = act
                 else:
                     last = out.count(None) == 1
-                    out[i] = _assemble(ifs, rhos[i], c1, cells[i], links, last)
+                    out[i] = _assemble(ifs, rhos[i], c1, cells[i], frontier, last)
                     cells[i] = None
         # while any scale is active the finest is, on the whole frontier
         need = emitted + len(diam) * m if active else emitted
@@ -627,26 +649,27 @@ def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
         for i, act in active.items():
             done = (ch_diam < cuts[i]).reshape(-1, m)
             done &= act[:, None]
-            idx = np.flatnonzero(done)
-            if len(idx):
-                cells[i][level] = (idx, _rows_of(children, idx))
+            count = np.count_nonzero(done)
+            if count:
+                cells[i][level] = (done, _rows_of(children, done, count))
                 if i == finest:
-                    emitted += len(idx)
-        keep = np.flatnonzero(ch_diam >= cuts[finest])
-        links.append(keep)
-        maps = _rows_of(children, keep)
+                    emitted += count
+        keep = (ch_diam >= cuts[finest]).reshape(-1, m)
+        frontier.append(keep)
+        maps = _rows_of(children, keep, np.count_nonzero(keep))
         del children
 
 
-def _rows_of(maps, idx):
-    """The rows idx of composed maps; a 0-d value and all rows are not copied."""
-    if len(idx) == len(maps[2]):
+def _rows_of(maps, keep, count: int):
+    """The rows of composed maps a mask keeps; 0-d values and all rows are not copied."""
+    if count == len(maps[2]):
         return maps
-    return tuple(a[idx] if a.ndim else a for a in maps)
+    keep = keep.reshape(-1)
+    return tuple(a[keep] if a.ndim else a for a in maps)
 
 
 def _assemble(
-    ifs: IFS, rho: float, c1: float, cells: dict, links: list, in_place: bool
+    ifs: IFS, rho: float, c1: float, cells: dict, frontier: list, in_place: bool
 ) -> StoppingSet:
     """One scale's stopping set from its cells, in lexicographic order.
 
@@ -656,61 +679,57 @@ def _assemble(
     `_lex_rows`.  With in_place the centers are written over the cells'
     translations, which nothing may read afterwards.
     """
+    masks = {level: keep for level, (keep, _) in cells.items()}
     if len(cells) == 1:
-        ((level, (index, maps)),) = cells.items()
-        lengths = np.full(len(index), level, dtype=np.int32)
+        ((_, maps),) = cells.values()
     else:
-        rows = _lex_rows({k: idx for k, (idx, _) in cells.items()}, links, ifs.m)
-        n = sum(len(idx) for idx, _ in cells.values())
-        lengths = np.empty(n, dtype=np.int32)
-        index = np.empty(n, dtype=np.intp)
+        rows = _lex_rows(masks, frontier)
+        n = sum(len(rows[level]) for level in rows)
         maps = np.empty(n), np.empty(n), np.empty((n, ifs.ambient_dim))
-        for k, (idx, part) in cells.items():
-            lengths[rows[k]] = k
-            index[rows[k]] = idx
+        for level, (_, part) in cells.items():
             for a, b in zip(maps, part):
-                a[rows[k]] = b
+                a[rows[level]] = b
     centers, radii = _cell_disks(ifs, *maps, in_place=in_place)
     return StoppingSet(
         ifs=ifs,
         rho=rho,
         c1=c1,
-        lengths=lengths,
         centers=centers,
         radii=radii,
-        _index=index,
-        _links=links,
+        _frontier=frontier[: max(masks)],
+        _cells=masks,
     )
 
 
-def _lex_rows(cells: dict, links: list, m: int) -> dict:
+def _lex_rows(cells: dict, frontier: list) -> dict:
     """Lexicographic row of each cell of one scale, per level.
 
-    cells maps a level to its cells' indices among that level's children
-    (m per frontier word of the level above).  Each frontier word's count
-    of cells below it is summed up the parent links; laying the counts out
-    again from the root, in symbol order, gives each child the row of its
-    first cell, and a cell the row of itself.
+    cells maps a level to the keep mask of the scale's cells among that
+    level's children, as frontier[level] is the mask of its frontier words.
+    Each frontier word's count of cells below it is summed up the masks;
+    laying the counts out again from the root, in symbol order, gives each
+    child the row of its first cell, and a cell the row of itself.
     """
     bottom = max(cells)
+    if len(cells) == 1:
+        return {bottom: np.arange(np.count_nonzero(cells[bottom]))}
     sizes = {}
     below = None
     for level in range(bottom, 0, -1):
-        size = np.zeros(len(links[level - 1]) * m, dtype=np.int64)
-        if level in cells:
-            size[cells[level]] = 1
+        at = cells[level] if level in cells else np.zeros_like(frontier[level])
+        size = at.astype(np.int64)
         if below is not None:
-            size[links[level]] += below
-        sizes[level] = size = size.reshape(-1, m)
+            size[frontier[level]] += below
+        sizes[level] = size
         below = size.sum(axis=1)
     rows = {}
     start = np.zeros(1, dtype=np.int64)
     for level in range(1, bottom + 1):
         size = sizes.pop(level)
-        first = (np.cumsum(size, axis=1) - size + start[:, None]).ravel()
+        first = np.cumsum(size, axis=1) - size + start[:, None]
         if level in cells:
             rows[level] = first[cells[level]]
-        start = first[links[level]] if level < bottom else None
+        start = first[frontier[level]] if level < bottom else None
     return rows
 
 

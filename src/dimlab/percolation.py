@@ -38,6 +38,8 @@ from .geometry import (
     _decreasing_root,
     _extend,
     _identity_maps,
+    _mask_symbols,
+    _root,
 )
 
 __all__ = [
@@ -159,12 +161,6 @@ def table_law(masks, probs) -> OffspringLaw:
 # sampling
 
 
-def _symbol_dtype(m: int):
-    """The unsigned dtype of `symbols_at`: uint16, or uint32 once m does
-    not fit it."""
-    return np.uint16 if m < 1 << 16 else np.uint32
-
-
 def _row_any(keep: np.ndarray) -> np.ndarray:
     """keep.any(axis=1), a column at a time: numpy reduces a short row
     with a loop per row, several times slower for m < 10."""
@@ -201,14 +197,7 @@ class PercolationSample:
     def symbols_at(self, k: int) -> np.ndarray:
         """(n, k) words of generation k, lexicographic order, as uint16
         (uint32 when m >= 2^16)."""
-        gens = self.generations
-        out = np.empty((np.count_nonzero(gens[k]), k), dtype=_symbol_dtype(gens[k].shape[1]))
-        rows = slice(None)
-        for j in range(k, 0, -1):
-            parent, symbol = np.nonzero(gens[j])
-            out[:, j - 1] = symbol[rows] + 1
-            rows = parent[rows]
-        return out
+        return _mask_symbols(self.generations[: k + 1])
 
     def words_at(self, k: int) -> list:
         return [tuple(row) for row in self.symbols_at(k).tolist()]
@@ -259,8 +248,9 @@ class PercolationSample:
         the deepest one of the sample to min(ks) masks each generation
         asked for.
         """
-        if ifs.m != (self.law.m if self.law is not None else ifs.m):
-            raise ParameterError("law arity does not match the IFS")
+        # the keep masks are m wide; a depth-0 sample holds none
+        if self.depth and self.generations[-1].shape[1] != ifs.m:
+            raise ParameterError("sample alphabet does not match the IFS")
         if not 0 <= min(ks) <= max(ks) <= self.depth:
             raise ParameterError(f"generations must lie in 0..{self.depth}, got {ks}")
         top = max(ks)
@@ -309,11 +299,6 @@ def _retained(
     idx = np.searchsorted(law._cum_mask_probs(), u, side="right")
     idx = np.minimum(idx, len(law.mask_probs) - 1)
     return np.not_equal(law.masks[idx, syms], 0.0, out=out)
-
-
-def _root() -> np.ndarray:
-    """Generation 0: the root, one kept slot."""
-    return np.ones((1, 1), dtype=bool)
 
 
 # Child hashes per expansion block: a block's buffers (a few hundred KB)
@@ -510,14 +495,9 @@ def intersect_samples(a: PercolationSample, b: PercolationSample) -> Percolation
     generation is the mask of the common codes' slots below the common
     generation above.
     """
-    law = a.law if a.law is not None else b.law
-    if law is None:
-        raise ParameterError("at least one sample must carry its law")
-    if a.depth != b.depth or (
-        a.law is not None and b.law is not None and a.law.m != b.law.m
-    ):
+    m = a.generations[-1].shape[1]  # the keep masks' width; the root's 1 at depth 0
+    if a.depth != b.depth or b.generations[-1].shape[1] != m:
         raise ParameterError("samples must share alphabet and depth")
-    m = law.m
     _check_code_bits(1, a.depth, m)
     gens = [_root()]
     ca = cb = common = np.zeros(1, dtype=np.int64)

@@ -105,6 +105,12 @@ class CellCloud:
     def project(self, direction: Direction) -> np.ndarray:
         return self.centers @ direction.vector
 
+    def projected_length(self, direction: Direction) -> float:
+        """Length of the union of the disks' projections onto the direction."""
+        proj = self.project(direction)
+        hi = proj + self.radii
+        return interval_union_length(np.subtract(proj, self.radii, out=proj), hi)
+
 
 def generation_for_scale(sample: PercolationSample, ifs: IFS, rho: float) -> int:
     """Coarsest generation whose cell diameters are all <= rho."""
@@ -468,9 +474,7 @@ def projection_measure(
         cloud = CellCloud.from_sample(source, ifs, rho, persistent=True)
     else:
         raise ParameterError("source must be an IFS or a PercolationSample")
-    proj = cloud.project(direction)
-    hi = proj + cloud.radii
-    return interval_union_length(np.subtract(proj, cloud.radii, out=proj), hi)
+    return cloud.projected_length(direction)
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,28 @@ def test_stopping_ladder_of_a_shared_ratio_stays_lean(carpet):
     assert peak < 12 * 2 ** 20
 
 
+def test_a_stopping_set_holds_its_centers_and_keep_masks(carpet):
+    """A stopping set keeps its centers, one byte per slot of its cells'
+    level and the frontier masks above it: no per-cell length, index or
+    link array, which held 28 bytes per cell with the centers."""
+    k = 5
+    tracemalloc.start()
+    try:
+        ss = dl.stopping_set(carpet, 3.0 ** -k)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ss) == 8 ** k and ss.radii.strides == (0,)
+    slots = len(ss)  # equal ratios: every child of the level above is a cell
+    frontier = sum(carpet.m ** j for j in range(k))  # levels 0 .. k - 1, all kept
+    # 2^13: array headers and the set's own objects (about 5 KB here)
+    assert held <= ss.centers.nbytes + slots + frontier + 2 ** 13, held
+    stored = [v for v in vars(ss).values() if isinstance(v, np.ndarray)]
+    stored += [a for v in vars(ss).values() if isinstance(v, list) for a in v]
+    stored += [a for v in vars(ss).values() if isinstance(v, dict) for a in v.values()]
+    assert not any(a.dtype.kind in "iu" for a in stored)
+
+
 def test_overlap_count_matches_direct_loop(carpet):
     ss = dl.stopping_set(carpet, 0.2)
     for point in ((0.5, 0.5), (0.01, 0.98), (1.2, 1.2)):

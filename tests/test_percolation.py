@@ -464,6 +464,25 @@ def _same_words_stopping_set(ifs, k):
     return ss
 
 
+@pytest.mark.parametrize(
+    "name", [name for name in dl.catalog_names() if dl.load_ifs(name).equal_ratio]
+)
+def test_a_one_level_stopping_set_is_the_all_kept_tree(name):
+    """One tree store: the stopping set of all words of length k keeps the
+    keep masks of the depth-k tree of a law that keeps every child, and
+    walks them to the same words."""
+    ifs = dl.load_ifs(name)
+    for k in range(4):
+        ss = _same_words_stopping_set(ifs, k)
+        tree = dl.sample_tree(dl.deterministic_law(ifs.m), k, seed=0)
+        assert list(ss._cells) == [k]
+        masks = ss._frontier + [ss._cells[k]]
+        assert len(masks) == len(tree.generations)
+        for got, want in zip(masks, tree.generations):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert ss.words() == tree.words_at(k)
+
+
 @pytest.mark.parametrize("name", ["rot3", "carpet", "turns", "mixed"])
 def test_cell_cloud_is_bitwise_the_word_fold_and_stopping_set(name, request):
     ifs = request.getfixturevalue(name)
@@ -610,6 +629,27 @@ def test_intersection_is_setwise(carpet):
         assert set(both.words_at(k)) == want
     flipped = dl.intersect_samples(b, a)
     assert np.array_equal(both.counts(), flipped.counts())
+
+
+def test_law_less_samples_check_their_alphabet_by_their_masks():
+    # an intersection carries no law; its keep masks are m = 4 wide
+    four, nine = (dl.mandelbrot_config(M, 2, 0.9) for M in (2, 3))
+    a, b = (dl.sample_tree(four.law, 3, seed) for seed in (1, 2))
+    both = dl.intersect_samples(a, b)
+    assert both.law is None and both.counts()[-1] > 0
+    with pytest.raises(ParameterError):
+        both.cell_cloud(nine.ifs, 3)
+    c = dl.sample_tree(nine.law, 3, seed=3)
+    for pair in ((both, c), (c, both)):
+        with pytest.raises(ParameterError):
+            dl.intersect_samples(*pair)
+    # matching alphabets go through, law or no law
+    assert len(both.cell_cloud(four.ifs, 3)[0]) == both.counts()[-1]
+    assert np.array_equal(dl.intersect_samples(both, a).counts(), both.counts())
+    assert np.array_equal(dl.intersect_samples(both, both).counts(), both.counts())
+    # a depth-0 sample holds no mask that could say its alphabet
+    root = dl.sample_tree(four.law, 0, seed=1)
+    assert len(root.cell_cloud(nine.ifs, 0)[0]) == 1
 
 
 def test_batch_intersections_match_pairwise(carpet):
