@@ -26,6 +26,7 @@ scan.  At the catalog defaults only the last ~13-16 of the N terms survive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,9 @@ class AlignmentParams:
     tau_grid: int = 4096
 
     def __post_init__(self):
+        for name in ("r", "theta", "b", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         if not 0.0 < self.r < 1.0:
             raise ParameterError("r must lie in (0, 1)")
         if self.b < 0.0:

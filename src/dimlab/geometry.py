@@ -427,11 +427,6 @@ def _fold(ratios, angles, trans, ifs: IFS, size, links):
     return out_r, out_th, out_t
 
 
-def _rows_in(values, b):
-    """The block b of per-row values; a shared (0-d) value as it is."""
-    return values[b] if values.ndim else values
-
-
 def _add_linear_part(out, ratios, angles, v, rotate):
     """out += ratios * R(angles) v, row by row, for a point v (d,) or one
     vector per row (n, d); a per-row v is scratch and may be overwritten.
@@ -460,31 +455,23 @@ def _all_compositions(ifs: IFS, q: int):
     return maps
 
 
-def _apply_composed(ratios, angles, trans, point, in_place=False):
-    """Evaluate each composed map at a single point; returns (n, d).
-
-    ratios and angles are per row or shared (0-d), as `_extend` makes them.
-    Each row is fl(t + a), with t its translation and a the image of the
-    point under its linear part, which is bitwise fl(a + t).  The result
-    goes into a copy of trans or, with in_place, over trans, which the
-    caller must hold alone.  Rows are done a block at a time, so a per-row
-    rotation or ratio makes no generation-sized temporary.
-    """
-    out = trans if in_place else trans.copy()
-    point = np.asarray(point)
-    rotate = trans.shape[1] == 2 and np.any(angles != 0.0)
-    for b in _row_blocks(len(trans)):
-        _add_linear_part(out[b], _rows_in(ratios, b), _rows_in(angles, b), point, rotate)
-    return out
-
-
 def _cell_disks(ifs: IFS, ratios, angles, trans, in_place=False):
     """(centers, radii) of the images of the enclosing ball under composed maps.
 
-    With in_place the centers are written over trans (`_apply_composed`).
-    A shared ratio gives radii as a read-only broadcast of its one value.
+    ratios and angles are per row or shared (0-d), as `_extend` makes them.
+    Each center is fl(t + a), with t its map's translation and a the image
+    of the ball center under its linear part, which is bitwise fl(a + t).
+    The centers go into a copy of trans or, with in_place, over trans,
+    which the caller must hold alone.  Rows are done a block at a time, so
+    a per-row rotation or ratio makes no generation-sized temporary.  A
+    shared ratio gives radii as a read-only broadcast of its one value.
     """
-    centers = _apply_composed(ratios, angles, trans, ifs.ball_center, in_place)
+    centers = trans if in_place else trans.copy()
+    rotate = trans.shape[1] == 2 and np.any(angles != 0.0)
+    for b in _row_blocks(len(trans)):
+        block_r = ratios[b] if ratios.ndim else ratios
+        block_th = angles[b] if angles.ndim else angles
+        _add_linear_part(centers[b], block_r, block_th, ifs.ball_center, rotate)
     return centers, _cell_radii(ifs, ratios, len(trans))
 
 
@@ -651,21 +638,24 @@ def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
             done &= act[:, None]
             count = np.count_nonzero(done)
             if count:
-                cells[i][level] = (done, _rows_of(children, done, count))
+                cells[i][level] = (done, _rows_of(children, done))
                 if i == finest:
                     emitted += count
         keep = (ch_diam >= cuts[finest]).reshape(-1, m)
         frontier.append(keep)
-        maps = _rows_of(children, keep, np.count_nonzero(keep))
+        maps = _rows_of(children, keep)
         del children
 
 
-def _rows_of(maps, keep, count: int):
-    """The rows of composed maps a mask keeps; 0-d values and all rows are not copied."""
-    if count == len(maps[2]):
+def _rows_of(maps, keep):
+    """The rows of composed maps that a mask over them keeps, in order: the
+    one row selection of composed maps.  Shared (0-d) values stay shared,
+    and a mask that keeps every row returns `maps` itself.  Rows are taken
+    by index, several times faster than a boolean index of (n, d) rows."""
+    if keep.all():
         return maps
-    keep = keep.reshape(-1)
-    return tuple(a[keep] if a.ndim else a for a in maps)
+    rows = np.flatnonzero(keep)
+    return tuple(np.take(a, rows, axis=0) if a.ndim else a for a in maps)
 
 
 def _assemble(
@@ -753,8 +743,7 @@ def attractor_points(ifs: IFS, depth: int, budget: int = DEFAULT_BUDGET) -> np.n
     count = ifs.m ** depth
     if count > budget:
         raise BudgetExceededError(count, budget)
-    ratios, angles, trans = _all_compositions(ifs, depth)
-    return _apply_composed(ratios, angles, trans, ifs.ball_center, in_place=True)
+    return _cell_disks(ifs, *_all_compositions(ifs, depth), in_place=True)[0]
 
 
 def iterate_system(ifs: IFS, q: int, budget: int = DEFAULT_BUDGET) -> IFS:

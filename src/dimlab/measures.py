@@ -417,6 +417,8 @@ def fourier_decay(
     readout: positive means power decay along the ladder.
     """
     _check_fourier_system(sample, ifs, q)
+    if not 0.0 < tau < math.inf:
+        raise ParameterError(f"tau must be positive and finite, got {tau}")
     ns = np.asarray(sorted(int(n) for n in n_ladder))
     if len(ns) < 2 or ns[0] < 1:
         raise ParameterError("need at least two ladder points with N >= 1")

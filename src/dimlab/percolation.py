@@ -40,6 +40,7 @@ from .geometry import (
     _identity_maps,
     _mask_symbols,
     _root,
+    _rows_of,
 )
 
 __all__ = [
@@ -245,8 +246,9 @@ class PercolationSample:
         from them.  The deepest generation asked for has no successor, so
         its translations become its centers in place; the others' centers
         are copies.  With `persistent`, one walk up the generations from
-        the deepest one of the sample to min(ks) masks each generation
-        asked for.
+        the deepest one of the sample to min(ks) first gives the mask of
+        each generation asked for, and only the maps' rows it keeps are
+        made into disks, in place once selected.
         """
         # the keep masks are m wide; a depth-0 sample holds none
         if self.depth and self.generations[-1].shape[1] != ifs.m:
@@ -254,19 +256,18 @@ class PercolationSample:
         if not 0 <= min(ks) <= max(ks) <= self.depth:
             raise ParameterError(f"generations must lie in 0..{self.depth}, got {ks}")
         top = max(ks)
+        persist = {}
+        if persistent:
+            walk = zip(range(self.depth, -1, -1), self._persistent_walk(min(ks)))
+            persist = {k: keep for k, keep in walk if k in ks}
         maps = _identity_maps(ifs)
         disks = {}
         for k, keep in enumerate(self.generations[: top + 1]):
             if k:
                 maps = _extend(*maps, ifs, keep)
             if k in ks:
-                disks[k] = _cell_disks(ifs, *maps, in_place=k == top)
-        if persistent:
-            walk = zip(range(self.depth, -1, -1), self._persistent_walk(min(ks)))
-            for k, keep in walk:
-                if k in disks:
-                    centers, radii = disks[k]
-                    disks[k] = centers[keep], radii[keep]
+                rows = _rows_of(maps, persist[k]) if persistent else maps
+                disks[k] = _cell_disks(ifs, *rows, in_place=k == top or rows is not maps)
         return [disks[k] for k in ks]
 
 
@@ -465,48 +466,38 @@ def sample_surviving_tree(
     raise ParameterError(f"no surviving sample in {max_tries} tries (law too thin?)")
 
 
-def _check_code_bits(n_roots: int, depth: int, m: int) -> None:
-    bits = math.log2(max(n_roots, 1)) + depth * math.log2(max(m, 2))
-    if bits > 62:
-        raise BudgetExceededError(bits, 62, what="code bits")
+def _common_generations(gens_a, gens_b, n: int):
+    """Walk two trees, or two forests of n roots, down their keep masks at
+    once.  Per generation, yields the keep mask of the words both hold, over
+    the common words of the generation above, and each common word's tree.
 
-
-def _codes(codes: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Base-m codes of a generation from its parents' codes; strictly
-    increasing whenever the parents' codes are."""
-    parent, symbol = np.nonzero(keep)
-    return codes[parent] * keep.shape[1] + symbol
-
-
-def _common(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.intersect1d of two strictly increasing arrays, by binary search."""
-    if len(a) > len(b):
-        a, b = b, a
-    at = np.minimum(np.searchsorted(b, a), len(b) - 1)
-    return a[b[at] == a]
+    The common mask is each side's mask at the rows of the common words
+    above, ANDed.  A common word's row in a side's generation is the rank
+    of its slot, in (row, symbol) order, among that mask's true slots.
+    """
+    rows_a = rows_b = tree = np.arange(n)
+    for ga, gb in zip(gens_a, gens_b):
+        common = ga[rows_a] & gb[rows_b]
+        parent, symbol = np.nonzero(common)
+        tree = tree[parent]
+        m = common.shape[1]
+        rows_a = np.searchsorted(np.flatnonzero(ga), rows_a[parent] * m + symbol)
+        rows_b = np.searchsorted(np.flatnonzero(gb), rows_b[parent] * m + symbol)
+        yield common, tree
 
 
 def intersect_samples(a: PercolationSample, b: PercolationSample) -> PercolationSample:
     """Per-depth intersection of two samples over the same alphabet.
 
-    Words are matched by base-m codes built down the generations
-    (code = parent_code * m + symbol - 1).  The result is again downward
-    closed (a prefix of a common word is a common word), so each common
-    generation is the mask of the common codes' slots below the common
-    generation above.
+    The result is again downward closed (a prefix of a common word is a
+    common word), so each common generation is a keep mask below the
+    common generation above, as `_common_generations` walks them.
     """
     m = a.generations[-1].shape[1]  # the keep masks' width; the root's 1 at depth 0
     if a.depth != b.depth or b.generations[-1].shape[1] != m:
         raise ParameterError("samples must share alphabet and depth")
-    _check_code_bits(1, a.depth, m)
-    gens = [_root()]
-    ca = cb = common = np.zeros(1, dtype=np.int64)
-    for ga, gb in zip(a.generations[1:], b.generations[1:]):
-        ca, cb = _codes(ca, ga), _codes(cb, gb)
-        prev, common = common, _common(ca, cb)
-        keep = np.zeros((len(prev), m), dtype=bool)
-        keep[np.searchsorted(prev, common // m), common % m] = True
-        gens.append(keep)
+    walk = _common_generations(a.generations[1:], b.generations[1:], 1)
+    gens = [_root()] + [keep for keep, _ in walk]
     return PercolationSample(
         law=None, seed=(a.seed, b.seed), depth=a.depth, generations=gens
     )
@@ -651,8 +642,8 @@ def batch_intersection_counts(
 ) -> np.ndarray:
     """Per-depth counts of the intersection of two independent samples.
 
-    Each batch grows as a forest with root codes 0..n-1, so a depth-k code
-    is tree * m^k + word code and common codes count per tree.
+    Each batch grows as one forest, and the common words of the two forests
+    are counted per tree (`_common_generations`).
     """
     if law1.m != law2.m:
         raise ParameterError("laws must share the alphabet")
@@ -660,17 +651,14 @@ def batch_intersection_counts(
     seeds2 = np.asarray(seeds2, dtype=np.uint64)
     if len(seeds1) != len(seeds2):
         raise ParameterError("seed arrays must be paired")
-    m, n = law1.m, len(seeds1)
-    _check_code_bits(n, depth, m)
+    n = len(seeds1)
     counts = [np.ones(n, dtype=np.int64)]
-    ca = cb = np.arange(n, dtype=np.int64)
-    forests = zip(
+    walk = _common_generations(
         _grow(law1, rng.root_hash(seeds1), depth, budget),
         _grow(law2, rng.root_hash(seeds2), depth, budget),
+        n,
     )
-    for k, (ga, gb) in enumerate(forests, 1):
-        ca, cb = _codes(ca, ga), _codes(cb, gb)
-        counts.append(np.bincount(_common(ca, cb) // m**k, minlength=n))
+    counts.extend(np.bincount(tree, minlength=n) for _, tree in walk)
     return np.stack(counts, axis=1)
 
 

@@ -29,6 +29,7 @@ from .geometry import (
     _extend,
     _identity_maps,
     _row_blocks,
+    _rows_of,
     moran_dimension,
     stopping_set,
     stopping_sets,
@@ -68,11 +69,13 @@ class Direction:
     def __post_init__(self):
         self.vector = np.asarray(self.vector, dtype=np.float64)
         n = float(np.linalg.norm(self.vector))
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:
             raise ParameterError("direction vector must be unit length")
 
     @classmethod
     def from_angle(cls, beta: float) -> "Direction":
+        if not math.isfinite(beta):
+            raise ParameterError(f"direction angle must be finite, got {beta}")
         return cls(vector=np.array([math.cos(beta), math.sin(beta)]), angle=float(beta))
 
     @property
@@ -582,8 +585,8 @@ def conservation_profile(
 
     Qualifying offsets have slope above moran_dimension - 1 - epsilon.
     """
-    if epsilon <= 0.0:
-        raise ParameterError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ParameterError("epsilon must be positive and finite")
     if x_grid is None:
         x_grid = _default_grid(ifs, direction, scales, grid)
     clouds = _clouds_for_ifs(ifs, scales, budget)
@@ -610,8 +613,8 @@ def conservation_profile_sample(
     A given x_grid serves every direction; otherwise each direction gets
     its default grid.
     """
-    if epsilon <= 0.0:
-        raise ParameterError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ParameterError("epsilon must be positive and finite")
     if x_grid is None:
         grids = [_default_grid(ifs, w, scales, grid) for w in directions]
     else:
@@ -712,9 +715,9 @@ def _pruned_hits(ifs, growth, direction, xs, step, rho) -> np.ndarray:
         near = _grid_reach(step, *_radius_range(_cell_radii(ifs, maps[0], len(maps[2]))))
         if near is not None:
             cloud = CellCloud(*_cell_disks(ifs, *maps), scale=rho)
-            rows = np.flatnonzero(_reach_mask(cloud, direction, xs[0], *near))
-            growth.narrow(rows)
-            maps = tuple(np.take(v, rows, axis=0) if v.ndim else v for v in maps)
+            keep = _reach_mask(cloud, direction, xs[0], *near)
+            growth.narrow(keep)
+            maps = _rows_of(maps, keep)
         if not len(growth.hashes):
             return np.zeros(len(xs), dtype=bool)
         maps = _extend(*maps, ifs, growth.step())

@@ -427,6 +427,43 @@ def test_count_options_that_would_print_nan_exit_2(runner, args, named):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["sections", "--ifs", "sierpinski_carpet", "--beta"], "angle must be finite"),
+        (["sections", "--ifs", "sierpinski_carpet", "--eps"], "epsilon must be"),
+        (["probe", "--alpha", "0.5", "--seed", "1", "--beta"], "angle must be finite"),
+        (["fourier", "--seed", "1", "--beta"], "angle must be finite"),
+        (["fourier", "--seed", "1", "--tau"], "tau must be"),
+        (["exceptional", "--theta"], "theta must be finite"),
+        (["exceptional", "--b"], "b must be finite"),
+        (["exceptional", "--gamma"], "gamma must be finite"),
+    ],
+    ids=["sections-beta", "sections-eps", "probe-beta", "fourier-beta", "fourier-tau",
+         "exceptional-theta", "exceptional-b", "exceptional-gamma"],
+)
+def test_non_finite_float_options_exit_2(runner, args, named, value):
+    # each used to exit 0 with a vacuous result (a NaN test is always False),
+    # or 1 with a traceback
+    res = runner.invoke(main, args + [value])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and named in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("param, named", [("beta", "angle"), ("epsilon", "epsilon")])
+def test_non_finite_scenario_params_exit_2(runner, tmp_path, param, named, value):
+    # json reads NaN and Infinity; a NaN beta passed every offset
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {param: value, "scales": "3:-2:-5"}, "seed": 1}))
+    res = runner.invoke(main, ["sections-conservation", "--config", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and named in res.stderr
+    assert res.stdout == ""
+
+
 _PERCOLATE = ["percolate", "--ifs", "sierpinski_carpet", "--law", "standard:0.5",
               "--depth", "2", "--seeds", "2"]
 

@@ -427,9 +427,10 @@ def test_extend_in_blocks_is_the_one_shot_gather(name, shared, request, monkeypa
         for g, w in zip(got, want):
             assert np.ndim(g) == np.ndim(w)
             assert np.array_equal(g, w)
-    # evaluating the maps in blocks, in place or into a copy, is one-shot too
+    # evaluating the maps at the ball center in blocks, in place or into a
+    # copy, is one-shot too
     point = ifs.ball_center
-    centers = dl.geometry._apply_composed(*got, point)
+    centers, radii = dl.geometry._cell_disks(ifs, *got)
     if np.any(got[1] != 0.0):
         ca, sa = np.cos(got[1]), np.sin(got[1])
         rx = got[0] * (ca * point[0] - sa * point[1])
@@ -438,7 +439,8 @@ def test_extend_in_blocks_is_the_one_shot_gather(name, shared, request, monkeypa
     else:
         ref = np.asarray(got[0])[..., None] * point + got[2]
     assert np.array_equal(centers, ref)
-    in_place = dl.geometry._apply_composed(*got, point, in_place=True)
+    assert np.array_equal(radii, np.broadcast_to(ifs.ball_radius * got[0], len(ref)))
+    in_place, _ = dl.geometry._cell_disks(ifs, *got, in_place=True)
     assert in_place is got[2] and np.array_equal(in_place, ref)
 
 

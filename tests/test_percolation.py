@@ -442,16 +442,14 @@ def test_growing_and_box_counting_a_tree_peaks_near_two_bytes_per_drawn_slot():
     assert peak <= 2 * slots + 2 ** 20
 
 
-def test_symbols_and_codes_hold_an_alphabet_of_65536_maps():
-    # uint16 symbols wrapped the last of 2^16 symbols to 0, and its code to -1
+def test_symbols_and_intersections_hold_an_alphabet_of_65536_maps():
+    # uint16 symbols wrapped the last of 2^16 symbols to 0
     cfg = dl.mandelbrot_config(256, 2, 1.0)
     a, b = (dl.sample_tree(cfg.law, 1, seed) for seed in (3, 4))
     want = np.arange(1, 2 ** 16 + 1)
     for sample in (a, dl.intersect_samples(a, b)):
         sym = sample.symbols_at(1)
         assert sym.dtype == np.uint32 and np.array_equal(sym[:, 0], want)
-    codes = percolation._codes(np.zeros(1, dtype=np.int64), a.generations[1])
-    assert np.array_equal(codes, want - 1)
     batch = dl.batch_intersection_counts(cfg.law, [3], cfg.law, [4], 1)
     assert batch.tolist() == [[1, 2 ** 16]]
 
@@ -552,14 +550,19 @@ def test_cell_clouds_reject_generations_the_sample_lacks(carpet):
 
 
 def test_persistent_cloud_is_the_masked_full_cloud(carpet):
-    law = dl.standard_law(carpet, 0.6)
-    sample = dl.sample_tree(law, 5, seed=21)
-    masks = sample.persistent_masks()
-    for k in range(6):
-        centers, radii = sample.cell_cloud(carpet, k)
-        pc, pr = sample.cell_cloud(carpet, k, persistent=True)
-        assert np.array_equal(pc, centers[masks[k]])
-        assert np.array_equal(pr, radii[masks[k]])
+    # alpha 1.0 drops rows of generations 2, 3 and 4, below the deepest one
+    for alpha in (0.6, 1.0):
+        sample = dl.sample_tree(dl.standard_law(carpet, alpha), 5, seed=21)
+        masks = sample.persistent_masks()
+        whole = sample.cell_clouds(carpet, range(6))
+        # a ladder selects each generation's rows before its disks are made
+        ladder = sample.cell_clouds(carpet, range(6), persistent=True)
+        for k, ((centers, radii), rungs) in enumerate(zip(whole, ladder)):
+            for pc, pr in (rungs, sample.cell_cloud(carpet, k, persistent=True)):
+                assert np.array_equal(pc.view(np.uint64), centers[masks[k]].view(np.uint64))
+                assert np.array_equal(pr, radii[masks[k]])
+                # one ratio: the radii stay a broadcast of one radius
+                assert pr.strides == (0,)
 
 
 def _by_identity(obj):
@@ -771,13 +774,20 @@ def test_a_request_too_deep_for_its_budget_raises_before_any_draw(carpet, monkey
     assert len(drawn) == 2
 
 
-def test_batch_intersection_codes_must_fit_62_bits(carpet):
-    law = dl.uniform_law(carpet.m, 0.05)  # m = 8: 3 code bits per level
-    seeds = np.arange(8, dtype=np.uint64)  # 3 more bits for the tree index
-    one = dl.batch_intersection_counts(law, seeds[:1], law, seeds[:1], 20)
-    assert one.shape == (1, 21)
-    with pytest.raises(BudgetExceededError, match="code bits"):
-        dl.batch_intersection_counts(law, seeds, law, seeds, 20)
+def test_intersections_of_deep_trees_have_no_depth_cap(carpet):
+    # a depth-24 carpet generation has m^24 = 2^72 word slots per tree, more
+    # than an int64 can number
+    law = dl.uniform_law(carpet.m, 0.15)
+    seeds = np.arange(8, dtype=np.uint64)
+    batch = dl.batch_intersection_counts(law, seeds, law, seeds, 24)
+    assert batch.shape == (8, 25) and batch[:, -1].any()
+    for row, seed in zip(batch, seeds):
+        tree = dl.sample_tree(law, 24, int(seed))
+        assert np.array_equal(row, tree.counts())
+        both = dl.intersect_samples(tree, tree)
+        assert len(both.generations) == len(tree.generations)
+        for got, want in zip(both.generations, tree.generations):
+            assert got.dtype == bool and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,12 @@ def test_direction_from_angle_is_unit():
     assert d.dim == 2
     with pytest.raises(ParameterError):
         Direction(vector=np.array([1.0, 1.0]))
+    # a NaN norm fails every comparison, so the unit test must not pass it
+    with pytest.raises(ParameterError, match="unit length"):
+        Direction(vector=np.array([math.nan, 0.0]))
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            Direction.from_angle(beta)
 
 
 def test_count_slice_square_center_hits_all_four(square):
