@@ -18,7 +18,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import metadata
@@ -87,6 +86,10 @@ def parallel_map(fn, items) -> list:
     n = min(thread_count(), len(items))
     if n <= 1:
         return [fn(x) for x in items]
+    # imported here: concurrent.futures loads logging, queue and traceback,
+    # which a one-thread run never needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))
 

@@ -352,24 +352,34 @@ def _extend(ratios, angles, trans, ifs: IFS, keep=None):
     the block's bounds slice the tables as they are.  So no links are
     made for a whole generation.
     """
-    n, m = len(trans), ifs.m
+    size = len(trans) * ifs.m if keep is None else int(np.count_nonzero(keep))
+    return _fold(ratios, angles, trans, ifs, size, _parent_links(len(trans), ifs.m, keep))
+
+
+def _extend_blocks(ratios, angles, trans, ifs: IFS, keep):
+    """`_extend` one block of parent rows at a time: yields the children
+    of each block in turn, at most max(`_BLOCK_ROWS`, m) of them, so the
+    children are never held whole.  Each row is bitwise `_extend`'s."""
+    for link in _parent_links(len(trans), ifs.m, keep):
+        yield _fold(ratios, angles, trans, ifs, len(link[1]), [link])
+
+
+def _parent_links(n: int, m: int, keep):
+    """The links of `_extend` for n parent rows of m symbols: (parents,
+    rows, syms) per block of parent rows whose m children fit in
+    `_BLOCK_ROWS` slots (one parent when m exceeds it)."""
     parents = max(1, _BLOCK_ROWS // m)
     width = min(n, parents)
     row_of = np.repeat(np.arange(width), m)
     sym_of = np.tile(np.arange(m), width)
-
-    def links():
-        for lo in range(0, n, parents):
-            block = slice(lo, lo + parents)
-            c = (min(n, lo + parents) - lo) * m
-            if keep is None:
-                yield block, row_of[:c], sym_of[:c]
-            else:
-                slots = keep[block].reshape(-1)
-                yield block, np.compress(slots, row_of[:c]), np.compress(slots, sym_of[:c])
-
-    size = n * m if keep is None else int(np.count_nonzero(keep))
-    return _fold(ratios, angles, trans, ifs, size, links())
+    for lo in range(0, n, parents):
+        block = slice(lo, lo + parents)
+        c = (min(n, lo + parents) - lo) * m
+        if keep is None:
+            yield block, row_of[:c], sym_of[:c]
+        else:
+            slots = keep[block].reshape(-1)
+            yield block, np.compress(slots, row_of[:c]), np.compress(slots, sym_of[:c])
 
 
 def _extend_rows(ratios, angles, trans, ifs: IFS, rows, syms):

@@ -117,8 +117,8 @@ class OffspringLaw:
 
 def standard_law(ifs: IFS, alpha: float) -> OffspringLaw:
     """Retention probabilities r_i^alpha (alpha = 0 keeps everything)."""
-    if not alpha >= 0.0:
-        raise ParameterError("alpha must be >= 0")
+    if not 0.0 <= alpha < math.inf:
+        raise ParameterError(f"alpha must be >= 0 and finite, got {alpha}")
     retain = ifs.ratios ** alpha
     return OffspringLaw(
         kind="standard", m=ifs.m, retain=retain, meta={"alpha": float(alpha)}
@@ -241,18 +241,16 @@ class PercolationSample:
         """(centers, radii) of the surviving cylinder disks of each
         generation in ks, in the order of ks (repeats allowed).
 
-        One top-down pass folds the composed maps from the root to max(ks);
-        each generation's maps are dropped once the next one is folded
-        from them.  The deepest generation asked for has no successor, so
+        One top-down pass (`_folds`) folds the composed maps from the root
+        to max(ks).  The deepest generation asked for has no successor, so
         its translations become its centers in place; the others' centers
         are copies.  With `persistent`, one walk up the generations from
         the deepest one of the sample to min(ks) first gives the mask of
         each generation asked for, and only the maps' rows it keeps are
-        made into disks, in place once selected.
+        made into disks, in place once selected.  Every generation asked
+        for is held whole; `sections` counts a ladder's finest generation
+        a block at a time instead.
         """
-        # the keep masks are m wide; a depth-0 sample holds none
-        if self.depth and self.generations[-1].shape[1] != ifs.m:
-            raise ParameterError("sample alphabet does not match the IFS")
         if not 0 <= min(ks) <= max(ks) <= self.depth:
             raise ParameterError(f"generations must lie in 0..{self.depth}, got {ks}")
         top = max(ks)
@@ -260,15 +258,26 @@ class PercolationSample:
         if persistent:
             walk = zip(range(self.depth, -1, -1), self._persistent_walk(min(ks)))
             persist = {k: keep for k, keep in walk if k in ks}
-        maps = _identity_maps(ifs)
         disks = {}
-        for k, keep in enumerate(self.generations[: top + 1]):
-            if k:
-                maps = _extend(*maps, ifs, keep)
+        for k, maps in self._folds(ifs, top):
             if k in ks:
                 rows = _rows_of(maps, persist[k]) if persistent else maps
                 disks[k] = _cell_disks(ifs, *rows, in_place=k == top or rows is not maps)
         return [disks[k] for k in ks]
+
+    def _folds(self, ifs: IFS, top: int):
+        """(k, maps) for k = 0..top: each generation's composed maps, folded
+        from the root in one top-down pass, each from the one before.  The
+        pass drops a generation's maps once the next one is folded from
+        them, so it holds only the last ones it yielded."""
+        # the keep masks are m wide; a depth-0 sample holds none
+        if self.depth and self.generations[-1].shape[1] != ifs.m:
+            raise ParameterError("sample alphabet does not match the IFS")
+        maps = _identity_maps(ifs)
+        for k in range(top + 1):
+            if k:
+                maps = _extend(*maps, ifs, self.generations[k])
+            yield k, maps
 
 
 def _retained(

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DepthMismatchError,
@@ -27,6 +28,7 @@ from .geometry import (
     _cell_disks,
     _cell_radii,
     _extend,
+    _extend_blocks,
     _identity_maps,
     _row_blocks,
     _rows_of,
@@ -144,43 +146,32 @@ def slice_counts(cloud: CellCloud, direction: Direction, xs) -> np.ndarray:
     sorted projection, counted a block at a time without being stored.
     Otherwise the projection's own buffer becomes the lower ends.
 
-    Only the disks that can reach a flat are counted.  For G >= 2 offsets
-    with step h = (x_{G-1} - x_0)/(G - 1) and dev = max_j |x_j - (x_0 +
-    j*h)|, a disk is kept when |u - rint(u)| <= reach, where u = (p -
-    x_0)/h and reach = (r_max + dev)/h + eta, eta = 2^-40 * (G + (|x_0| +
-    |x_{G-1}| + r_max)/h); `_reach` says when no disk could be dropped.
-    Why no count moves: a disk meeting x_j has |p - x_j| <= r plus
-    rounding, so |u - j| <= reach; rint(u) is a nearest integer, so
-    |u - rint(u)| <= |u - j|, and u - rint(u) is exact (Sterbenz).  A
-    dropped disk therefore meets no flat: every x is below both its ends
-    or above both (r >= 0, so fl(p - r) <= fl(p + r)), and it adds the
-    same 0 or 1 to the lower-end and the upper-end count.  With eps =
-    2^-53, the rounding of the disk ends, of dev, of u and of reach adds
-    at most eps * (8G + 2(|x_0| + r_max)/h) to |u - j| (using reach <
-    1/2, so r_max and dev are below h/2 and |u - j| < G for a disk that
-    meets x_j), which eta exceeds by a factor of at least 2^10.
+    Only the disks that can reach a flat are counted, a block of rows at a
+    time (`_Tally`).  For G >= 2 offsets with step h = (x_{G-1} - x_0)/(G
+    - 1) and dev = max_j |x_j - (x_0 + j*h)|, a disk is kept when |u -
+    rint(u)| <= reach, where u = (p - x_0)/h and reach = (r_max + dev)/h
+    + eta, eta = 2^-40 * (G + (|x_0| + |x_{G-1}| + r_max)/h), with r_max
+    the largest radius of the disk's block; `_reach` says when no disk of
+    a block could be dropped.  Why no count moves: a disk meeting x_j has
+    |p - x_j| <= r plus rounding, so |u - j| <= reach; rint(u) is a
+    nearest integer, so |u - rint(u)| <= |u - j|, and u - rint(u) is exact
+    (Sterbenz).  A dropped disk therefore meets no flat: every x is below
+    both its ends or above both (r >= 0, so fl(p - r) <= fl(p + r)), and
+    it adds the same 0 or 1 to the lower-end and the upper-end count.
+    With eps = 2^-53, the rounding of the disk ends, of dev, of u and of
+    reach adds at most eps * (8G + 2(|x_0| + r_max)/h) to |u - j| (using
+    reach < 1/2, so r_max and dev are below h/2 and |u - j| < G for a
+    disk that meets x_j), which eta exceeds by a factor of at least 2^10.
+    So the counts do not depend on how the disks are split into blocks.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    radii = cloud.radii
+    centers, radii = cloud.centers, cloud.radii
+    n = len(centers)
     r_min, r_max = _radius_range(radii)
-    shared = r_min == r_max
-    near = _reach(xs, r_min, r_max)
-    if near is None:
-        proj = cloud.project(direction)
-    else:
-        proj, kept = _near_flats(cloud, direction, xs[0], *near, shared)
-        if not shared:
-            radii = kept
-    if shared:
-        proj.sort()
-        r = cloud.radii[0]
-        lo_count = _shifted_count(proj, -r, xs, "right")
-        return lo_count - _shifted_count(proj, r, xs, "left")
-    hi = proj + radii
-    lo = np.subtract(proj, radii, out=proj)
-    lo.sort()
-    hi.sort()
-    return np.searchsorted(lo, xs, side="right") - np.searchsorted(hi, xs, side="left")
+    tally = _Tally(direction, xs, n, shared=r_min == r_max)
+    scratch = _reach_scratch(min(n, geometry._BLOCK_ROWS))
+    for b in _row_blocks(n):
+        tally.add(centers[b], radii[b], scratch)
+    return tally.counts()
 
 
 def _radius_range(radii):
@@ -231,70 +222,108 @@ def _grid_reach(step, r_min, r_max):
     return h, reach
 
 
-def _reach_blocks(cloud, direction, x0, h, reach):
-    """The reach test of `slice_counts`, one row block at a time.
+def _reach_scratch(width):
+    """Scratch for `_reach_step` on blocks of up to `width` disks: made
+    once per pass over a cloud or a folded generation."""
+    return np.empty(max(width, 2)), np.empty((2, width)), np.empty(width, dtype=bool)
 
-    Yields (b, p, keep) for each block b of the cloud's rows: the disks'
-    projections and which of them are within reach of a flat, |u -
-    rint(u)| <= reach with u = (p - x0)/h.  p and keep are views of one
-    block's scratch, overwritten by the next block.
+
+def _reach_step(centers, w, x0, near, scratch):
+    """The reach test of `slice_counts` on one block of disks.
+
+    Returns (p, keep): the disks' projections onto w and which of them
+    are within reach of a flat, |u - rint(u)| <= reach with u = (p - x0)/h
+    for near = (h, reach); keep is None when near is None (every disk is
+    kept).  Both are views of the scratch, overwritten by the next block.
 
     A block of two or more rows projects through the same BLAS product as
-    the whole cloud, row for row bitwise; numpy takes a one-row product
-    through a dot, which rounds differently.  So a one-row last block is
-    projected together with the row before it, as the whole cloud is, and
-    a one-row cloud as two copies of its row: a disk's projection does not
-    depend on which other disks share its cloud.
+    a whole cloud, row for row bitwise; numpy takes a one-row product
+    through a dot, which rounds differently.  So a one-row block is
+    projected as two copies of its row: a disk's projection does not
+    depend on which other disks share its block.
     """
-    centers, w = cloud.centers, direction.vector
+    p_buf, (u_buf, t_buf), keep_buf = scratch
     n = len(centers)
     if n == 1:
         centers = np.repeat(centers, 2, axis=0)
-    width = min(n, geometry._BLOCK_ROWS)
-    p_buf = np.empty(max(width, 2))
-    u_buf, t_buf = np.empty((2, width))
-    keep_buf = np.empty(width, dtype=bool)
-    for b in _row_blocks(n):
-        start, stop = b.start, min(b.stop, n)
-        first = max(0, min(start, stop - 2))
-        last = max(stop, first + 2)  # past stop only into a one-row cloud's copy
-        size = stop - start
-        u, t, keep = u_buf[:size], t_buf[:size], keep_buf[:size]
-        # rows beyond the float range give inf - inf = nan here, and are dropped
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = np.matmul(centers[first:last], w, out=p_buf[:last - first])
-            p = p[start - first:stop - first]
-            np.subtract(p, x0, out=u)
-            u /= h
-            np.rint(u, out=t)
-            u -= t
-            np.less_equal(np.abs(u, out=u), reach, out=keep)
-        yield b, p, keep
+    # rows beyond the float range give inf - inf = nan here, and are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.matmul(centers, w, out=p_buf[:len(centers)])[:n]
+        if near is None:
+            return p, None
+        h, reach = near
+        u, t, keep = u_buf[:n], t_buf[:n], keep_buf[:n]
+        np.subtract(p, x0, out=u)
+        u /= h
+        np.rint(u, out=t)
+        u -= t
+        np.less_equal(np.abs(u, out=u), reach, out=keep)
+    return p, keep
 
 
-def _near_flats(cloud, direction, x0, h, reach, shared):
-    """Projections (and radii, unless shared) of the disks kept by the reach
-    test, in cloud order, compacted to the front of arrays of the cloud's
-    length."""
-    n = len(cloud.centers)
-    proj = np.empty(n)
-    kept = None if shared else np.empty(n)
-    k = 0
-    for b, p, keep in _reach_blocks(cloud, direction, x0, h, reach):
-        m = np.count_nonzero(keep)
-        np.compress(keep, p, out=proj[k:k + m])
-        if kept is not None:
-            np.compress(keep, cloud.radii[b], out=kept[k:k + m])
-        k += m
-    return proj[:k], None if kept is None else kept[:k]
+class _Tally:
+    """`slice_counts` of one direction and grid for disks fed a block at
+    a time: the counts of every disk fed, in any blocks.
+
+    Each block's reach comes from its own radii, and the projections (and
+    radii, unless every disk has the one radius) of the disks its reach
+    test keeps are compacted, in the order fed, to the front of buffers of
+    n rows; memory past the kept prefix is never written.
+    """
+
+    def __init__(self, direction: Direction, xs, n: int, shared: bool):
+        self.w = direction.vector
+        self.xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+        self.step = _grid_step(self.xs)
+        self.proj = np.empty(n)
+        self.radii = None if shared else np.empty(n)
+        self.r = 0.0  # the shared radius, once a disk is fed
+        self.kept = 0
+
+    def add(self, centers, radii, scratch) -> None:
+        if not len(centers):
+            return
+        near = _grid_reach(self.step, *_radius_range(radii))
+        p, keep = _reach_step(centers, self.w, self.xs[0], near, scratch)
+        k = self.kept
+        if keep is None:
+            m = len(p)
+            self.proj[k:k + m] = p
+            if self.radii is not None:
+                self.radii[k:k + m] = radii
+        else:
+            m = int(np.count_nonzero(keep))
+            np.compress(keep, p, out=self.proj[k:k + m])
+            if self.radii is not None:
+                np.compress(keep, radii, out=self.radii[k:k + m])
+        if self.radii is None:
+            self.r = radii[0]
+        self.kept = k + m
+
+    def counts(self) -> np.ndarray:
+        """The counts of the disks fed; the buffers are spent."""
+        xs, proj = self.xs, self.proj[:self.kept]
+        if self.radii is None:
+            proj.sort()
+            return _shifted_count(proj, -self.r, xs, "right") - _shifted_count(
+                proj, self.r, xs, "left"
+            )
+        radii = self.radii[:self.kept]
+        hi = proj + radii
+        lo = np.subtract(proj, radii, out=proj)
+        lo.sort()
+        hi.sort()
+        return np.searchsorted(lo, xs, side="right") - np.searchsorted(hi, xs, side="left")
 
 
 def _reach_mask(cloud, direction, x0, h, reach):
     """Which disks of the cloud are within reach of a flat, by the test
     `slice_counts` makes with the (h, reach) that `_reach` gives."""
-    keep = np.empty(len(cloud.centers), dtype=bool)
-    for b, _, block_keep in _reach_blocks(cloud, direction, x0, h, reach):
-        keep[b] = block_keep
+    n = len(cloud.centers)
+    keep = np.empty(n, dtype=bool)
+    scratch = _reach_scratch(min(n, geometry._BLOCK_ROWS))
+    for b in _row_blocks(n):
+        keep[b] = _reach_step(cloud.centers[b], direction.vector, x0, (h, reach), scratch)[1]
     return keep
 
 
@@ -370,12 +399,13 @@ def _line_fit(x, ys):
     ys is a stack of series (k, n); returns (slope, intercept, r2) as
     arrays of k.  The design is built once, as np.polyfit builds it: the
     Vandermonde columns scaled to unit norm, and rcond = n * eps.  Each
-    series then gets its own lstsq call, divided by the column scale, so
-    each line is bitwise polyfit's; LAPACK solves a stacked right-hand
-    side in another order and moves last bits.  The sums run along the
-    contiguous last axis, so each series of a stack is summed exactly as
-    on its own.  Series with the same bits have the same solution, so
-    each distinct one is solved once and its line shared.
+    series is then solved on its own (`_lstsq`, one LAPACK solve per
+    series) and divided by the column scale, so each line is bitwise
+    polyfit's; LAPACK solves a stacked right-hand side in another order
+    and moves last bits.  The sums run along the contiguous last axis, so
+    each series of a stack is summed exactly as on its own.  Series with
+    the same bits have the same solution, so each distinct one is solved
+    once and its line shared.
     """
     x = np.asarray(x, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
@@ -385,12 +415,11 @@ def _line_fit(x, ys):
     rcond = len(x) * np.finfo(np.float64).eps
     # bit patterns, not values: -0.0 and 0.0 may solve to different bits
     distinct, inverse = np.unique(ys.view(np.uint64), axis=0, return_inverse=True)
-    coef = np.empty((len(distinct), 2))
-    for i, y in enumerate(distinct.view(np.float64)):
-        c, _, rank, _ = np.linalg.lstsq(lhs, y, rcond)
-        if rank < 2:
-            warnings.warn("Polyfit may be poorly conditioned", _RankWarning, stacklevel=2)
-        coef[i] = c / scale
+    series = distinct.view(np.float64)
+    c, rank = _lstsq(np.broadcast_to(lhs, (len(series),) + lhs.shape), series[..., None], rcond)
+    if np.any(rank < 2):
+        warnings.warn("Polyfit may be poorly conditioned", _RankWarning, stacklevel=2)
+    coef = c[..., 0] / scale
     slope, intercept = coef[inverse.reshape(-1)].T
     resid = ys - (slope[:, None] * x + intercept[:, None])
     ss_res = np.sum(resid ** 2, axis=1)
@@ -398,6 +427,28 @@ def _line_fit(x, ys):
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(ss_tot <= 1e-30, 1.0 * (ss_res <= 1e-30), 1.0 - ss_res / ss_tot)
     return slope, intercept, r2
+
+
+def _lstsq(a, b, rcond):
+    """np.linalg.lstsq of each design a[i] (m, n) against its right-hand
+    sides b[i] (m, r), in one call of the LAPACK gufunc that lstsq itself
+    calls per pair: (solutions (k, n, r), ranks (k,)), each bitwise a
+    separate lstsq's.  numpy 1.x splits that gufunc by the design's shape,
+    as lstsq there does.  A solve that fails raises LinAlgError, as in
+    lstsq."""
+    m, n = a.shape[-2:]
+    solve = getattr(_umath_linalg, "lstsq", None)
+    if solve is None:
+        solve = _umath_linalg.lstsq_m if m <= n else _umath_linalg.lstsq_n
+    with np.errstate(
+        call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        c, _, rank, _ = solve(a, b, rcond, signature="ddd->ddid")
+    return c, rank
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def _clouds_for_ifs(ifs, scales, budget) -> list:
@@ -536,11 +587,11 @@ def _default_grid(ifs: IFS, direction: Direction, scales, grid: int) -> np.ndarr
     return np.linspace(lo, hi, grid)
 
 
-def _profile_from_clouds(
-    clouds, direction, epsilon, threshold_dim, x_grid, scales
+def _profile_from_counts(
+    counts, direction, epsilon, threshold_dim, x_grid, scales
 ) -> ConservationProfile:
+    """The profile of (scales, offsets) slice counts in one direction."""
     scales = np.asarray(scales, dtype=np.float64)
-    counts = np.stack([slice_counts(c, direction, x_grid) for c in clouds])
     n_x = len(x_grid)
     slopes = np.full(n_x, np.nan)
     r2 = np.full(n_x, np.nan)
@@ -589,9 +640,10 @@ def conservation_profile(
         raise ParameterError("epsilon must be positive and finite")
     if x_grid is None:
         x_grid = _default_grid(ifs, direction, scales, grid)
-    clouds = _clouds_for_ifs(ifs, scales, budget)
-    return _profile_from_clouds(
-        clouds, direction, epsilon, moran_dimension(ifs), np.asarray(x_grid), scales
+    x_grid = np.asarray(x_grid)
+    counts = [slice_counts(c, direction, x_grid) for c in _clouds_for_ifs(ifs, scales, budget)]
+    return _profile_from_counts(
+        np.stack(counts), direction, epsilon, moran_dimension(ifs), x_grid, scales
     )
 
 
@@ -611,7 +663,9 @@ def conservation_profile_sample(
     dim_formula is the almost-sure dimension of the surviving set (from
     percolation_dimension); qualifying means slope > dim_formula - 1 - eps.
     A given x_grid serves every direction; otherwise each direction gets
-    its default grid.
+    its default grid.  The counts are `slice_counts` of each scale's
+    generation (`_ladder_counts`), but the finest generation is never
+    held whole.
     """
     if not 0.0 < epsilon < math.inf:
         raise ParameterError("epsilon must be positive and finite")
@@ -619,11 +673,54 @@ def conservation_profile_sample(
         grids = [_default_grid(ifs, w, scales, grid) for w in directions]
     else:
         grids = [np.asarray(x_grid)] * len(directions)
-    clouds = _clouds_for_sample(sample, ifs, scales)
+    ks = [generation_for_scale(sample, ifs, rho) for rho in scales]
+    counts = _ladder_counts(sample, ifs, set(ks), directions, grids)
     return [
-        _profile_from_clouds(clouds, w, epsilon, dim_formula, xs, scales)
-        for w, xs in zip(directions, grids)
+        _profile_from_counts(
+            np.stack([counts[k][i] for k in ks]), w, epsilon, dim_formula, xs, scales
+        )
+        for i, (w, xs) in enumerate(zip(directions, grids))
     ]
+
+
+def _ladder_counts(sample, ifs, ks, directions, grids) -> dict:
+    """Slice counts of the sample's generations ks against each direction
+    and its grid: {k: [counts per direction]}, from one top-down fold.
+
+    The coarser generations are folded by the sample (`_folds`), and each
+    one asked for is made into disks, counted and dropped.  The finest,
+    which holds most of the disks, is folded from its parent's maps a
+    block of parent rows at a time (`_extend_blocks`); each block's disks
+    are made in place and fed to one `_Tally` per direction, which keeps
+    only the projections its reach test passes.  Its centers never exist
+    whole, and its counts are `slice_counts` of its whole cloud: each disk
+    is bitwise the whole fold's, projects to the same bits in any block,
+    and no dropped disk meets a flat.
+    """
+    top = max(ks)
+    counts = {}
+    maps = _identity_maps(ifs)  # the root's, when the finest is the root
+    for k, maps in sample._folds(ifs, top - 1):
+        if k in ks:
+            counts[k] = _cloud_counts(ifs, maps, directions, grids)
+    keep = sample.generations[top]
+    blocks = _extend_blocks(*maps, ifs, keep) if top else [maps]
+    n = int(np.count_nonzero(keep))
+    shared = maps[0].ndim == 0  # one ratio, so one radius
+    tallies = [_Tally(w, xs, n, shared) for w, xs in zip(directions, grids)]
+    scratch = _reach_scratch(min(n, max(geometry._BLOCK_ROWS, ifs.m)))
+    for block in blocks:
+        centers, radii = _cell_disks(ifs, *block, in_place=True)
+        for tally in tallies:
+            tally.add(centers, radii, scratch)
+    counts[top] = [tally.counts() for tally in tallies]
+    return counts
+
+
+def _cloud_counts(ifs, maps, directions, grids) -> list:
+    """`slice_counts` of the disks of composed maps per direction."""
+    cloud = CellCloud(*_cell_disks(ifs, *maps), scale=math.nan)
+    return [slice_counts(cloud, w, xs) for w, xs in zip(directions, grids)]
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +805,7 @@ def _pruned_hits(ifs, growth, direction, xs, step, rho) -> np.ndarray:
     A node's keep draw depends only on its path hash, so the subtrees kept
     grow as in the whole tree, their deepest disks are bitwise the whole
     tree's, and each disk projects to the same bits in any cloud
-    (`_reach_blocks`): every slice count is the whole generation's.
+    (`_reach_step`): every slice count is the whole generation's.
     """
     maps = _identity_maps(ifs)
     while growth.left:

@@ -316,6 +316,23 @@ def test_percolate_rejects_bad_law_spec(runner, tmp_path, spec, table, named):
     assert isinstance(res.exception, SystemExit)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["probe", "--alpha", "inf", "--seed", "1", "--trials", "2", "--depth", "3",
+         "--grid", "4"],
+        ["percolate", "--ifs", "sierpinski_carpet", "--law", "standard:inf",
+         "--depth", "2", "--seeds", "2", "--seed", "1"],
+    ],
+    ids=["probe", "percolate"],
+)
+def test_an_infinite_alpha_is_rejected(runner, args):
+    # r^inf = 0 would retain nothing: every hit frequency 0, every tree extinct
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and "alpha must be >= 0 and finite" in res.stderr
+
+
 def test_mandelbrot_supercritical_echoes_dimension(runner):
     res = runner.invoke(
         main,

@@ -268,6 +268,30 @@ def test_sections_conservation_peak_rss_in_a_fresh_process():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_mandelbrot_slices_peak_rss_in_a_fresh_process():
+    # one p=0.85 depth-7 sample profiled in three directions, with BLAS and
+    # dimlab on one thread; the child reads its own VmHWM (see the
+    # percolate-dim test below)
+    code = (
+        "from dimlab.experiments import run_scenario\n"
+        "run_scenario('mandelbrot-slices', params={'samples': 1}, seed=7)\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+    )
+    src = os.path.dirname(os.path.dirname(dl.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", DIMLAB_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=300,
+    )
+    peak_mb = int(done.stdout.split()[-1]) / 1024
+    # 57.7 MB here, 34.7 MB of it the imports; holding the finest
+    # generation's centers (1.39M disks) while its slices were counted
+    # peaked at 68.9 MB
+    assert peak_mb <= 64, peak_mb
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_percolate_dim_peak_rss_in_a_fresh_process():
     # four depth-8 trees grown and box-counted one after another, with BLAS
     # and dimlab on one thread.  The child reads its VmHWM (KiB), the peak

@@ -153,14 +153,13 @@ def test_the_reach_filter_drops_most_fine_disks(beta, equal_radii, rng_np, monke
     cloud = CellCloud(centers=centers, radii=radii, scale=h)
     d = Direction.from_angle(beta)
     kept = []
-    near_flats = dl.sections._near_flats
+    counts = dl.sections._Tally.counts
 
-    def spy(*args):
-        out = near_flats(*args)
-        kept.append(len(out[0]))
-        return out
+    def spy(tally):
+        kept.append(tally.kept)
+        return counts(tally)
 
-    monkeypatch.setattr(dl.sections, "_near_flats", spy)
+    monkeypatch.setattr(dl.sections._Tally, "counts", spy)
     got = dl.slice_counts(cloud, d, xs)
     assert len(kept) == 1 and 0 < kept[0] < n // 2
     assert got.tolist() == _direct_counts(cloud, d, xs)
@@ -179,12 +178,13 @@ def test_the_reach_needs_the_grid_deviation(monkeypatch):
     want = _direct_counts(cloud, d, xs)
     assert want[5] == 1
     assert dl.slice_counts(cloud, d, xs).tolist() == want
-    reach = dl.sections._reach
+    grid_step = dl.sections._grid_step
 
-    def without_dev(xs, r_min, r_max):
-        return reach(np.linspace(xs[0], xs[-1], len(xs)), r_min, r_max)
+    def without_dev(xs):
+        g, h, _, ends = grid_step(xs)
+        return g, h, 0.0, ends
 
-    monkeypatch.setattr(dl.sections, "_reach", without_dev)
+    monkeypatch.setattr(dl.sections, "_grid_step", without_dev)
     got = dl.slice_counts(cloud, d, xs).tolist()
     assert got[5] == 0 and got[:5] == want[:5] and got[6:] == want[6:]
 
@@ -202,6 +202,17 @@ def _projection_clouds(carpet):
     yield rng.normal(0.0, 1e6, (2500, 2))
 
 
+def _reach_step_projections(centers, d):
+    """The projections the reach step makes of each block, joined."""
+    scratch = dl.sections._reach_scratch(min(len(centers), dl.geometry._BLOCK_ROWS))
+    parts = []
+    for b in dl.geometry._row_blocks(len(centers)):
+        p, keep = dl.sections._reach_step(centers[b], d.vector, 0.0, (1.0, 1.0), scratch)
+        assert keep.all()
+        parts.append(p.copy())
+    return np.concatenate(parts)
+
+
 @pytest.mark.parametrize("block_rows", [7, 1024])
 def test_blockwise_projection_is_bitwise_the_whole_projection(
     block_rows, carpet, monkeypatch
@@ -209,27 +220,25 @@ def test_blockwise_projection_is_bitwise_the_whole_projection(
     # the reach filter projects a block at a time and must see the bits of
     # centers @ w.  numpy takes a one-row product through a dot that rounds
     # otherwise, so one-row last blocks are checked only through
-    # _near_flats, which projects them with the row before.  Reach 1 keeps
-    # every disk, so the kept prefix is all of it.
+    # _reach_step, which projects them as two copies of the row.  Reach 1
+    # keeps every disk, so the kept projections are all of them.
     monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", block_rows)
     one_row_tails = 0
     for centers in _projection_clouds(carpet):
         n = len(centers)
         assert n > 2 * block_rows
         one_row_tails += n % block_rows == 1
-        cloud = CellCloud(centers=centers, radii=np.zeros(n), scale=1.0)
         for beta in (0.0, 0.5, 1.0, 1.75, 2.7):
             d = Direction.from_angle(beta)
             want = (centers @ d.vector).view(np.uint64)
             for b in dl.geometry._row_blocks(n):
                 if len(centers[b]) >= 2:
                     assert np.array_equal((centers[b] @ d.vector).view(np.uint64), want[b])
-            got, _ = dl.sections._near_flats(cloud, d, 0.0, 1.0, 1.0, True)
+            got = _reach_step_projections(centers, d)
             assert np.array_equal(got.view(np.uint64), want)
             # a cloud of one of these rows projects it to the same bits
             for i in (0, n // 2, n - 1):
-                one = CellCloud(centers=centers[i:i + 1], radii=np.zeros(1), scale=1.0)
-                got, _ = dl.sections._near_flats(one, d, 0.0, 1.0, 1.0, True)
+                got = _reach_step_projections(centers[i:i + 1], d)
                 assert got.view(np.uint64).tolist() == [want[i]]
     assert one_row_tails > 0
 
@@ -278,17 +287,19 @@ def test_line_fit_is_polyfit_per_series(n, rng_np, monkeypatch):
     # repeated rows, and rows equal in value but not in bits (0.0 and -0.0)
     zero = np.zeros((1, n))
     ys = np.vstack([series, series[rng_np.integers(0, 300, 200)], zero, -zero, zero])
-    solves = []
-    lstsq = np.linalg.lstsq
+    calls, solves = [], []
+    lstsq = dl.sections._lstsq
 
-    def counted(*args, **kwargs):
-        solves.append(args[1].tobytes())
-        return lstsq(*args, **kwargs)
+    def counted(a, b, rcond):
+        calls.append(len(b))
+        solves.extend(np.ascontiguousarray(rhs[:, 0]).tobytes() for rhs in b)
+        return lstsq(a, b, rcond)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    monkeypatch.setattr(dl.sections, "_lstsq", counted)
     slope, intercept, _ = dl.sections._line_fit(x, ys)
     monkeypatch.undo()
-    # one solve per distinct series
+    # one batched call, one solve in it per distinct series
+    assert len(calls) == 1
     assert sorted(solves) == sorted({y.tobytes() for y in ys})
     # bitwise polyfit: compared as bits, so that -0.0 is not 0.0
     want = np.array([np.polyfit(x, y, 1) for y in ys]).view(np.uint64)
@@ -486,11 +497,13 @@ def test_profile_sample_masks_are_consistent():
 
 
 def test_a_sample_profile_holds_no_generation_sized_scratch(monkeypatch):
-    # the deepest generation's translations become its centers and its
-    # slices are counted from one sorted projection: 24 bytes per deepest
-    # cell, 16 per cell of each coarser generation asked for, and one
-    # block's temporaries.  A one-shot gather, a separate centers array and
-    # stored disk ends peaked at about 46 bytes per deepest cell here.
+    # the deepest generation is folded and counted a block at a time: 8
+    # bytes per deepest cell for the projections its reach test keeps
+    # (traced in full, though only the kept prefix is written), 32 per cell
+    # of the coarser generations (maps and disks) and a few blocks'
+    # temporaries.  Holding its centers peaked at 29.5 bytes per deepest
+    # cell here, and a one-shot gather, a separate centers array and
+    # stored disk ends before that at about 46.
     monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", 1024)
     cfg = dl.mandelbrot_config(3, 2, 0.85)
     sample, _ = dl.sample_surviving_tree(cfg.law, 5, seed=7)
@@ -507,7 +520,7 @@ def test_a_sample_profile_holds_no_generation_sized_scratch(monkeypatch):
     finally:
         tracemalloc.stop()
     assert counts[5] > 16 * 1024
-    assert peak <= 24 * counts[5] + 16 * counts[2:5].sum() + 64 * 1024 + 2 ** 16
+    assert peak <= 8 * counts[5] + 32 * counts[2:5].sum() + 96 * 1024 + 2 ** 16
 
 
 def _same_profile(a, b):
@@ -524,13 +537,20 @@ def test_a_multi_direction_profile_is_the_single_direction_profiles(x_grid, monk
     scales = [cfg.ifs.diameter_proxy * 3.0 ** -k for k in (5, 2, 3, 4)]
     directions = [Direction.from_angle(b) for b in (0.0, 0.5, 1.0, 2.2)]
     folds = []
-    extend = dl.percolation._extend
+    extend, extend_blocks = dl.percolation._extend, dl.sections._extend_blocks
 
     def counted(*args):
         folds.append(np.count_nonzero(args[4]))
         return extend(*args)
 
+    def counted_blocks(*args):
+        folds.append(np.count_nonzero(args[4]))
+        return extend_blocks(*args)
+
+    # the sample folds the coarser generations, and the finest is folded
+    # a block of parent rows at a time
     monkeypatch.setattr(dl.percolation, "_extend", counted)
+    monkeypatch.setattr(dl.sections, "_extend_blocks", counted_blocks)
     profiles = dl.conservation_profile_sample(
         sample, cfg.ifs, cfg.dimension, directions, 0.25, scales, grid=96, x_grid=x_grid
     )
@@ -546,6 +566,105 @@ def test_a_multi_direction_profile_is_the_single_direction_profiles(x_grid, monk
     # a given grid serves every direction; default grids follow the direction
     same_grid = np.array_equal(profiles[0].x_grid, profiles[2].x_grid)
     assert same_grid == (x_grid is not None)
+
+
+def _uneven_grid(lo, hi, n):
+    u = np.linspace(-1.0, 1.0, n)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.sign(u) * u ** 2
+
+
+def _held_profiles(sample, ifs, dim, directions, epsilon, scales, grids):
+    """The profiles of every scale's whole cloud: each generation held
+    by `cell_clouds`, and counted by `slice_counts`."""
+    ks = [dl.sections.generation_for_scale(sample, ifs, rho) for rho in scales]
+    clouds = [CellCloud(*c, scale=rho) for c, rho in zip(sample.cell_clouds(ifs, ks), scales)]
+    return [
+        dl.sections._profile_from_counts(
+            np.stack([dl.slice_counts(c, w, xs) for c in clouds]), w, epsilon, dim, xs, scales
+        )
+        for w, xs in zip(directions, grids)
+    ]
+
+
+def _mandelbrot(p):
+    cfg = dl.mandelbrot_config(3, 2, p)
+    return cfg.ifs, cfg.law, cfg.dimension
+
+
+def _standard(name, alpha):
+    def make(request):
+        ifs = request.getfixturevalue(name)
+        return ifs, dl.standard_law(ifs, alpha), 1.0
+    return make
+
+
+# system, depth, seeds, beta lists, grid, x grid, rows per block
+_LADDERS = {
+    "default grids": (lambda r: _mandelbrot(0.85), 5, (3, 8), ([0.0, 0.5, 1.0], [2.2]),
+                      64, None, None),
+    "shared grid": (lambda r: _mandelbrot(0.7), 5, (4, 11), ([0.3, 2.2], [1.0]),
+                    None, np.linspace(0.1, 0.9, 48), None),
+    "reach keeps every disk": (lambda r: _mandelbrot(0.85), 4, (2, 5), ([0.7], [0.0, 1.6]),
+                               None, _uneven_grid(0.05, 0.95, 101), None),
+    "0 or 1 child per block": (lambda r: _mandelbrot(0.4), 6, (1, 7), ([0.0, 0.9], [2.5]),
+                               64, None, 9),
+    "unequal ratios": (_standard("mixed", 0.4), 7, (2, 9), ([0.7, 2.0], [0.1]),
+                       None, np.linspace(0.0, 0.8, 96), None),
+    "rotations": (_standard("rot3", 0.45), 6, (5, 7), ([0.2], [1.1, 2.9]),
+                  None, np.linspace(-0.4, 0.5, 64), 64),
+}
+
+
+@pytest.mark.parametrize("case", list(_LADDERS))
+def test_a_ladder_profile_is_the_profile_of_held_clouds(case, request, monkeypatch):
+    # the finest generation is counted a block at a time as it is folded;
+    # its counts and fits must be bitwise those of its whole cloud
+    build, depth, seeds, beta_lists, grid, x_grid, block_rows = _LADDERS[case]
+    ifs, law, dim = build(request)
+    if block_rows is not None:
+        monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", block_rows)
+    # what each tally counts: its kept projections, sorted (one radius) or
+    # made into sorted lower ends
+    tallied = []
+    counts = dl.sections._Tally.counts
+
+    def spy(tally):
+        out = counts(tally)
+        tallied.append(tally.proj[:tally.kept].view(np.uint64).copy())
+        return out
+
+    monkeypatch.setattr(dl.sections._Tally, "counts", spy)
+    rmax = float(ifs.ratios.max())
+    scales = [ifs.diameter_proxy * rmax ** k for k in range(2, depth + 1)][::-1]
+    for seed in seeds:
+        sample, _ = dl.sample_surviving_tree(law, depth, seed=seed)
+        kept = sample.generations[depth].sum(axis=1)
+        if case == "0 or 1 child per block":
+            assert {0, 1} <= set(kept.tolist())
+        for betas in beta_lists:
+            directions = [Direction.from_angle(b) for b in betas]
+            if x_grid is None:
+                grids = [dl.sections._default_grid(ifs, w, scales, grid) for w in directions]
+            else:
+                grids = [x_grid] * len(directions)
+            tallied.clear()
+            got = dl.conservation_profile_sample(
+                sample, ifs, dim, directions, 0.25, scales, grid=grid or 512, x_grid=x_grid
+            )
+            streamed = tallied[-len(directions):]
+            tallied.clear()
+            want = _held_profiles(sample, ifs, dim, directions, 0.25, scales, grids)
+            for a, b in zip(got, want):
+                assert _same_profile(a, b)
+                assert a.counts[0].any()
+            if ifs.equal_ratio:
+                # one radius, so one reach for any blocks: the finest disks
+                # kept are the held cloud's, projected to the same bits
+                held = tallied[::len(scales)]
+                assert all(np.array_equal(a, b) for a, b in zip(streamed, held))
+            if case == "reach keeps every disk":
+                radii = sample.cell_cloud(ifs, depth)[1]
+                assert dl.sections._reach(x_grid, *dl.sections._radius_range(radii)) is None
 
 
 def _per_offset_fits(profile, scales):
@@ -638,11 +757,6 @@ def _whole_tree_probe(ifs, alpha, direction, depth, trials, seed, xs):
         cloud = CellCloud(*sample.cell_cloud(ifs, depth), scale=1.0)
         counts[t] = dl.slice_counts(cloud, direction, xs)
     return counts, survived
-
-
-def _uneven_grid(lo, hi, n):
-    u = np.linspace(-1.0, 1.0, n)
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.sign(u) * u ** 2
 
 
 # system, alpha, beta, depth, x grid, and what the reach test does
