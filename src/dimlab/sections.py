@@ -168,7 +168,7 @@ def slice_counts(cloud: CellCloud, direction: Direction, xs) -> np.ndarray:
     n = len(centers)
     r_min, r_max = _radius_range(radii)
     tally = _Tally(direction, xs, n, shared=r_min == r_max)
-    scratch = _reach_scratch(min(n, geometry._BLOCK_ROWS))
+    scratch = _Scratch(min(n, geometry._BLOCK_ROWS))
     for b in _row_blocks(n):
         tally.add(centers[b], radii[b], scratch)
     return tally.counts()
@@ -222,37 +222,51 @@ def _grid_reach(step, r_min, r_max):
     return h, reach
 
 
-def _reach_scratch(width):
-    """Scratch for `_reach_step` on blocks of up to `width` disks: made
-    once per pass over a cloud or a folded generation."""
-    return np.empty(max(width, 2)), np.empty((2, width)), np.empty(width, dtype=bool)
+class _Scratch:
+    """The buffers of `_reach_step` for blocks of up to `width` disks: one
+    set per pass over a cloud or a folded generation, made when the pass
+    first tests a block, so a pass that keeps every disk makes none."""
+
+    def __init__(self, width: int):
+        self.width, self.bufs = width, None
+
+    def __call__(self, n: int):
+        if self.bufs is None:
+            w = self.width
+            self.bufs = np.empty(w), np.empty((2, w)), np.empty(w, dtype=bool)
+        p, (u, t), keep = self.bufs
+        return p[:n], u[:n], t[:n], keep[:n]
 
 
-def _reach_step(centers, w, x0, near, scratch):
+def _project(centers, w, out):
+    """out = centers @ w, row for row as a whole cloud's product.
+
+    A product of two or more rows goes through BLAS, each row's bits the
+    same in any block; numpy takes a one-row product through a dot, which
+    rounds differently.  So one row is projected as two copies of itself:
+    a disk's projection does not depend on which other disks share its
+    block.  Rows beyond the float range give inf or nan, silently.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(centers) == 1:
+            out[0] = (np.repeat(centers, 2, axis=0) @ w)[0]
+        else:
+            np.matmul(centers, w, out=out)
+    return out
+
+
+def _reach_step(centers, w, x0, h, reach, scratch):
     """The reach test of `slice_counts` on one block of disks.
 
-    Returns (p, keep): the disks' projections onto w and which of them
-    are within reach of a flat, |u - rint(u)| <= reach with u = (p - x0)/h
-    for near = (h, reach); keep is None when near is None (every disk is
-    kept).  Both are views of the scratch, overwritten by the next block.
-
-    A block of two or more rows projects through the same BLAS product as
-    a whole cloud, row for row bitwise; numpy takes a one-row product
-    through a dot, which rounds differently.  So a one-row block is
-    projected as two copies of its row: a disk's projection does not
-    depend on which other disks share its block.
+    Returns (p, keep): the disks' projections onto w (`_project`) and
+    which of them are within reach of a flat, |u - rint(u)| <= reach with
+    u = (p - x0)/h.  Both are views of the scratch, overwritten by the
+    next block.
     """
-    p_buf, (u_buf, t_buf), keep_buf = scratch
-    n = len(centers)
-    if n == 1:
-        centers = np.repeat(centers, 2, axis=0)
+    p, u, t, keep = scratch(len(centers))
+    _project(centers, w, p)
     # rows beyond the float range give inf - inf = nan here, and are dropped
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.matmul(centers, w, out=p_buf[:len(centers)])[:n]
-        if near is None:
-            return p, None
-        h, reach = near
-        u, t, keep = u_buf[:n], t_buf[:n], keep_buf[:n]
         np.subtract(p, x0, out=u)
         u /= h
         np.rint(u, out=t)
@@ -268,7 +282,8 @@ class _Tally:
     Each block's reach comes from its own radii, and the projections (and
     radii, unless every disk has the one radius) of the disks its reach
     test keeps are compacted, in the order fed, to the front of buffers of
-    n rows; memory past the kept prefix is never written.
+    n rows; memory past the kept prefix is never written.  A block that
+    keeps every disk is projected straight into the buffer.
     """
 
     def __init__(self, direction: Direction, xs, n: int, shared: bool):
@@ -280,18 +295,19 @@ class _Tally:
         self.r = 0.0  # the shared radius, once a disk is fed
         self.kept = 0
 
-    def add(self, centers, radii, scratch) -> None:
-        if not len(centers):
+    def add(self, centers, radii, scratch: _Scratch) -> None:
+        n = len(centers)
+        if not n:
             return
-        near = _grid_reach(self.step, *_radius_range(radii))
-        p, keep = _reach_step(centers, self.w, self.xs[0], near, scratch)
         k = self.kept
-        if keep is None:
-            m = len(p)
-            self.proj[k:k + m] = p
+        near = _grid_reach(self.step, *_radius_range(radii))
+        if near is None:
+            _project(centers, self.w, self.proj[k:k + n])
+            m = n
             if self.radii is not None:
                 self.radii[k:k + m] = radii
         else:
+            p, keep = _reach_step(centers, self.w, self.xs[0], *near, scratch)
             m = int(np.count_nonzero(keep))
             np.compress(keep, p, out=self.proj[k:k + m])
             if self.radii is not None:
@@ -321,9 +337,9 @@ def _reach_mask(cloud, direction, x0, h, reach):
     `slice_counts` makes with the (h, reach) that `_reach` gives."""
     n = len(cloud.centers)
     keep = np.empty(n, dtype=bool)
-    scratch = _reach_scratch(min(n, geometry._BLOCK_ROWS))
+    scratch = _Scratch(min(n, geometry._BLOCK_ROWS))
     for b in _row_blocks(n):
-        keep[b] = _reach_step(cloud.centers[b], direction.vector, x0, (h, reach), scratch)[1]
+        keep[b] = _reach_step(cloud.centers[b], direction.vector, x0, h, reach, scratch)[1]
     return keep
 
 
@@ -708,7 +724,7 @@ def _ladder_counts(sample, ifs, ks, directions, grids) -> dict:
     n = int(np.count_nonzero(keep))
     shared = maps[0].ndim == 0  # one ratio, so one radius
     tallies = [_Tally(w, xs, n, shared) for w, xs in zip(directions, grids)]
-    scratch = _reach_scratch(min(n, max(geometry._BLOCK_ROWS, ifs.m)))
+    scratch = _Scratch(min(n, max(geometry._BLOCK_ROWS, ifs.m)))
     for block in blocks:
         centers, radii = _cell_disks(ifs, *block, in_place=True)
         for tally in tallies:
@@ -805,7 +821,7 @@ def _pruned_hits(ifs, growth, direction, xs, step, rho) -> np.ndarray:
     A node's keep draw depends only on its path hash, so the subtrees kept
     grow as in the whole tree, their deepest disks are bitwise the whole
     tree's, and each disk projects to the same bits in any cloud
-    (`_reach_step`): every slice count is the whole generation's.
+    (`_project`): every slice count is the whole generation's.
     """
     maps = _identity_maps(ifs)
     while growth.left:

@@ -204,10 +204,10 @@ def _projection_clouds(carpet):
 
 def _reach_step_projections(centers, d):
     """The projections the reach step makes of each block, joined."""
-    scratch = dl.sections._reach_scratch(min(len(centers), dl.geometry._BLOCK_ROWS))
+    scratch = dl.sections._Scratch(min(len(centers), dl.geometry._BLOCK_ROWS))
     parts = []
     for b in dl.geometry._row_blocks(len(centers)):
-        p, keep = dl.sections._reach_step(centers[b], d.vector, 0.0, (1.0, 1.0), scratch)
+        p, keep = dl.sections._reach_step(centers[b], d.vector, 0.0, 1.0, 1.0, scratch)
         assert keep.all()
         parts.append(p.copy())
     return np.concatenate(parts)
@@ -220,7 +220,7 @@ def test_blockwise_projection_is_bitwise_the_whole_projection(
     # the reach filter projects a block at a time and must see the bits of
     # centers @ w.  numpy takes a one-row product through a dot that rounds
     # otherwise, so one-row last blocks are checked only through
-    # _reach_step, which projects them as two copies of the row.  Reach 1
+    # _project, which projects them as two copies of the row.  Reach 1
     # keeps every disk, so the kept projections are all of them.
     monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", block_rows)
     one_row_tails = 0
