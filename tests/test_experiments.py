@@ -285,7 +285,7 @@ def test_mandelbrot_slices_peak_rss_in_a_fresh_process():
         check=True, timeout=300,
     )
     peak_mb = int(done.stdout.split()[-1]) / 1024
-    # 57.7 MB here, 34.7 MB of it the imports; holding the finest
+    # 58.2 MB here, 34.7 MB of it the imports; holding the finest
     # generation's centers (1.39M disks) while its slices were counted
     # peaked at 68.9 MB
     assert peak_mb <= 64, peak_mb
