@@ -30,19 +30,17 @@ from .geometry import (
     CylinderGeometry,
     Similarity,
     StoppingSet,
-    attractor_points,
     compose,
     cylinder,
     enclosing_ball,
     equal_rotation_subsystem,
     iterate_system,
     moran_dimension,
-    overlap_count,
     stopping_set,
     verify_ssc,
     word_geometry,
 )
-from .catalog import catalog_names, ifs_from_config, ifs_to_config, load_ifs, save_ifs
+from .catalog import catalog_names, ifs_from_config, load_ifs
 from .percolation import (
     BranchingStats,
     MandelbrotConfig,
@@ -76,7 +74,6 @@ from .sections import (
     interval_union_length,
     probe_sections,
     projection_measure,
-    section_dim,
     slice_counts,
 )
 from .measures import (
@@ -107,7 +104,6 @@ from .exceptional import (
 )
 from .experiments import (
     SCENARIOS,
-    emit_report,
     parse_ladder,
     parse_scales,
     report_digest,

@@ -24,30 +24,11 @@ from .errors import ConfigError
 from .geometry import IFS, SEPARATION_TAGS, Similarity
 
 __all__ = [
-    "ifs_to_config",
     "ifs_from_config",
-    "save_ifs",
     "load_ifs",
     "catalog_names",
     "load_catalog",
 ]
-
-
-def ifs_to_config(ifs: IFS) -> dict:
-    return {
-        "label": ifs.label,
-        "ambient_dim": ifs.ambient_dim,
-        "separation": ifs.separation,
-        "dense_rotations": ifs.dense_rotations,
-        "maps": [
-            {
-                "ratio": f.ratio,
-                "angle": f.angle,
-                "translation": [float(x) for x in f.translation],
-            }
-            for f in ifs.maps
-        ],
-    }
 
 
 def ifs_from_config(cfg: dict) -> IFS:
@@ -80,10 +61,6 @@ def ifs_from_config(cfg: dict) -> IFS:
             f"declared ambient_dim {declared} != translation size {ifs.ambient_dim}"
         )
     return ifs
-
-
-def save_ifs(ifs: IFS, path) -> None:
-    Path(path).write_text(json.dumps(ifs_to_config(ifs), indent=2) + "\n")
 
 
 def catalog_names() -> list[str]:

@@ -43,6 +43,7 @@ from .experiments import (
 from .geometry import DEFAULT_BUDGET, iterate_system
 from .measures import forced_pair_law, fourier_decay, measure_dimension, sample_measure
 from .percolation import (
+    _check_mandelbrot_budget,
     batch_generation_counts,
     sample_tree,
     standard_law,
@@ -254,6 +255,7 @@ def percolate_command(ifs_path, law_spec, depth, n_seeds, seed, out, budget):
 @_guarded
 def mandelbrot_command(m_grid, d, p, depth, n_seeds, seed, out, budget):
     """Mandelbrot percolation: M^d-adic cubes, uniform retention."""
+    _check_mandelbrot_budget(m_grid, d, p, depth, budget)
     cfg = mandelbrot_config(m_grid, d, p)
     if cfg.supercritical:
         click.echo(f"supercritical, a.s. dimension {cfg.dimension:.6f}", err=True)

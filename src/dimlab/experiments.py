@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .catalog import load_ifs
-from .errors import ConfigError, DimlabError
+from .errors import ConfigError
 from .exceptional import AlignmentParams, scan_directions
 from .geometry import iterate_system, moran_dimension
 from .measures import (
@@ -35,7 +35,7 @@ from .measures import (
     fourier_decay,
     sample_measure,
 )
-from .percolation import mandelbrot_config, sample_surviving_tree
+from .percolation import _check_mandelbrot_budget, mandelbrot_config, sample_surviving_tree
 from .sections import (
     CellCloud,
     Direction,
@@ -50,7 +50,6 @@ __all__ = [
     "ScenarioSpec",
     "scenario_names",
     "run_scenario",
-    "emit_report",
     "report_to_json",
     "canonical_report_bytes",
     "report_digest",
@@ -250,12 +249,22 @@ def _sub_seed(seed: int, index: int) -> int:
     return int(rng.derive_seed(np.uint64(seed), np.uint64(index)))
 
 
+def _nonempty(name: str, key: str, count: int) -> None:
+    """A count parameter that leaves scenario `name` nothing to run."""
+    if count < 1:
+        raise ConfigError(f"{name}.{key}: need at least 1, got {count}")
+
+
 def _mandelbrot_trees(name: str, params, seed: int):
     """A Mandelbrot scenario's config, and its i-th surviving tree as
-    (sample, tries); a subcritical p is a config error of scenario `name`."""
-    cfg = mandelbrot_config(params["M"], params["d"], params["p"])
+    (sample, tries); no sample, or a subcritical p, is a config error of
+    scenario `name`."""
+    _nonempty(name, "samples", params["samples"])
+    M, d, p = params["M"], params["d"], params["p"]
+    _check_mandelbrot_budget(M, d, p, params["depth"], params["budget"])
+    cfg = mandelbrot_config(M, d, p)
     if not cfg.supercritical:
-        raise ConfigError(f"{name}.p: {params['p']} is subcritical")
+        raise ConfigError(f"{name}.p: {p} is subcritical")
 
     def surviving(i):
         return sample_surviving_tree(
@@ -361,6 +370,7 @@ def _run_percolate_dim(params, seed):
 )
 def _run_projection_positivity(params, seed):
     """Projection lengths of surviving samples, all directions."""
+    _nonempty("projection-positivity", "directions", params["directions"])
     cfg, surviving = _mandelbrot_trees("projection-positivity", params, seed)
     betas = np.linspace(0.0, math.pi, params["directions"], endpoint=False)
 
@@ -445,6 +455,7 @@ def _run_mandelbrot_slices(params, seed):
         for k in range(params["min_depth"], params["depth"] + 1)
     ]
     betas = [float(b) for b in params["betas"]]
+    _nonempty("mandelbrot-slices", "betas", len(betas))
 
     def one(i):
         sample, _ = surviving(i)
@@ -574,6 +585,9 @@ def _run_exceptional_scan(params, seed):
         betas[i : i + params["chunk"]] for i in range(0, len(betas), params["chunk"])
     ]
     n_values = sorted(int(n) for n in params["N_values"])
+    if len(set(n_values)) < 2:
+        # the gate reads the increases between horizons: one would pass it
+        raise ConfigError(f"exceptional-scan.N_values: need 2 distinct horizons, got {n_values}")
     columns = ["N", "beta", "max_fraction", "witness_tau", "member"]
     rows = []
     member_fractions = []
@@ -793,19 +807,6 @@ def rows_to_csv(columns, rows) -> str:
 
 def report_to_csv(report: dict) -> str:
     return rows_to_csv(report["columns"], report["rows"])
-
-
-def emit_report(report: dict, path, fmt: str = "json"):
-    """Write the report; identical reports produce identical bytes."""
-    if fmt == "json":
-        text = report_to_json(report)
-    elif fmt == "csv":
-        text = report_to_csv(report)
-    else:
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    return path
 
 
 def load_config(path) -> dict:

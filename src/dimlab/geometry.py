@@ -733,27 +733,8 @@ def _lex_rows(cells: dict, frontier: list) -> dict:
     return rows
 
 
-def overlap_count(stopping: StoppingSet, point) -> int:
-    """Number of stopping-set disks containing the point (boundary counts)."""
-    p = np.asarray(point, dtype=np.float64)
-    if p.shape != (stopping.ifs.ambient_dim,):
-        raise ParameterError("point dimension mismatch")
-    d2 = np.sum((stopping.centers - p) ** 2, axis=1)
-    return int(np.count_nonzero(d2 <= stopping.radii ** 2))
-
-
 # ---------------------------------------------------------------------------
 # derived systems
-
-
-def attractor_points(ifs: IFS, depth: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Images of the ball center under all depth-n cylinder maps (m^n points)."""
-    if depth < 0:
-        raise ParameterError("depth must be >= 0")
-    count = ifs.m ** depth
-    if count > budget:
-        raise BudgetExceededError(count, budget)
-    return _cell_disks(ifs, *_all_compositions(ifs, depth), in_place=True)[0]
 
 
 def iterate_system(ifs: IFS, q: int, budget: int = DEFAULT_BUDGET) -> IFS:

@@ -80,8 +80,8 @@ def fixed_vector_law(vector) -> RandomWeightLaw:
     v = np.asarray(vector, dtype=np.float64).copy()
     if v.ndim != 1 or len(v) < 2:
         raise ParameterError("weight vector must have at least two entries")
-    if np.any(v < 0.0) or abs(v.sum() - 1.0) > 1e-12:
-        raise ParameterError("weights must be >= 0 and sum to 1")
+    if not (np.all(v >= 0.0) and abs(v.sum() - 1.0) <= 1e-12):
+        raise ParameterError("weights must be finite, >= 0 and sum to 1")
     return RandomWeightLaw(kind="fixed-vector", arity=len(v), vector=_compensate(v))
 
 

@@ -151,8 +151,9 @@ def table_law(masks, probs) -> OffspringLaw:
         raise ParameterError("masks must be (K, m) with matching probabilities")
     if np.any((masks != 0.0) & (masks != 1.0)):
         raise ParameterError("masks must be 0/1")
-    if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > 1e-12:
-        raise ParameterError("mask probabilities must be >= 0 and sum to 1")
+    # written so that a NaN or infinite probability fails
+    if not (np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= 1e-12):
+        raise ParameterError("mask probabilities must be finite, >= 0 and sum to 1")
     return OffspringLaw(
         kind="general-table", m=masks.shape[1], masks=masks, mask_probs=probs
     )
@@ -179,8 +180,7 @@ class PercolationSample:
     slot drawn (see the module docstring); generation 0 is the root, one
     kept slot.  Whole words are rebuilt on demand from the masks.  The
     sample holds nothing else: cylinder disks are folded from the root by
-    `cell_clouds` each time they are asked for, a whole ladder of
-    generations in one pass.
+    `cell_cloud` each time they are asked for.
     """
 
     law: OffspringLaw | None
@@ -233,37 +233,18 @@ class PercolationSample:
         return np.array([np.count_nonzero(m) for m in self.persistent_masks()], dtype=np.int64)
 
     def cell_cloud(self, ifs: IFS, k: int, persistent: bool = False):
-        """(centers, radii) of the surviving depth-k cylinder disks: the
-        ladder of one generation."""
-        return self.cell_clouds(ifs, [k], persistent)[0]
-
-    def cell_clouds(self, ifs: IFS, ks, persistent: bool = False) -> list:
-        """(centers, radii) of the surviving cylinder disks of each
-        generation in ks, in the order of ks (repeats allowed).
-
-        One top-down pass (`_folds`) folds the composed maps from the root
-        to max(ks).  The deepest generation asked for has no successor, so
-        its translations become its centers in place; the others' centers
-        are copies.  With `persistent`, one walk up the generations from
-        the deepest one of the sample to min(ks) first gives the mask of
-        each generation asked for, and only the maps' rows it keeps are
-        made into disks, in place once selected.  Every generation asked
-        for is held whole; `sections` counts a ladder's finest generation
-        a block at a time instead.
-        """
-        if not 0 <= min(ks) <= max(ks) <= self.depth:
-            raise ParameterError(f"generations must lie in 0..{self.depth}, got {ks}")
-        top = max(ks)
-        persist = {}
+        """(centers, radii) of the surviving depth-k cylinder disks, made in
+        place from the last maps `_folds` yields.  With `persistent`, only
+        the rows that generation k's mask from `_persistent_walk` keeps."""
+        if not 0 <= k <= self.depth:
+            raise ParameterError(f"generation must lie in 0..{self.depth}, got {k}")
+        for _, maps in self._folds(ifs, k):
+            pass
         if persistent:
-            walk = zip(range(self.depth, -1, -1), self._persistent_walk(min(ks)))
-            persist = {k: keep for k, keep in walk if k in ks}
-        disks = {}
-        for k, maps in self._folds(ifs, top):
-            if k in ks:
-                rows = _rows_of(maps, persist[k]) if persistent else maps
-                disks[k] = _cell_disks(ifs, *rows, in_place=k == top or rows is not maps)
-        return [disks[k] for k in ks]
+            for keep in self._persistent_walk(k):
+                pass
+            maps = _rows_of(maps, keep)
+        return _cell_disks(ifs, *maps, in_place=True)
 
     def _folds(self, ifs: IFS, top: int):
         """(k, maps) for k = 0..top: each generation's composed maps, folded
@@ -618,6 +599,16 @@ def mandelbrot_config(M: int, d: int, p: float) -> MandelbrotConfig:
         dimension=dim,
         projection_positive_thresholds=thresholds,
     )
+
+
+def _check_mandelbrot_budget(M: int, d: int, p: float, depth: int, budget: int) -> None:
+    """Raise the `BudgetExceededError` that a tree of `mandelbrot_config(M,
+    d, p)` grown to `depth` >= 1 raises before its first draw (its depth + 1
+    slots, then its root and M^d children), without building the M^d maps
+    first.  Arguments that `mandelbrot_config` rejects are left to it."""
+    if depth > 0 and M >= 2 and d >= 1 and 0.0 <= p <= 1.0:
+        _check_budget(depth + 1, budget)
+        _check_budget(1 + M ** d, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ __all__ = [
     "count_slice",
     "DimEstimate",
     "fit_loglog",
-    "section_dim",
     "interval_union_length",
     "projection_measure",
     "ConservationProfile",
@@ -87,15 +86,14 @@ class Direction:
 
 @dataclass(eq=False)
 class CellCloud:
-    """Disks standing in for a family of cylinders at one scale."""
+    """Disks standing in for a family of cylinders."""
 
     centers: np.ndarray
     radii: np.ndarray
-    scale: float
 
     @classmethod
     def from_stopping_set(cls, ss: StoppingSet) -> "CellCloud":
-        return cls(centers=ss.centers, radii=ss.radii, scale=ss.rho)
+        return cls(centers=ss.centers, radii=ss.radii)
 
     @classmethod
     def from_sample(
@@ -105,7 +103,8 @@ class CellCloud:
         rho: float,
         persistent: bool = False,
     ) -> "CellCloud":
-        return _clouds_for_sample(sample, ifs, [rho], persistent)[0]
+        k = generation_for_scale(sample, ifs, rho)
+        return cls(*sample.cell_cloud(ifs, k, persistent))
 
     def project(self, direction: Direction) -> np.ndarray:
         return self.centers @ direction.vector
@@ -151,8 +150,8 @@ def slice_counts(cloud: CellCloud, direction: Direction, xs) -> np.ndarray:
     - 1) and dev = max_j |x_j - (x_0 + j*h)|, a disk is kept when |u -
     rint(u)| <= reach, where u = (p - x_0)/h and reach = (r_max + dev)/h
     + eta, eta = 2^-40 * (G + (|x_0| + |x_{G-1}| + r_max)/h), with r_max
-    the largest radius of the disk's block; `_reach` says when no disk of
-    a block could be dropped.  Why no count moves: a disk meeting x_j has
+    the largest radius of the disk's block; `_grid_reach` says when no disk
+    of a block could be dropped.  Why no count moves: a disk meeting x_j has
     |p - x_j| <= r plus rounding, so |u - j| <= reach; rint(u) is a
     nearest integer, so |u - rint(u)| <= |u - j|, and u - rint(u) is exact
     (Sterbenz).  A dropped disk therefore meets no flat: every x is below
@@ -183,21 +182,11 @@ def _radius_range(radii):
     return float(radii.min()), float(radii.max())
 
 
-def _reach(xs, r_min, r_max):
-    """(h, reach) of `slice_counts`' disk filter, or None to keep every disk.
-
-    None when the offsets have no positive finite step (fewer than two,
-    decreasing, or not finite), when there are no radii or one is negative
-    or not finite, or when reach >= 1/2, where every disk is within reach
-    of a flat.
-    """
-    return _grid_reach(_grid_step(xs), r_min, r_max)
-
-
 def _grid_step(xs):
-    """The terms of `_reach` that depend on the offsets alone, computed
+    """The terms of `_grid_reach` that depend on the offsets alone, computed
     once per grid: (G, h, dev, |x_0| + |x_{G-1}|), or None when the offsets
-    have no positive finite step."""
+    have no positive finite step (fewer than two, decreasing, or not
+    finite)."""
     g = len(xs)
     if g < 2:
         return None
@@ -211,7 +200,10 @@ def _grid_step(xs):
 
 
 def _grid_reach(step, r_min, r_max):
-    """`_reach` from a grid's `_grid_step`."""
+    """(h, reach) of `slice_counts`' disk filter for a grid's `_grid_step`
+    and radii in [r_min, r_max], or None to keep every disk: when the grid
+    has no step, when there are no radii or one is negative or not finite,
+    or when reach >= 1/2, where every disk is within reach of a flat."""
     if step is None or not r_min >= 0.0:
         return None
     g, h, dev, ends = step
@@ -334,7 +326,7 @@ class _Tally:
 
 def _reach_mask(cloud, direction, x0, h, reach):
     """Which disks of the cloud are within reach of a flat, by the test
-    `slice_counts` makes with the (h, reach) that `_reach` gives."""
+    `slice_counts` makes with the (h, reach) that `_grid_reach` gives."""
     n = len(cloud.centers)
     keep = np.empty(n, dtype=bool)
     scratch = _Scratch(min(n, geometry._BLOCK_ROWS))
@@ -465,33 +457,6 @@ def _lstsq(a, b, rcond):
 
 def _lstsq_failed(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _clouds_for_ifs(ifs, scales, budget) -> list:
-    return [
-        CellCloud.from_stopping_set(ss)
-        for ss in stopping_sets(ifs, scales, budget=budget)
-    ]
-
-
-def _clouds_for_sample(sample, ifs, scales, persistent=False) -> list:
-    """The sample's cloud at each scale, from one ladder of generations."""
-    ks = [generation_for_scale(sample, ifs, rho) for rho in scales]
-    clouds = sample.cell_clouds(ifs, ks, persistent)
-    return [CellCloud(*cloud, scale=rho) for cloud, rho in zip(clouds, scales)]
-
-
-def section_dim(
-    ifs: IFS,
-    direction: Direction,
-    x: float,
-    scales,
-    budget: int = DEFAULT_BUDGET,
-) -> DimEstimate:
-    """Lower box dimension estimate of the slice through x."""
-    clouds = _clouds_for_ifs(ifs, scales, budget)
-    counts = np.array([slice_counts(c, direction, [x])[0] for c in clouds])
-    return fit_loglog(np.asarray(scales, dtype=np.float64), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +622,10 @@ def conservation_profile(
     if x_grid is None:
         x_grid = _default_grid(ifs, direction, scales, grid)
     x_grid = np.asarray(x_grid)
-    counts = [slice_counts(c, direction, x_grid) for c in _clouds_for_ifs(ifs, scales, budget)]
+    counts = [
+        slice_counts(CellCloud.from_stopping_set(ss), direction, x_grid)
+        for ss in stopping_sets(ifs, scales, budget=budget)
+    ]
     return _profile_from_counts(
         np.stack(counts), direction, epsilon, moran_dimension(ifs), x_grid, scales
     )
@@ -735,7 +703,7 @@ def _ladder_counts(sample, ifs, ks, directions, grids) -> dict:
 
 def _cloud_counts(ifs, maps, directions, grids) -> list:
     """`slice_counts` of the disks of composed maps per direction."""
-    cloud = CellCloud(*_cell_disks(ifs, *maps), scale=math.nan)
+    cloud = CellCloud(*_cell_disks(ifs, *maps))
     return [slice_counts(cloud, w, xs) for w, xs in zip(directions, grids)]
 
 
@@ -794,14 +762,14 @@ def probe_sections(
         sub = int(rng.derive_seed(np.uint64(seed), np.uint64(t)))
         root = rng.root_hash(np.uint64(sub)).reshape(1)
         growth = _Growth(law, root, depth, budget, blocks)
-        hits[t] = _pruned_hits(ifs, growth, direction, x_grid, step, rho)
+        hits[t] = _pruned_hits(ifs, growth, direction, x_grid, step)
         survived[t] = hits[t].any() or not sample_tree(law, depth, sub, budget).extinct
     return ProbeResult(
         x_grid=x_grid, hits=hits, survived=survived, alpha=alpha, depth=depth
     )
 
 
-def _pruned_hits(ifs, growth, direction, xs, step, rho) -> np.ndarray:
+def _pruned_hits(ifs, growth, direction, xs, step) -> np.ndarray:
     """Which flats of the offsets xs (whose `_grid_step` is step) the
     deepest disks of a tree meet, growing only the subtrees whose disks
     can reach one.
@@ -810,7 +778,7 @@ def _pruned_hits(ifs, growth, direction, xs, step, rho) -> np.ndarray:
     and before its children are drawn the rows whose disks `_reach_mask`
     drops leave the frontier.  The reach is decided from the radii, which
     the maps' ratios give, before any disk is made: a generation that
-    `_reach` would keep whole (reach >= 1/2) makes no centers.
+    `_grid_reach` would keep whole (reach >= 1/2) makes no centers.
 
     This is exact.  By the proof in `slice_counts`, a dropped disk's
     projected center is farther than its radius plus eta*h from every
@@ -827,14 +795,14 @@ def _pruned_hits(ifs, growth, direction, xs, step, rho) -> np.ndarray:
     while growth.left:
         near = _grid_reach(step, *_radius_range(_cell_radii(ifs, maps[0], len(maps[2]))))
         if near is not None:
-            cloud = CellCloud(*_cell_disks(ifs, *maps), scale=rho)
+            cloud = CellCloud(*_cell_disks(ifs, *maps))
             keep = _reach_mask(cloud, direction, xs[0], *near)
             growth.narrow(keep)
             maps = _rows_of(maps, keep)
         if not len(growth.hashes):
             return np.zeros(len(xs), dtype=bool)
         maps = _extend(*maps, ifs, growth.step())
-    cloud = CellCloud(*_cell_disks(ifs, *maps, in_place=True), scale=rho)
+    cloud = CellCloud(*_cell_disks(ifs, *maps, in_place=True))
     return slice_counts(cloud, direction, xs) > 0
 
 

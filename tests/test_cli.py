@@ -333,6 +333,74 @@ def test_an_infinite_alpha_is_rejected(runner, args):
     assert res.stderr.startswith("error: ") and "alpha must be >= 0 and finite" in res.stderr
 
 
+@pytest.mark.parametrize("probs", ["[NaN, 1.0]", "[NaN, NaN]"], ids=["one-nan", "all-nan"])
+def test_a_table_law_with_nan_probabilities_exits_2(runner, tmp_path, probs):
+    # json reads NaN, which fails every comparison: each tree kept every slot
+    law = tmp_path / "t.json"
+    law.write_text('{"masks": [[1, 1, 1, 1, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0, 0, 0]], '
+                   f'"probs": {probs}}}')
+    res = runner.invoke(main, ["percolate", "--ifs", "sierpinski_carpet", "--law",
+                               f"table:{law}", "--depth", "2", "--seeds", "3", "--seed", "1"])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and "finite" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["mandelbrot", "--M", "700", "--p", "0.5", "--depth", "2", "--seeds", "1",
+          "--seed", "1", "--budget", "100000"], None),
+        (["percolate-dim", "--config", "{cfg}"],
+         {"params": {"M": 700, "depth": 2, "samples": 1, "budget": 100000}, "seed": 1}),
+    ],
+    ids=["mandelbrot", "percolate-dim"],
+)
+def test_a_mandelbrot_tree_over_budget_builds_no_maps(runner, tmp_path, monkeypatch,
+                                                      args, config):
+    # M = 700 has 490,000 maps; the first generation's 1 + 700^2 nodes are
+    # over the budget, so the maps are never built
+    def unbuilt(*args):
+        raise AssertionError("mandelbrot_config was called")
+
+    monkeypatch.setattr("dimlab.cli.mandelbrot_config", unbuilt)
+    monkeypatch.setattr("dimlab.experiments.mandelbrot_config", unbuilt)
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+    res = runner.invoke(main, [a.format(cfg=cfg) for a in args])
+    assert res.exit_code == 2, res.output
+    assert "needs about 4.9e+05 nodes, budget is 1e+05" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "scenario, params, named",
+    [
+        ("percolate-dim", {"samples": 0}, "percolate-dim.samples"),
+        ("projection-positivity", {"samples": 0}, "projection-positivity.samples"),
+        ("projection-positivity", {"directions": 0}, "projection-positivity.directions"),
+        ("mandelbrot-slices", {"samples": 0}, "mandelbrot-slices.samples"),
+        ("mandelbrot-slices", {"betas": []}, "mandelbrot-slices.betas"),
+        ("exceptional-scan", {"N_values": []}, "exceptional-scan.N_values"),
+        ("exceptional-scan", {"N_values": [100]}, "exceptional-scan.N_values"),
+        ("exceptional-scan", {"N_values": [100, 100]}, "exceptional-scan.N_values"),
+    ],
+    ids=["percolate-dim-samples", "projection-samples", "projection-directions",
+         "slices-samples", "slices-betas", "scan-no-horizon", "scan-one-horizon",
+         "scan-one-distinct-horizon"],
+)
+def test_scenario_params_that_leave_nothing_to_run_exit_2(runner, tmp_path, scenario,
+                                                           params, named):
+    # each died with a traceback, failed its gate, or (one horizon or none)
+    # passed an increase that could not be measured
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": params, "seed": 1}))
+    res = runner.invoke(main, [scenario, "--config", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and named in res.stderr
+    assert res.stdout == ""
+
+
 def test_mandelbrot_supercritical_echoes_dimension(runner):
     res = runner.invoke(
         main,

@@ -152,17 +152,6 @@ def test_csv_cells_round_trip_to_row_values():
             assert parsed == value
 
 
-def test_emit_report_json_and_csv(tmp_path):
-    rep = xp.run_scenario("moran", seed=1)
-    jpath = xp.emit_report(rep, tmp_path / "r.json")
-    loaded = json.loads(open(jpath).read())
-    assert loaded["scenario"] == "moran"
-    cpath = xp.emit_report(rep, tmp_path / "r.csv", fmt="csv")
-    assert open(cpath).read().startswith(",".join(rep["columns"]))
-    with pytest.raises(ConfigError):
-        xp.emit_report(rep, tmp_path / "r.xml", fmt="xml")
-
-
 def test_json_report_has_no_nans():
     rep = xp.run_scenario(
         "sections-conservation",

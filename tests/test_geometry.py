@@ -381,18 +381,6 @@ def test_a_stopping_set_holds_its_centers_and_keep_masks(carpet):
     assert not any(a.dtype.kind in "iu" for a in stored)
 
 
-def test_overlap_count_matches_direct_loop(carpet):
-    ss = dl.stopping_set(carpet, 0.2)
-    for point in ((0.5, 0.5), (0.01, 0.98), (1.2, 1.2)):
-        p = np.asarray(point)
-        want = sum(
-            1
-            for c, r in zip(ss.centers, ss.radii)
-            if float(np.linalg.norm(c - p)) <= r
-        )
-        assert dl.overlap_count(ss, point) == want
-
-
 # ---------------------------------------------------------------------------
 # derived systems
 
@@ -442,13 +430,6 @@ def test_extend_in_blocks_is_the_one_shot_gather(name, shared, request, monkeypa
     assert np.array_equal(radii, np.broadcast_to(ifs.ball_radius * got[0], len(ref)))
     in_place, _ = dl.geometry._cell_disks(ifs, *got, in_place=True)
     assert in_place is got[2] and np.array_equal(in_place, ref)
-
-
-def test_attractor_points_stay_in_ball(rot3):
-    pts = dl.attractor_points(rot3, 4)
-    assert pts.shape == (81, 2)
-    dist = np.linalg.norm(pts - rot3.ball_center, axis=1)
-    assert np.all(dist <= rot3.ball_radius * (1.0 + 1e-12))
 
 
 def test_iterate_system_orders_words_lexicographically(rot3):

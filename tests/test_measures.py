@@ -36,6 +36,10 @@ def test_fixed_vector_law_validation():
         dl.fixed_vector_law([0.7, 0.4])
     with pytest.raises(ParameterError):
         dl.fixed_vector_law([-0.1, 1.1])
+    # NaN fails every comparison, so the check must be written to catch it
+    for bad in ([math.nan, 1.0], [math.nan, math.nan], [math.inf, 1.0]):
+        with pytest.raises(ParameterError, match="finite"):
+            dl.fixed_vector_law(bad)
 
 
 def test_level_masses_sum_to_one_exactly(rot3):

@@ -61,6 +61,10 @@ def test_table_law_masks():
     assert np.allclose(law.marginals(), [0.75, 0.75, 0.75, 0.75])
     with pytest.raises(ParameterError):
         dl.table_law(masks, [0.5, 0.5, 0.5])
+    # NaN fails every comparison, so the check must be written to catch it
+    for bad in ([math.nan, 0.5, 0.5], [math.nan] * 3, [math.inf, 0.0, 0.0]):
+        with pytest.raises(ParameterError, match="finite"):
+            dl.table_law(masks, bad)
 
 
 def test_deterministic_law_keeps_everything():
@@ -522,31 +526,27 @@ def test_cell_cloud_order_of_requests_does_not_matter(carpet):
 def test_cell_clouds_are_bitwise_fresh_single_generation_clouds(
     name, persistent, request, monkeypatch
 ):
-    # one pass folds every generation asked for; the deepest one's
-    # translations become its centers in place, a block of 7 rows at a
-    # time, while the coarser ones' centers are copies of the maps the
-    # next generation is folded from
+    # a generation's translations become its centers in place, here a
+    # block of 7 rows at a time: bitwise the clouds made in one block, and
+    # each call's centers are its own
     ifs = request.getfixturevalue(name)
-    monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", 7)
     law = dl.uniform_law(ifs.m, 0.8)
     sample = dl.sample_tree(law, 4, seed=13)
     assert sample.counts()[3] > 7
-    for ks in ([4, 2, 4, 3, 1], [1, 3, 3, 0], [2], [0, 4, 1, 2, 3, 4]):
-        got = sample.cell_clouds(ifs, ks, persistent)
-        assert len(got) == len(ks)
-        for k, (centers, radii) in zip(ks, got):
-            want = dl.sample_tree(law, 4, seed=13).cell_cloud(ifs, k, persistent)
-            assert np.array_equal(centers, want[0]) and np.array_equal(radii, want[1])
-        for i, j in itertools.combinations(range(len(ks)), 2):
-            if ks[i] != ks[j]:
-                assert not np.shares_memory(got[i][0], got[j][0])
+    want = [sample.cell_cloud(ifs, k, persistent) for k in range(5)]
+    monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", 7)
+    for k in (4, 2, 4, 3, 1, 0):
+        centers, radii = sample.cell_cloud(ifs, k, persistent)
+        assert np.array_equal(centers, want[k][0]) and np.array_equal(radii, want[k][1])
+        again = sample.cell_cloud(ifs, k, persistent)[0]
+        assert not np.shares_memory(centers, again)
 
 
 def test_cell_clouds_reject_generations_the_sample_lacks(carpet):
     sample = dl.sample_tree(dl.standard_law(carpet, 0.3), 3, seed=8)
-    for ks in ([4], [-1, 2]):
-        with pytest.raises(ParameterError, match="generations"):
-            sample.cell_clouds(carpet, ks)
+    for k in (4, -1):
+        with pytest.raises(ParameterError, match="generation"):
+            sample.cell_cloud(carpet, k)
 
 
 def test_persistent_cloud_is_the_masked_full_cloud(carpet):
@@ -554,15 +554,31 @@ def test_persistent_cloud_is_the_masked_full_cloud(carpet):
     for alpha in (0.6, 1.0):
         sample = dl.sample_tree(dl.standard_law(carpet, alpha), 5, seed=21)
         masks = sample.persistent_masks()
-        whole = sample.cell_clouds(carpet, range(6))
-        # a ladder selects each generation's rows before its disks are made
-        ladder = sample.cell_clouds(carpet, range(6), persistent=True)
-        for k, ((centers, radii), rungs) in enumerate(zip(whole, ladder)):
-            for pc, pr in (rungs, sample.cell_cloud(carpet, k, persistent=True)):
-                assert np.array_equal(pc.view(np.uint64), centers[masks[k]].view(np.uint64))
-                assert np.array_equal(pr, radii[masks[k]])
-                # one ratio: the radii stay a broadcast of one radius
-                assert pr.strides == (0,)
+        for k in range(6):
+            centers, radii = sample.cell_cloud(carpet, k)
+            pc, pr = sample.cell_cloud(carpet, k, persistent=True)
+            assert np.array_equal(pc.view(np.uint64), centers[masks[k]].view(np.uint64))
+            assert np.array_equal(pr, radii[masks[k]])
+            # one ratio: the radii stay a broadcast of one radius
+            assert pr.strides == (0,)
+
+
+@pytest.mark.parametrize(
+    "M, depth, budget, first",
+    [(20, 2, 400, True), (20, 2, 401, False), (3, 50, 40, True), (3, 0, 0, False)],
+)
+def test_the_mandelbrot_budget_check_raises_what_growth_raises_first(M, depth, budget, first):
+    # before the M^d maps are built: the tree's depth + 1 slots, then its
+    # root and M^d children; a depth-0 tree is left to its growth
+    law = dl.mandelbrot_config(M, 2, 0.5).law
+    with pytest.raises(BudgetExceededError) as grown:
+        dl.sample_tree(law, depth, 1, budget=budget)
+    if first:
+        with pytest.raises(BudgetExceededError) as err:
+            percolation._check_mandelbrot_budget(M, 2, 0.5, depth, budget)
+        assert err.value.required == grown.value.required
+    else:
+        percolation._check_mandelbrot_budget(M, 2, 0.5, depth, budget)
 
 
 def _by_identity(obj):
@@ -583,7 +599,7 @@ def test_samples_and_stopping_sets_keep_only_what_they_were_built_with(carpet):
     assert set(before[0]) == {"law", "seed", "depth", "generations"}
     sample.cell_cloud(carpet, 3)
     sample.cell_cloud(carpet, 4, persistent=True)
-    sample.cell_clouds(carpet, [1, 2, 2], persistent=True)
+    sample.cell_cloud(carpet, 2, persistent=True)
     scales = [carpet.diameter_proxy * 3.0 ** -k for k in (2, 3, 4)]
     dl.conservation_profile_sample(
         sample, carpet, 1.5, [dl.Direction.from_angle(0.3)], 0.25, scales, grid=32

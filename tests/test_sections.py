@@ -83,7 +83,7 @@ def test_slice_counts_are_the_direct_disk_test(equal_radii, rng_np):
         radii = np.full(n, 0.013)
     else:
         radii = rng_np.uniform(0.001, 0.05, n)
-    cloud = CellCloud(centers=centers, radii=radii, scale=0.05)
+    cloud = CellCloud(centers=centers, radii=radii)
     d = Direction.from_angle(0.9)
     p = centers @ d.vector
     # random offsets, and offsets exactly on disk ends, where ties decide
@@ -127,7 +127,7 @@ def _filtered_cases(draw):
     d = Direction.from_angle(0.0)
     # a second coordinate that w = (1, 0) ignores: p is each disk's projection
     centers = np.column_stack([p, np.linspace(-1.0, 1.0, n)])
-    cloud = CellCloud(centers=centers, radii=radii, scale=h)
+    cloud = CellCloud(centers=centers, radii=radii)
     active = g >= 2 and grid != "decreasing" and h >= 0.01 and scale <= 0.2 and n > 0
     return cloud, d, xs, active
 
@@ -137,7 +137,8 @@ def _filtered_cases(draw):
 def test_slice_counts_with_the_reach_filter_are_the_direct_disk_test(case):
     cloud, d, xs, active = case
     if active:
-        assert dl.sections._reach(xs, *dl.sections._radius_range(cloud.radii))
+        step = dl.sections._grid_step(xs)
+        assert dl.sections._grid_reach(step, *dl.sections._radius_range(cloud.radii))
     assert dl.slice_counts(cloud, d, xs).tolist() == _direct_counts(cloud, d, xs)
 
 
@@ -150,7 +151,7 @@ def test_the_reach_filter_drops_most_fine_disks(beta, equal_radii, rng_np, monke
     n = 5000
     centers = rng_np.uniform(-0.6, 0.6, (n, 2))
     radii = np.full(n, 0.1 * h) if equal_radii else rng_np.uniform(0.0, 0.1 * h, n)
-    cloud = CellCloud(centers=centers, radii=radii, scale=h)
+    cloud = CellCloud(centers=centers, radii=radii)
     d = Direction.from_angle(beta)
     kept = []
     counts = dl.sections._Tally.counts
@@ -173,7 +174,7 @@ def test_the_reach_needs_the_grid_deviation(monkeypatch):
     h = xs[1] - xs[0]
     xs[5] += 1e-6 * h
     centers = np.array([[xs[5], 0.0], [xs[2], 0.3], [0.43, 0.1]])
-    cloud = CellCloud(centers=centers, radii=np.zeros(3), scale=h)
+    cloud = CellCloud(centers=centers, radii=np.zeros(3))
     d = Direction.from_angle(0.0)
     want = _direct_counts(cloud, d, xs)
     assert want[5] == 1
@@ -318,26 +319,33 @@ def test_line_fit_warns_as_polyfit_on_a_rank_deficient_design():
     assert np.array_equal([slope[0], intercept[0]], want)
 
 
+def _section_fit(ifs, beta, x, scales):
+    """(slope, r2) of the box counts of the one slice through x."""
+    profile = dl.conservation_profile(
+        ifs, Direction.from_angle(beta), 0.1, scales, x_grid=[x]
+    )
+    assert profile.valid.tolist() == [True]
+    return profile.slopes[0], profile.r2[0]
+
+
 def test_section_dim_square_vertical_line_is_one(square):
     scales = [2.0 ** -k for k in range(2, 8)]
-    est = dl.section_dim(square, Direction.from_angle(0.0), 0.5, scales)
-    assert abs(est.slope - 1.0) < 0.1
-    assert est.r2 > 0.99
+    slope, r2 = _section_fit(square, 0.0, 0.5, scales)
+    assert abs(slope - 1.0) < 0.1
+    assert r2 > 0.99
 
 
 def test_product_set_slices_both_ways(cantor_interval):
     """Cantor x interval: vertical slices are intervals, horizontal slices
     are Cantor sets."""
     scales = [3.0 ** -k for k in range(2, 8)]
-    vert = dl.section_dim(cantor_interval, Direction.from_angle(0.0), 0.25, scales)
-    assert abs(vert.slope - 1.0) < 0.1
+    slope, _ = _section_fit(cantor_interval, 0.0, 0.25, scales)
+    assert abs(slope - 1.0) < 0.1
 
-    horiz = dl.section_dim(
-        cantor_interval, Direction.from_angle(math.pi / 2.0), 0.5, scales
-    )
+    slope, r2 = _section_fit(cantor_interval, math.pi / 2.0, 0.5, scales)
     cantor_dim = math.log(2.0) / math.log(3.0)
-    assert abs(horiz.slope - cantor_dim) < 0.12
-    assert horiz.r2 > 0.98
+    assert abs(slope - cantor_dim) < 0.12
+    assert r2 > 0.98
 
 
 _QUARTERS = st.integers(-12, 12).map(lambda k: k / 4.0)
@@ -575,9 +583,9 @@ def _uneven_grid(lo, hi, n):
 
 def _held_profiles(sample, ifs, dim, directions, epsilon, scales, grids):
     """The profiles of every scale's whole cloud: each generation held
-    by `cell_clouds`, and counted by `slice_counts`."""
+    by `cell_cloud`, and counted by `slice_counts`."""
     ks = [dl.sections.generation_for_scale(sample, ifs, rho) for rho in scales]
-    clouds = [CellCloud(*c, scale=rho) for c, rho in zip(sample.cell_clouds(ifs, ks), scales)]
+    clouds = [CellCloud(*sample.cell_cloud(ifs, k)) for k in ks]
     return [
         dl.sections._profile_from_counts(
             np.stack([dl.slice_counts(c, w, xs) for c in clouds]), w, epsilon, dim, xs, scales
@@ -664,7 +672,8 @@ def test_a_ladder_profile_is_the_profile_of_held_clouds(case, request, monkeypat
                 assert all(np.array_equal(a, b) for a, b in zip(streamed, held))
             if case == "reach keeps every disk":
                 radii = sample.cell_cloud(ifs, depth)[1]
-                assert dl.sections._reach(x_grid, *dl.sections._radius_range(radii)) is None
+                step = dl.sections._grid_step(x_grid)
+                assert dl.sections._grid_reach(step, *dl.sections._radius_range(radii)) is None
 
 
 def _per_offset_fits(profile, scales):
@@ -754,7 +763,7 @@ def _whole_tree_probe(ifs, alpha, direction, depth, trials, seed, xs):
     for t in range(trials):
         sample = dl.sample_tree(law, depth, _trial_seed(seed, t))
         survived[t] = not sample.extinct
-        cloud = CellCloud(*sample.cell_cloud(ifs, depth), scale=1.0)
+        cloud = CellCloud(*sample.cell_cloud(ifs, depth))
         counts[t] = dl.slice_counts(cloud, direction, xs)
     return counts, survived
 
@@ -823,13 +832,13 @@ def _pruned_growth_checks(ifs, law, direction, xs, depth, seed):
     of its generation, and a grown node draws children when its own disk
     passes it too.  The first check is the tree's depth + 1 slots."""
     sample = dl.sample_tree(law, depth, seed)
-    clouds = sample.cell_clouds(ifs, list(range(depth + 1)))
     links = oracles.grow_whole_generations([seed], depth, law.m, retain=law.retain)
     grown = np.ones(1, dtype=bool)
     total, checks = 1, [depth + 1]
+    step = dl.sections._grid_step(xs)
     for k in range(depth):
-        centers, radii = clouds[k]
-        near = dl.sections._reach(xs, *dl.sections._radius_range(radii[grown]))
+        centers, radii = sample.cell_cloud(ifs, k)
+        near = dl.sections._grid_reach(step, *dl.sections._radius_range(radii[grown]))
         frontier = grown.copy()
         if near is not None:
             h, reach = near
