@@ -37,7 +37,7 @@ from .geometry import (
     stopping_sets,
 )
 from .percolation import PercolationSample, _Blocks, _Growth, sample_tree, standard_law
-from . import geometry, rng
+from . import rng
 
 # np.polyfit's warning class (np.RankWarning before numpy 1.25)
 _RankWarning = getattr(np, "exceptions", np).RankWarning
@@ -139,38 +139,34 @@ def slice_counts(cloud: CellCloud, direction: Direction, xs) -> np.ndarray:
     """How many disks each flat {<y,w> = x} meets (boundary touching counts).
 
     A disk with projected center p and radius r meets the flat at x when
-    fl(p - r) <= x <= fl(p + r): the count is the number of lower ends at
-    or below x less the number of upper ends below x.  When all radii are
-    equal, x -> fl(x -+ r) is monotone, so the ends are shifts of the one
-    sorted projection, counted a block at a time without being stored.
-    Otherwise the projection's own buffer becomes the lower ends.
+    fl(p - r) <= x <= fl(p + r).  The disks are counted a block of rows at
+    a time (`_Tally`), and the blocks' counts add up to the whole cloud's.
 
-    Only the disks that can reach a flat are counted, a block of rows at a
-    time (`_Tally`).  For G >= 2 offsets with step h = (x_{G-1} - x_0)/(G
-    - 1) and dev = max_j |x_j - (x_0 + j*h)|, a disk is kept when |u -
-    rint(u)| <= reach, where u = (p - x_0)/h and reach = (r_max + dev)/h
-    + eta, eta = 2^-40 * (G + (|x_0| + |x_{G-1}| + r_max)/h), with r_max
-    the largest radius of the disk's block; `_grid_reach` says when no disk
-    of a block could be dropped.  Why no count moves: a disk meeting x_j has
-    |p - x_j| <= r plus rounding, so |u - j| <= reach; rint(u) is a
-    nearest integer, so |u - rint(u)| <= |u - j|, and u - rint(u) is exact
-    (Sterbenz).  A dropped disk therefore meets no flat: every x is below
-    both its ends or above both (r >= 0, so fl(p - r) <= fl(p + r)), and
-    it adds the same 0 or 1 to the lower-end and the upper-end count.
-    With eps = 2^-53, the rounding of the disk ends, of dev, of u and of
-    reach adds at most eps * (8G + 2(|x_0| + r_max)/h) to |u - j| (using
-    reach < 1/2, so r_max and dev are below h/2 and |u - j| < G for a
-    disk that meets x_j), which eta exceeds by a factor of at least 2^10.
-    So the counts do not depend on how the disks are split into blocks.
+    Nearest flat.  For G >= 2 offsets with step h = (x_{G-1} - x_0)/(G -
+    1) and dev = max_j |x_j - (x_0 + j*h)|, let u = (p - x_0)/h and reach =
+    (r_max + dev)/h + eta, eta = 2^-40 * (G + (|x_0| + |x_{G-1}| + r_max)/h),
+    with r_max the largest radius of the disk's block.  When reach < 1/2
+    (`_grid_reach`), a disk meeting x_j has |u - j| <= reach: it has |p -
+    x_j| <= r plus rounding, and with eps = 2^-53 the rounding of the disk
+    ends, of dev, of u and of reach adds at most eps * (8G + 2(|x_0| +
+    r_max)/h) to |u - j| (r_max and dev are below h/2 and |u - j| < G),
+    which eta exceeds by a factor of at least 2^10.  So j is the one
+    integer within 1/2 of u, j = rint(u), and u - rint(u) is exact
+    (Sterbenz): a disk meets at most the flat rint(u), and none unless
+    |u - rint(u)| <= reach.  Such a block counts each disk the reach test
+    keeps at j = rint(u) alone, when 0 <= j < G and the disk meets x_j;
+    a j outside the grid counts nowhere.  A block without a reach (fewer
+    than two offsets, a step that is not positive and finite, a negative
+    or non-finite radius, or reach >= 1/2) is counted by sorting its ends:
+    the number of lower ends at or below x less the number of upper ends
+    below x.  When its radii are equal, x -> fl(x -+ r) is monotone, so
+    one sort of the projection orders both ends.
     """
     centers, radii = cloud.centers, cloud.radii
-    n = len(centers)
-    r_min, r_max = _radius_range(radii)
-    tally = _Tally(direction, xs, n, shared=r_min == r_max)
-    scratch = _Scratch(min(n, geometry._BLOCK_ROWS))
-    for b in _row_blocks(n):
-        tally.add(centers[b], radii[b], scratch)
-    return tally.counts()
+    tally = _Tally(direction, xs)
+    for b in _row_blocks(len(centers)):
+        tally.add(centers[b], radii[b])
+    return tally.counts
 
 
 def _radius_range(radii):
@@ -200,10 +196,10 @@ def _grid_step(xs):
 
 
 def _grid_reach(step, r_min, r_max):
-    """(h, reach) of `slice_counts`' disk filter for a grid's `_grid_step`
-    and radii in [r_min, r_max], or None to keep every disk: when the grid
-    has no step, when there are no radii or one is negative or not finite,
-    or when reach >= 1/2, where every disk is within reach of a flat."""
+    """(h, reach) of `slice_counts`' nearest-flat count for a grid's
+    `_grid_step` and radii in [r_min, r_max], or None to count by sorting:
+    when the grid has no step, when there are no radii or one is negative
+    or not finite, or when reach >= 1/2, where a disk may meet two flats."""
     if step is None or not r_min >= 0.0:
         return None
     g, h, dev, ends = step
@@ -214,24 +210,8 @@ def _grid_reach(step, r_min, r_max):
     return h, reach
 
 
-class _Scratch:
-    """The buffers of `_reach_step` for blocks of up to `width` disks: one
-    set per pass over a cloud or a folded generation, made when the pass
-    first tests a block, so a pass that keeps every disk makes none."""
-
-    def __init__(self, width: int):
-        self.width, self.bufs = width, None
-
-    def __call__(self, n: int):
-        if self.bufs is None:
-            w = self.width
-            self.bufs = np.empty(w), np.empty((2, w)), np.empty(w, dtype=bool)
-        p, (u, t), keep = self.bufs
-        return p[:n], u[:n], t[:n], keep[:n]
-
-
-def _project(centers, w, out):
-    """out = centers @ w, row for row as a whole cloud's product.
+def _project(centers, w):
+    """centers @ w, row for row as a whole cloud's product.
 
     A product of two or more rows goes through BLAS, each row's bits the
     same in any block; numpy takes a one-row product through a dot, which
@@ -241,87 +221,65 @@ def _project(centers, w, out):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if len(centers) == 1:
-            out[0] = (np.repeat(centers, 2, axis=0) @ w)[0]
-        else:
-            np.matmul(centers, w, out=out)
-    return out
+            return (np.repeat(centers, 2, axis=0) @ w)[:1]
+        return centers @ w
 
 
-def _reach_step(centers, w, x0, h, reach, scratch):
+def _reach_step(centers, w, x0, h, reach):
     """The reach test of `slice_counts` on one block of disks.
 
-    Returns (p, keep): the disks' projections onto w (`_project`) and
-    which of them are within reach of a flat, |u - rint(u)| <= reach with
-    u = (p - x0)/h.  Both are views of the scratch, overwritten by the
-    next block.
+    Returns (p, j, keep): the disks' projections onto w (`_project`), the
+    nearest integer j = rint(u) to u = (p - x0)/h, as floats, and which
+    disks are within reach of a flat, |u - j| <= reach.
     """
-    p, u, t, keep = scratch(len(centers))
-    _project(centers, w, p)
+    p = _project(centers, w)
     # rows beyond the float range give inf - inf = nan here, and are dropped
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(p, x0, out=u)
+        u = p - x0
         u /= h
-        np.rint(u, out=t)
-        u -= t
-        np.less_equal(np.abs(u, out=u), reach, out=keep)
-    return p, keep
+        j = np.rint(u)
+        u -= j
+        keep = np.abs(u, out=u) <= reach
+    return p, j, keep
 
 
 class _Tally:
     """`slice_counts` of one direction and grid for disks fed a block at
-    a time: the counts of every disk fed, in any blocks.
+    a time: `counts` holds the G counts of every disk fed, in any blocks.
 
-    Each block's reach comes from its own radii, and the projections (and
-    radii, unless every disk has the one radius) of the disks its reach
-    test keeps are compacted, in the order fed, to the front of buffers of
-    n rows; memory past the kept prefix is never written.  A block that
-    keeps every disk is projected straight into the buffer.
+    Each block's reach comes from its own radii.  A block with a reach
+    adds each kept disk at its nearest flat alone; one without is counted
+    by sorting its ends (`slice_counts`).
     """
 
-    def __init__(self, direction: Direction, xs, n: int, shared: bool):
+    def __init__(self, direction: Direction, xs):
         self.w = direction.vector
         self.xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
         self.step = _grid_step(self.xs)
-        self.proj = np.empty(n)
-        self.radii = None if shared else np.empty(n)
-        self.r = 0.0  # the shared radius, once a disk is fed
-        self.kept = 0
+        self.counts = np.zeros(len(self.xs), dtype=np.intp)
 
-    def add(self, centers, radii, scratch: _Scratch) -> None:
-        n = len(centers)
-        if not n:
-            return
-        k = self.kept
-        near = _grid_reach(self.step, *_radius_range(radii))
+    def add(self, centers, radii) -> None:
+        xs, g = self.xs, len(self.xs)
+        r_min, r_max = _radius_range(radii)
+        near = _grid_reach(self.step, r_min, r_max)
         if near is None:
-            _project(centers, self.w, self.proj[k:k + n])
-            m = n
-            if self.radii is not None:
-                self.radii[k:k + m] = radii
-        else:
-            p, keep = _reach_step(centers, self.w, self.xs[0], *near, scratch)
-            m = int(np.count_nonzero(keep))
-            np.compress(keep, p, out=self.proj[k:k + m])
-            if self.radii is not None:
-                np.compress(keep, radii, out=self.radii[k:k + m])
-        if self.radii is None:
-            self.r = radii[0]
-        self.kept = k + m
-
-    def counts(self) -> np.ndarray:
-        """The counts of the disks fed; the buffers are spent."""
-        xs, proj = self.xs, self.proj[:self.kept]
-        if self.radii is None:
-            proj.sort()
-            return _shifted_count(proj, -self.r, xs, "right") - _shifted_count(
-                proj, self.r, xs, "left"
-            )
-        radii = self.radii[:self.kept]
-        hi = proj + radii
-        lo = np.subtract(proj, radii, out=proj)
-        lo.sort()
-        hi.sort()
-        return np.searchsorted(lo, xs, side="right") - np.searchsorted(hi, xs, side="left")
+            p = _project(centers, self.w)
+            if r_min == r_max:
+                p.sort()
+                lo, hi = p - radii[0], p + radii[0]
+            else:
+                lo, hi = p - radii, p + radii
+                lo.sort()
+                hi.sort()
+            self.counts += np.searchsorted(lo, xs, side="right")
+            self.counts -= np.searchsorted(hi, xs, side="left")
+            return
+        p, j, keep = _reach_step(centers, self.w, xs[0], *near)
+        i = np.flatnonzero(keep & (j >= 0) & (j < g))
+        p, r, j = p[i], radii[i], j[i].astype(np.intp)
+        x = xs[j]
+        hit = (p - r <= x) & (x <= p + r)
+        self.counts += np.bincount(j[hit], minlength=g)
 
 
 def _reach_mask(cloud, direction, x0, h, reach):
@@ -329,23 +287,9 @@ def _reach_mask(cloud, direction, x0, h, reach):
     `slice_counts` makes with the (h, reach) that `_grid_reach` gives."""
     n = len(cloud.centers)
     keep = np.empty(n, dtype=bool)
-    scratch = _Scratch(min(n, geometry._BLOCK_ROWS))
     for b in _row_blocks(n):
-        keep[b] = _reach_step(cloud.centers[b], direction.vector, x0, h, reach, scratch)[1]
+        keep[b] = _reach_step(cloud.centers[b], direction.vector, x0, h, reach)[2]
     return keep
-
-
-def _shifted_count(p, s, xs, side) -> np.ndarray:
-    """np.searchsorted(p + s, xs, side) for a sorted p, without p + s.
-
-    fl(p + s) is sorted with p, and a sorted array's count of entries at or
-    below x (side "right") or below x ("left") is the sum of its blocks'
-    counts, so p + s is made and searched one block at a time.
-    """
-    out = np.zeros(len(xs), dtype=np.intp)
-    for b in _row_blocks(len(p)):
-        out += np.searchsorted(p[b] + s, xs, side=side)
-    return out
 
 
 def count_slice(
@@ -675,11 +619,12 @@ def _ladder_counts(sample, ifs, ks, directions, grids) -> dict:
     one asked for is made into disks, counted and dropped.  The finest,
     which holds most of the disks, is folded from its parent's maps a
     block of parent rows at a time (`_extend_blocks`); each block's disks
-    are made in place and fed to one `_Tally` per direction, which keeps
-    only the projections its reach test passes.  Its centers never exist
-    whole, and its counts are `slice_counts` of its whole cloud: each disk
-    is bitwise the whole fold's, projects to the same bits in any block,
-    and no dropped disk meets a flat.
+    are made in place and fed to one `_Tally` per direction, which adds
+    each disk its reach test keeps at its one nearest flat (the lemma in
+    `slice_counts`) and holds nothing but its G counts.  Its centers never
+    exist whole, and its counts are `slice_counts` of its whole cloud:
+    each disk is bitwise the whole fold's, projects to the same bits in
+    any block, and meets no flat but its nearest.
     """
     top = max(ks)
     counts = {}
@@ -689,15 +634,12 @@ def _ladder_counts(sample, ifs, ks, directions, grids) -> dict:
             counts[k] = _cloud_counts(ifs, maps, directions, grids)
     keep = sample.generations[top]
     blocks = _extend_blocks(*maps, ifs, keep) if top else [maps]
-    n = int(np.count_nonzero(keep))
-    shared = maps[0].ndim == 0  # one ratio, so one radius
-    tallies = [_Tally(w, xs, n, shared) for w, xs in zip(directions, grids)]
-    scratch = _Scratch(min(n, max(geometry._BLOCK_ROWS, ifs.m)))
+    tallies = [_Tally(w, xs) for w, xs in zip(directions, grids)]
     for block in blocks:
         centers, radii = _cell_disks(ifs, *block, in_place=True)
         for tally in tallies:
-            tally.add(centers, radii, scratch)
-    counts[top] = [tally.counts() for tally in tallies]
+            tally.add(centers, radii)
+    counts[top] = [tally.counts for tally in tallies]
     return counts
 
 

@@ -154,17 +154,124 @@ def test_the_reach_filter_drops_most_fine_disks(beta, equal_radii, rng_np, monke
     cloud = CellCloud(centers=centers, radii=radii)
     d = Direction.from_angle(beta)
     kept = []
-    counts = dl.sections._Tally.counts
+    reach_step = dl.sections._reach_step
 
-    def spy(tally):
-        kept.append(tally.kept)
-        return counts(tally)
+    def spy(*args):
+        p, j, keep = reach_step(*args)
+        kept.append(int(np.count_nonzero(keep)))
+        return p, j, keep
 
-    monkeypatch.setattr(dl.sections._Tally, "counts", spy)
+    monkeypatch.setattr(dl.sections, "_reach_step", spy)
     got = dl.slice_counts(cloud, d, xs)
     assert len(kept) == 1 and 0 < kept[0] < n // 2
     assert got.tolist() == _direct_counts(cloud, d, xs)
     assert got.sum() > 0
+
+
+@st.composite
+def _streamed_cases(draw):
+    """(cloud, direction, offsets) for the nearest-flat count.
+
+    Disks sit at an index inside the grid, below it or past it, on the
+    offset there or a radius either side, and one ulp either side of
+    those; some rows project to inf, -inf or nan.  Radii of 0.7 h give
+    their block no reach, so a pass mixes blocks counted at the nearest
+    flat and blocks counted by sorting.  Grids of 1 to 17 offsets are even
+    or have one offset moved by a few ulps or by 0.3 h, which the reach
+    must take in.
+    """
+    g = draw(st.sampled_from([1, 2, 3, 17]))
+    x0 = draw(st.sampled_from([0.0, -0.37, 1e6]))
+    h = draw(st.sampled_from([0.01, 1.0 / 3.0]))
+    xs = np.linspace(x0, x0 + (g - 1) * h, g)
+    if draw(st.booleans()):
+        j = draw(st.integers(0, g - 1))
+        xs[j] += draw(st.sampled_from([-3.0 * np.spacing(xs[j]), 2.0 * np.spacing(xs[j]), 0.3 * h]))
+    n = draw(st.integers(0, 24))
+
+    def column(values):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+
+    at = np.array(draw(st.lists(st.integers(-3, g + 2), min_size=n, max_size=n)), dtype=np.intp)
+    radii = column([0.0, 0.1, 0.25, 0.45, 0.7]).astype(np.float64) * h
+    side = column([-1.0, 0.0, 1.0])
+    ulp = column([-1, 0, 1])
+    kind = column(["finite"] * 4 + ["inf", "-inf", "nan"])
+    inside = (0 <= at) & (at < g)
+    base = np.where(inside, xs[np.clip(at, 0, g - 1)], x0 + at * h)
+    p = base + side * radii
+    p = np.where(ulp > 0, np.nextafter(p, np.inf), p)
+    p = np.where(ulp < 0, np.nextafter(p, -np.inf), p)
+    p = np.where(kind == "inf", np.inf, np.where(kind == "-inf", -np.inf, p))
+    # w = (1, 0): a nan second coordinate makes the projection nan
+    y = np.where(kind == "nan", np.nan, np.linspace(-1.0, 1.0, n))
+    cloud = CellCloud(centers=np.column_stack([p, y]).reshape(n, 2), radii=radii)
+    return cloud, Direction.from_angle(0.0), xs
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+@given(case=_streamed_cases())
+@settings(max_examples=200, deadline=None)
+def test_streamed_counts_are_the_direct_disk_test(block_rows, case):
+    cloud, d, xs = case
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(dl.geometry, "_BLOCK_ROWS", block_rows)
+        got = dl.slice_counts(cloud, d, xs)
+    assert got.tolist() == _direct_counts(cloud, d, xs)
+
+
+def test_nearest_flat_and_sorted_blocks_add_up_in_one_pass(monkeypatch):
+    # blocks of 3 rows; the middle block's 0.07 = 0.7 h radius leaves it no
+    # reach, so it is sorted, and the outer two are counted at their
+    # nearest flats, one of which lies below the grid and one past it
+    monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", 3)
+    xs = np.linspace(0.0, 1.0, 11)
+    p = [xs[2] + 0.01, -0.2, 1.3, xs[5], np.inf, -0.05, np.nan, xs[9] + 0.03, xs[10] + 0.01]
+    radii = [0.02, 0.02, 0.02, 0.07, 0.01, 0.05, 0.01, 0.03, 0.02]
+    cloud = CellCloud(centers=np.column_stack([p, np.zeros(9)]), radii=np.array(radii))
+    d = Direction.from_angle(0.0)
+    tested = []
+    reach_step = dl.sections._reach_step
+
+    def spy(*args):
+        tested.append(len(args[0]))
+        return reach_step(*args)
+
+    monkeypatch.setattr(dl.sections, "_reach_step", spy)
+    got = dl.slice_counts(cloud, d, xs).tolist()
+    want = _direct_counts(cloud, d, xs)
+    assert tested == [3, 3]
+    assert got == want
+    assert [want[j] for j in (0, 2, 5, 10)] == [1, 1, 1, 1] and sum(want) >= 4
+
+
+@pytest.mark.parametrize("equal_radii", [True, False])
+def test_slice_counts_peak_does_not_grow_with_the_cloud(equal_radii, monkeypatch):
+    # reach about 0.1, blocks of 1024 rows: a count holds one block's
+    # temporaries and its G counts, however many disks there are.
+    # Buffering the kept projections grew the peak with the cloud.
+    monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", 1024)
+    xs = np.linspace(-0.5, 0.5, 256)
+    h = xs[1] - xs[0]
+    d = Direction.from_angle(0.9)
+    rng = np.random.Generator(np.random.PCG64(3))
+    peaks = []
+    for n in (32 * 1024, 64 * 1024):
+        centers = rng.uniform(-0.6, 0.6, (n, 2))
+        radii = np.full(n, 0.1 * h) if equal_radii else rng.uniform(0.0, 0.1 * h, n)
+        step = dl.sections._grid_step(xs)
+        assert dl.sections._grid_reach(step, *dl.sections._radius_range(radii))
+        cloud = CellCloud(centers=centers, radii=radii)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = dl.slice_counts(cloud, d, xs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == _direct_counts(cloud, d, xs)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_the_reach_needs_the_grid_deviation(monkeypatch):
@@ -205,12 +312,11 @@ def _projection_clouds(carpet):
 
 def _reach_step_projections(centers, d):
     """The projections the reach step makes of each block, joined."""
-    scratch = dl.sections._Scratch(min(len(centers), dl.geometry._BLOCK_ROWS))
     parts = []
     for b in dl.geometry._row_blocks(len(centers)):
-        p, keep = dl.sections._reach_step(centers[b], d.vector, 0.0, 1.0, 1.0, scratch)
+        p, _, keep = dl.sections._reach_step(centers[b], d.vector, 0.0, 1.0, 1.0)
         assert keep.all()
-        parts.append(p.copy())
+        parts.append(p)
     return np.concatenate(parts)
 
 
@@ -346,27 +452,6 @@ def test_product_set_slices_both_ways(cantor_interval):
     cantor_dim = math.log(2.0) / math.log(3.0)
     assert abs(slope - cantor_dim) < 0.12
     assert r2 > 0.98
-
-
-_QUARTERS = st.integers(-12, 12).map(lambda k: k / 4.0)
-
-
-@given(
-    p=st.lists(_QUARTERS, max_size=40),
-    s=st.sampled_from([0.0, 0.25, -0.5, 0.1, -1e-17]),
-    xs=st.lists(_QUARTERS | st.floats(-4.0, 4.0), min_size=1, max_size=12),
-)
-@settings(max_examples=150, deadline=None)
-def test_shifted_count_is_searchsorted_of_the_shifted_array(p, s, xs):
-    # quarter steps put ends exactly on offsets and repeat both; blocks of 7
-    # split runs of equal ends
-    p = np.sort(np.array(p, dtype=np.float64))
-    xs = np.array(xs + xs[:3])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dl.geometry, "_BLOCK_ROWS", 7)
-        for side in ("left", "right"):
-            got = dl.sections._shifted_count(p, s, xs, side)
-            assert np.array_equal(got, np.searchsorted(p + s, xs, side=side))
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +590,14 @@ def test_profile_sample_masks_are_consistent():
 
 
 def test_a_sample_profile_holds_no_generation_sized_scratch(monkeypatch):
-    # the deepest generation is folded and counted a block at a time: 8
-    # bytes per deepest cell for the projections its reach test keeps
-    # (traced in full, though only the kept prefix is written), 32 per cell
+    # the deepest generation is folded and counted a block at a time, each
+    # disk at its nearest flat: nothing per deepest cell, 32 bytes per cell
     # of the coarser generations (maps and disks) and a few blocks'
-    # temporaries.  Holding its centers peaked at 29.5 bytes per deepest
-    # cell here, and a one-shot gather, a separate centers array and
-    # stored disk ends before that at about 46.
+    # temporaries (136,594 bytes here, against a bound of 251,200).
+    # Buffering the kept projections peaked at 303,676 bytes, about 16.6
+    # per deepest cell; holding its centers at 29.5 per cell, and a
+    # one-shot gather, a separate centers array and stored disk ends
+    # before that at about 46.
     monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", 1024)
     cfg = dl.mandelbrot_config(3, 2, 0.85)
     sample, _ = dl.sample_surviving_tree(cfg.law, 5, seed=7)
@@ -528,7 +614,7 @@ def test_a_sample_profile_holds_no_generation_sized_scratch(monkeypatch):
     finally:
         tracemalloc.stop()
     assert counts[5] > 16 * 1024
-    assert peak <= 8 * counts[5] + 32 * counts[2:5].sum() + 96 * 1024 + 2 ** 16
+    assert peak <= 32 * counts[2:5].sum() + 96 * 1024 + 2 ** 16
 
 
 def _same_profile(a, b):
@@ -631,45 +717,54 @@ def test_a_ladder_profile_is_the_profile_of_held_clouds(case, request, monkeypat
     ifs, law, dim = build(request)
     if block_rows is not None:
         monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", block_rows)
-    # what each tally counts: its kept projections, sorted (one radius) or
-    # made into sorted lower ends
-    tallied = []
-    counts = dl.sections._Tally.counts
+    # the projections each reach test keeps, joined per (direction, grid
+    # start, step, reach) in the order the blocks are tested
+    kept = {}
+    reach_step = dl.sections._reach_step
 
-    def spy(tally):
-        out = counts(tally)
-        tallied.append(tally.proj[:tally.kept].view(np.uint64).copy())
+    def spy(centers, w, x0, h, reach):
+        p, j, keep = reach_step(centers, w, x0, h, reach)
+        kept.setdefault((w.tobytes(), x0, h, reach), []).append(p[keep].view(np.uint64))
+        return p, j, keep
+
+    def joined():
+        out = {key: np.concatenate(parts) for key, parts in kept.items()}
+        kept.clear()
         return out
 
-    monkeypatch.setattr(dl.sections._Tally, "counts", spy)
+    monkeypatch.setattr(dl.sections, "_reach_step", spy)
     rmax = float(ifs.ratios.max())
     scales = [ifs.diameter_proxy * rmax ** k for k in range(2, depth + 1)][::-1]
     for seed in seeds:
         sample, _ = dl.sample_surviving_tree(law, depth, seed=seed)
-        kept = sample.generations[depth].sum(axis=1)
+        children = sample.generations[depth].sum(axis=1)
         if case == "0 or 1 child per block":
-            assert {0, 1} <= set(kept.tolist())
+            assert {0, 1} <= set(children.tolist())
         for betas in beta_lists:
             directions = [Direction.from_angle(b) for b in betas]
             if x_grid is None:
                 grids = [dl.sections._default_grid(ifs, w, scales, grid) for w in directions]
             else:
                 grids = [x_grid] * len(directions)
-            tallied.clear()
+            kept.clear()
             got = dl.conservation_profile_sample(
                 sample, ifs, dim, directions, 0.25, scales, grid=grid or 512, x_grid=x_grid
             )
-            streamed = tallied[-len(directions):]
-            tallied.clear()
+            streamed = joined()
             want = _held_profiles(sample, ifs, dim, directions, 0.25, scales, grids)
+            held = joined()
             for a, b in zip(got, want):
                 assert _same_profile(a, b)
                 assert a.counts[0].any()
             if ifs.equal_ratio:
-                # one radius, so one reach for any blocks: the finest disks
-                # kept are the held cloud's, projected to the same bits
-                held = tallied[::len(scales)]
-                assert all(np.array_equal(a, b) for a, b in zip(streamed, held))
+                # one radius per generation, so one reach for any blocks:
+                # the disks kept are the held clouds', projected to the
+                # same bits
+                assert streamed.keys() == held.keys()
+                assert all(np.array_equal(streamed[k], held[k]) for k in held)
+                # the uneven grid has no step, and rot3's disks at depth 6
+                # are wider than half a step: both are counted by sorting
+                assert bool(held) == (case not in ("reach keeps every disk", "rotations"))
             if case == "reach keeps every disk":
                 radii = sample.cell_cloud(ifs, depth)[1]
                 step = dl.sections._grid_step(x_grid)
