@@ -205,7 +205,7 @@ def _streamed_cases(draw):
     p = np.where(kind == "inf", np.inf, np.where(kind == "-inf", -np.inf, p))
     # w = (1, 0): a nan second coordinate makes the projection nan
     y = np.where(kind == "nan", np.nan, np.linspace(-1.0, 1.0, n))
-    cloud = CellCloud(centers=np.column_stack([p, y]).reshape(n, 2), radii=radii)
+    cloud = CellCloud(centers=np.column_stack([p, y]), radii=radii)
     return cloud, Direction.from_angle(0.0), xs
 
 
