@@ -83,8 +83,6 @@ from .measures import (
     MeasureSample,
     RandomWeightLaw,
     SplitProduct,
-    block_translations,
-    block_weights,
     convolution_split,
     cylinder_mass,
     fixed_vector_law,

@@ -10,8 +10,9 @@ An IFS config is a JSON document:
       "maps": [{"ratio": 0.333..., "angle": 0.0, "translation": [0.0, 0.0]}, ...]
     }
 
-Separation tags are assertions carried by the catalog; only "SSC-verified"
-is ever checked numerically (see geometry.verify_ssc).
+Separation tags are assertions carried by the catalog.  Only "SSC-verified"
+is checked numerically: `ifs_from_config` rejects such a config whose
+depth-1 cylinder disks are not pairwise disjoint (geometry.verify_ssc).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .geometry import IFS, SEPARATION_TAGS, Similarity
+from .geometry import IFS, SEPARATION_TAGS, Similarity, verify_ssc
 
 __all__ = [
     "ifs_from_config",
@@ -60,6 +61,8 @@ def ifs_from_config(cfg: dict) -> IFS:
         raise ConfigError(
             f"declared ambient_dim {declared} != translation size {ifs.ambient_dim}"
         )
+    if separation == "SSC-verified" and not verify_ssc(ifs):
+        raise ConfigError("tagged SSC-verified, but its depth-1 cylinder disks overlap")
     return ifs
 
 

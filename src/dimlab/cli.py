@@ -321,7 +321,7 @@ def fourier_command(ifs_path, q, k, eps, beta, ladder, tau, seed, out):
     ns = parse_ladder(ladder)
     depth = k * (max(ns) + 2)
     sample = sample_measure(selection.law, depth, seed)
-    est = fourier_decay(sample, system, 1, k, beta, ns, tau=tau)
+    est = fourier_decay(sample, system, k, beta, ns, tau=tau)
     rows = [
         [float(t), float(v.real), float(v.imag), float(mod), float(tb)]
         for t, v, mod, tb in zip(est.ts, est.values, est.moduli, est.tail_bounds)

@@ -376,7 +376,7 @@ def _run_projection_positivity(params, seed):
 
     def one(i):
         sample, _ = surviving(i)
-        cloud = CellCloud.from_sample(sample, cfg.ifs, params["rho"], persistent=True)
+        cloud = CellCloud.from_sample(sample, cfg.ifs, params["rho"])
         return [
             [i, j, float(beta), cloud.projected_length(Direction.from_angle(beta))]
             for j, beta in enumerate(betas)
@@ -653,7 +653,6 @@ def _run_fourier_decay(params, seed):
     est = fourier_decay(
         sample,
         system,
-        1,
         params["k"],
         params["beta"],
         ladder,
@@ -671,7 +670,6 @@ def _run_fourier_decay(params, seed):
     dg = fourier_decay(
         dg_sample,
         degenerate,
-        1,
         params["k"],
         params["beta"],
         ladder,

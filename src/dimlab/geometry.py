@@ -132,7 +132,8 @@ class IFS:
     """A finite system of contracting similarities with its enclosing ball.
 
     `separation` is a catalog assertion ("SSC-verified", "OSC-assumed" or
-    "unverified"); only the SSC tag is ever checked numerically.
+    "unverified"); only the SSC tag is ever checked numerically, when
+    `catalog.ifs_from_config` loads a config (`verify_ssc`).
     """
 
     maps: tuple
@@ -155,10 +156,9 @@ class IFS:
             a.flags.writeable = False
 
     @classmethod
-    def from_maps(cls, maps, separation="unverified", label="",
-                  dense_rotations=False, allow_single=False) -> "IFS":
+    def from_maps(cls, maps, separation="unverified", label="", dense_rotations=False) -> "IFS":
         maps = tuple(maps)
-        if len(maps) < (1 if allow_single else 2):
+        if len(maps) < 2:
             raise ParameterError("an IFS needs at least two maps")
         dims = {f.dim for f in maps}
         if len(dims) != 1:

@@ -20,7 +20,7 @@ from .errors import (
     ParameterError,
     UnsupportedLawError,
 )
-from .geometry import IFS, _all_compositions
+from .geometry import IFS
 from .sections import Direction, _line_fit
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "sample_measure",
     "cylinder_mass",
     "measure_dimension",
-    "block_weights",
-    "block_translations",
     "fourier_psi",
     "FourierPoint",
     "fourier_mu",
@@ -95,13 +93,13 @@ class ForcedPairSelection:
     dim_proxy_se: float
 
 
-def forced_pair_law(
-    ifs: IFS,
-    epsilon: float,
-    q: int | None = None,
-    q_max: int = 24,
-    proxy_trials: int = 4096,
-) -> ForcedPairSelection:
+# the largest block length the automatic choice of q tries, and the
+# binomial draws behind its dimension proxy
+_Q_MAX = 24
+_PROXY_TRIALS = 4096
+
+
+def forced_pair_law(ifs: IFS, epsilon: float, q: int | None = None) -> ForcedPairSelection:
     """The random-subset level law on blocks of length q.
 
     The alphabet is the m^q words of length q.  Each draw keeps two distinct
@@ -136,19 +134,19 @@ def forced_pair_law(
             raise ParameterError(f"need r^-q > 2, got {r ** (-q):.4g}")
         if not 0.0 < p < 1.0:
             raise ParameterError(f"p_q = {p:.4g} outside (0, 1) at q = {q}")
-        dim, se = _binomial_dimension(mq, p, q, r, proxy_trials, 123456789 + q)
+        dim, se = _binomial_dimension(mq, p, q, r, _PROXY_TRIALS, 123456789 + q)
     else:
-        for q in range(1, q_max + 1):
+        for q in range(1, _Q_MAX + 1):
             if r ** (-q) <= 2.0:
                 continue
             mq, target, p = build(q)
             if not 0.0 < p < 1.0:
                 continue
-            dim, se = _binomial_dimension(mq, p, q, r, proxy_trials, 123456789 + q)
+            dim, se = _binomial_dimension(mq, p, q, r, _PROXY_TRIALS, 123456789 + q)
             if dim >= 1.0 + epsilon / 2.0:
                 break
         else:
-            raise ParameterError(f"no admissible q up to {q_max}")
+            raise ParameterError(f"no admissible q up to {_Q_MAX}")
     law = RandomWeightLaw(
         kind="forced-pair-uniform",
         arity=mq,
@@ -243,34 +241,12 @@ def _binomial_dimension(arity, p, q, r, trials, key):
 
 # ---------------------------------------------------------------------------
 # Fourier products
+#
+# A factor works on one level of the system it is given.  A block of q base
+# maps is one map of `iterate_system(base, q)`, sampled at arity m^q.
 
 
-def block_weights(sample: MeasureSample, q: int, n: int) -> np.ndarray:
-    """Weights of the m^q blocks built from levels nq+1 .. nq+q.
-
-    Entry order is lexicographic in the block word (first symbol slowest).
-    The sum is compensated to exactly 1 (mathematically it is a product of
-    unit sums).
-    """
-    if q < 1:
-        raise ParameterError("q must be >= 1")
-    if (n + 1) * q > sample.depth:
-        raise DepthMismatchError(
-            f"factor {n} at block size {q} needs depth {(n + 1) * q}, have {sample.depth}"
-        )
-    w = sample.levels[n * q]
-    for l in range(1, q):
-        w = np.kron(w, sample.levels[n * q + l])
-    w = w.copy()
-    return _compensate(w)
-
-
-def block_translations(ifs: IFS, q: int) -> np.ndarray:
-    """Translations of the q-fold compositions, lexicographic order."""
-    return _all_compositions(ifs, q)[2]
-
-
-def _check_fourier_system(sample: MeasureSample, ifs: IFS, q: int):
+def _check_fourier_system(sample: MeasureSample, ifs: IFS):
     if not ifs.equal_ratio or not ifs.equal_angle:
         raise ParameterError("Fourier factors need equal ratio and angle")
     if ifs.ambient_dim != 2:
@@ -279,26 +255,36 @@ def _check_fourier_system(sample: MeasureSample, ifs: IFS, q: int):
         raise ParameterError("sample arity must match the system arity")
 
 
-def fourier_psi(sample: MeasureSample, ifs: IFS, q: int, n: int, xi) -> complex:
+def fourier_psi(sample: MeasureSample, ifs: IFS, n: int, xi) -> complex:
     """Level polynomial Psi_n(xi) = sum_i W_i exp(i pi <T^n a_i, xi>).
 
-    T = r^q R(q angle), a_i the block translations, W_i the block weights
-    from levels nq+1..nq+q.  |Psi_n| <= 1 with equality at xi = 0.
+    T = r R(angle), a_i the system's translations, W the weights of level
+    n+1 (`sample.levels[n]`), their sum compensated to exactly 1.
+    |Psi_n| <= 1 with equality at xi = 0.
     """
-    _check_fourier_system(sample, ifs, q)
+    _check_fourier_system(sample, ifs)
+    if not 0 <= n < sample.depth:
+        raise DepthMismatchError(f"factor {n} needs 0 <= n < sample depth {sample.depth}")
     xi = np.asarray(xi, dtype=np.float64)
-    w = block_weights(sample, q, n)
-    a = block_translations(ifs, q)
-    r_b = float(ifs.ratios[0]) ** q
-    th_b = float(ifs.angles[0]) * q
-    ang = n * th_b
+    w = _compensate(sample.levels[n].copy())
+    a = ifs.translations
+    ang = n * float(ifs.angles[0])
     c, s = math.cos(ang), math.sin(ang)
-    scale = r_b ** n
+    scale = float(ifs.ratios[0]) ** n
     rx = scale * (c * a[:, 0] - s * a[:, 1])
     ry = scale * (s * a[:, 0] + c * a[:, 1])
     phases = math.pi * (rx * xi[0] + ry * xi[1])
     # fsum keeps |Psi| <= 1 honest and makes Psi(0) exactly 1
     return complex(math.fsum(w * np.cos(phases)), math.fsum(w * np.sin(phases)))
+
+
+def _psi_product(sample: MeasureSample, ifs: IFS, indices, xi) -> complex:
+    """Product of the factors Psi_n(xi), n in `indices`, multiplied into 1
+    in that order."""
+    value = complex(1.0, 0.0)
+    for n in indices:
+        value *= fourier_psi(sample, ifs, n, xi)
+    return value
 
 
 @dataclass(eq=False)
@@ -309,25 +295,20 @@ class FourierPoint:
     tail_bound: float
 
 
-def fourier_mu(
-    sample: MeasureSample, ifs: IFS, q: int, xi, truncation: int
-) -> FourierPoint:
+def fourier_mu(sample: MeasureSample, ifs: IFS, xi, truncation: int) -> FourierPoint:
     """Truncated product of level polynomials with an explicit tail bound.
 
-    |full - truncated| <= sum_{n >= N} pi r^{qn} |xi| max_i |a_i| because
+    |full - truncated| <= sum_{n >= N} pi r^n |xi| max_i |a_i| because
     each omitted factor differs from 1 by at most its largest phase.
     """
-    _check_fourier_system(sample, ifs, q)
+    _check_fourier_system(sample, ifs)
     if truncation < 1:
         raise ParameterError("truncation must be >= 1")
     xi = np.asarray(xi, dtype=np.float64)
-    value = complex(1.0, 0.0)
-    for n in range(truncation):
-        value *= fourier_psi(sample, ifs, q, n, xi)
-    a = block_translations(ifs, q)
-    amax = float(np.max(np.linalg.norm(a, axis=1)))
-    r_b = float(ifs.ratios[0]) ** q
-    tail = math.pi * float(np.linalg.norm(xi)) * amax * r_b ** truncation / (1.0 - r_b)
+    value = _psi_product(sample, ifs, range(truncation), xi)
+    amax = float(np.max(np.linalg.norm(ifs.translations, axis=1)))
+    r = float(ifs.ratios[0])
+    tail = math.pi * float(np.linalg.norm(xi)) * amax * r ** truncation / (1.0 - r)
     return FourierPoint(xi=xi, truncation=truncation, value=value, tail_bound=tail)
 
 
@@ -335,51 +316,39 @@ def fourier_mu(
 class SplitProduct:
     """Partition of the truncated product into a sparse and a dense part.
 
-    The sparse part keeps factors n with k | n+1 (every k-th level block);
+    The sparse part keeps factors n with k | n+1 (every k-th level);
     the dense part keeps the rest.  Their product equals the whole product
     factor for factor.
     """
 
     sample: MeasureSample
     ifs: IFS
-    q: int
     k: int
     truncation: int
     sparse_indices: tuple
     dense_indices: tuple
 
-    def _product(self, indices, xi) -> complex:
-        value = complex(1.0, 0.0)
-        for n in indices:
-            value *= fourier_psi(self.sample, self.ifs, self.q, n, xi)
-        return value
-
     def sparse_hat(self, xi) -> complex:
-        return self._product(self.sparse_indices, xi)
+        return _psi_product(self.sample, self.ifs, self.sparse_indices, xi)
 
     def dense_hat(self, xi) -> complex:
-        return self._product(self.dense_indices, xi)
+        return _psi_product(self.sample, self.ifs, self.dense_indices, xi)
 
     def whole_hat(self, xi) -> complex:
-        return self._product(range(self.truncation), xi)
+        return _psi_product(self.sample, self.ifs, range(self.truncation), xi)
 
 
-def convolution_split(
-    sample: MeasureSample, ifs: IFS, q: int, k: int, truncation: int
-) -> SplitProduct:
+def convolution_split(sample: MeasureSample, ifs: IFS, k: int, truncation: int) -> SplitProduct:
     if k < 2:
         raise ParameterError("k must be >= 2")
-    _check_fourier_system(sample, ifs, q)
-    if truncation * q > sample.depth:
-        raise DepthMismatchError(
-            f"truncation {truncation} needs depth {truncation * q}, have {sample.depth}"
-        )
+    _check_fourier_system(sample, ifs)
+    if truncation > sample.depth:
+        raise DepthMismatchError(f"truncation {truncation} exceeds sample depth {sample.depth}")
     sparse = tuple(n for n in range(truncation) if (n + 1) % k == 0)
     dense = tuple(n for n in range(truncation) if (n + 1) % k != 0)
     return SplitProduct(
         sample=sample,
         ifs=ifs,
-        q=q,
         k=k,
         truncation=truncation,
         sparse_indices=sparse,
@@ -402,46 +371,40 @@ class DecayEstimate:
 def fourier_decay(
     sample: MeasureSample,
     ifs: IFS,
-    q: int,
     k: int,
     beta: float,
     n_ladder,
     tau: float = 1.0,
     pad: int = 2,
 ) -> DecayEstimate:
-    """Modulus of the sparse factor product along the ladder t = tau r^{-qkN}.
+    """Modulus of the sparse factor product along the ladder t = tau r^{-kN}.
 
     For each N the product keeps factors Psi_{jk-1} for j = 1..N+pad (later
-    factors have phases O(r^{qk pad}) and contribute nothing measurable).
+    factors have phases O(r^{k pad}) and contribute nothing measurable).
     The fitted slope of -log|product| against log t is the decay-rate
     readout: positive means power decay along the ladder.
     """
-    _check_fourier_system(sample, ifs, q)
+    _check_fourier_system(sample, ifs)
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
     if not 0.0 < tau < math.inf:
         raise ParameterError(f"tau must be positive and finite, got {tau}")
     ns = np.asarray(sorted(int(n) for n in n_ladder))
     if len(ns) < 2 or ns[0] < 1:
         raise ParameterError("need at least two ladder points with N >= 1")
     r = float(ifs.ratios[0])
-    need = (k * (int(ns[-1]) + pad)) * q
+    need = k * (int(ns[-1]) + pad)
     if need > sample.depth:
         raise DepthMismatchError(f"ladder needs sample depth {need}, have {sample.depth}")
     w = Direction.from_angle(beta).vector
-    ts = tau * r ** (-q * k * ns.astype(np.float64))
-    a = block_translations(ifs, q)
-    amax = float(np.max(np.linalg.norm(a, axis=1)))
-    r_b = float(ifs.ratios[0]) ** q
+    ts = tau * r ** (-k * ns.astype(np.float64))
+    amax = float(np.max(np.linalg.norm(ifs.translations, axis=1)))
     values = np.zeros(len(ns), dtype=np.complex128)
     tail_bounds = np.zeros(len(ns))
     for i, n_top in enumerate(ns):
-        value = complex(1.0, 0.0)
-        for j in range(1, int(n_top) + pad + 1):
-            value *= fourier_psi(sample, ifs, q, j * k - 1, ts[i] * w)
-        values[i] = value
-        tail_bounds[i] = (
-            math.pi * ts[i] * amax * r_b ** ((int(n_top) + pad + 1) * k - 1)
-            / (1.0 - r_b ** k)
-        )
+        top = int(n_top) + pad
+        values[i] = _psi_product(sample, ifs, range(k - 1, top * k, k), ts[i] * w)
+        tail_bounds[i] = math.pi * ts[i] * amax * r ** ((top + 1) * k - 1) / (1.0 - r ** k)
     moduli = np.abs(values)
     exact_zeros = int(np.count_nonzero(moduli == 0.0))
     keep = moduli > 0.0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class OffspringLaw:
     retain: np.ndarray | None = None
     masks: np.ndarray | None = None
     mask_probs: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def independent(self) -> bool:
@@ -120,9 +119,7 @@ def standard_law(ifs: IFS, alpha: float) -> OffspringLaw:
     if not 0.0 <= alpha < math.inf:
         raise ParameterError(f"alpha must be >= 0 and finite, got {alpha}")
     retain = ifs.ratios ** alpha
-    return OffspringLaw(
-        kind="standard", m=ifs.m, retain=retain, meta={"alpha": float(alpha)}
-    )
+    return OffspringLaw(kind="standard", m=ifs.m, retain=retain)
 
 
 def uniform_law(m: int, p: float) -> OffspringLaw:
@@ -130,12 +127,7 @@ def uniform_law(m: int, p: float) -> OffspringLaw:
         raise ParameterError("p must lie in [0, 1]")
     if m < 1:
         raise ParameterError("m must be >= 1")
-    return OffspringLaw(
-        kind="bernoulli-uniform",
-        m=m,
-        retain=np.full(m, float(p)),
-        meta={"p": float(p)},
-    )
+    return OffspringLaw(kind="bernoulli-uniform", m=m, retain=np.full(m, float(p)))
 
 
 def deterministic_law(m: int) -> OffspringLaw:

@@ -65,7 +65,6 @@ class Direction:
     """A unit vector spanning the line we project onto."""
 
     vector: np.ndarray
-    angle: float | None = None
 
     def __post_init__(self):
         self.vector = np.asarray(self.vector, dtype=np.float64)
@@ -77,11 +76,17 @@ class Direction:
     def from_angle(cls, beta: float) -> "Direction":
         if not math.isfinite(beta):
             raise ParameterError(f"direction angle must be finite, got {beta}")
-        return cls(vector=np.array([math.cos(beta), math.sin(beta)]), angle=float(beta))
+        return cls(vector=np.array([math.cos(beta), math.sin(beta)]))
 
     @property
     def dim(self) -> int:
         return self.vector.shape[0]
+
+
+def _check_direction(direction: Direction, dim: int) -> None:
+    """Raise ParameterError unless the direction lives in dimension dim."""
+    if direction.dim != dim:
+        raise ParameterError("direction dimension mismatch")
 
 
 @dataclass(eq=False)
@@ -96,18 +101,15 @@ class CellCloud:
         return cls(centers=ss.centers, radii=ss.radii)
 
     @classmethod
-    def from_sample(
-        cls,
-        sample: PercolationSample,
-        ifs: IFS,
-        rho: float,
-        persistent: bool = False,
-    ) -> "CellCloud":
+    def from_sample(cls, sample: PercolationSample, ifs: IFS, rho: float) -> "CellCloud":
+        """The disks of the coarsest generation with cell diameters <= rho
+        whose words still have descendants at the sample's deepest one."""
         k = generation_for_scale(sample, ifs, rho)
-        return cls(*sample.cell_cloud(ifs, k, persistent))
+        return cls(*sample.cell_cloud(ifs, k, persistent=True))
 
     def project(self, direction: Direction) -> np.ndarray:
-        return self.centers @ direction.vector
+        _check_direction(direction, self.centers.shape[1])
+        return _project(self.centers, direction.vector)
 
     def projected_length(self, direction: Direction) -> float:
         """Length of the union of the disks' projections onto the direction."""
@@ -163,6 +165,7 @@ def slice_counts(cloud: CellCloud, direction: Direction, xs) -> np.ndarray:
     one sort of the projection orders both ends.
     """
     centers, radii = cloud.centers, cloud.radii
+    _check_direction(direction, centers.shape[1])
     tally = _Tally(direction, xs)
     for b in _row_blocks(len(centers)):
         tally.add(centers[b], radii[b])
@@ -296,8 +299,7 @@ def count_slice(
     ifs: IFS, direction: Direction, x: float, rho: float, budget: int = DEFAULT_BUDGET
 ) -> int:
     """N(x, rho): stopping-set cylinders whose disk meets the flat at x."""
-    if direction.dim != ifs.ambient_dim:
-        raise ParameterError("direction dimension mismatch")
+    _check_direction(direction, ifs.ambient_dim)
     cloud = CellCloud.from_stopping_set(stopping_set(ifs, rho, budget=budget))
     return int(slice_counts(cloud, direction, [x])[0])
 
@@ -450,7 +452,7 @@ def projection_measure(
     elif isinstance(source, PercolationSample):
         if ifs is None:
             raise ParameterError("sample projections need the ifs argument")
-        cloud = CellCloud.from_sample(source, ifs, rho, persistent=True)
+        cloud = CellCloud.from_sample(source, ifs, rho)
     else:
         raise ParameterError("source must be an IFS or a PercolationSample")
     return cloud.projected_length(direction)
@@ -561,6 +563,7 @@ def conservation_profile(
 
     Qualifying offsets have slope above moran_dimension - 1 - epsilon.
     """
+    _check_direction(direction, ifs.ambient_dim)
     if not 0.0 < epsilon < math.inf:
         raise ParameterError("epsilon must be positive and finite")
     if x_grid is None:
@@ -595,6 +598,8 @@ def conservation_profile_sample(
     generation (`_ladder_counts`), but the finest generation is never
     held whole.
     """
+    for w in directions:
+        _check_direction(w, ifs.ambient_dim)
     if not 0.0 < epsilon < math.inf:
         raise ParameterError("epsilon must be positive and finite")
     if x_grid is None:
@@ -689,6 +694,7 @@ def probe_sections(
     fewer node slots, so a probe can fit a budget that its whole trees
     would exceed.
     """
+    _check_direction(direction, ifs.ambient_dim)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     rho = ifs.diameter_proxy * float(ifs.ratios.max()) ** depth
@@ -752,19 +758,14 @@ def _pruned_hits(ifs, growth, direction, xs, step) -> np.ndarray:
 # box counting for percolation samples
 
 
-def box_count_estimate(
-    sample: PercolationSample,
-    ifs: IFS,
-    min_depth: int = 1,
-    persistent: bool = True,
-) -> DimEstimate:
+def box_count_estimate(sample: PercolationSample, ifs: IFS, min_depth: int = 1) -> DimEstimate:
     """Box-count slope of the deepest surviving generation.
 
     The count at generation k is the number of depth-k words that still have
     surviving descendants at the deepest generation (ancestor counts), i.e.
     the k-th level covering of the depth-n approximant.
     """
-    counts = sample.persistent_counts() if persistent else sample.counts()
+    counts = sample.persistent_counts()
     rmax = float(ifs.ratios.max())
     depths = np.arange(min_depth, sample.depth + 1)
     scales = ifs.diameter_proxy * rmax ** depths.astype(np.float64)

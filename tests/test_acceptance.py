@@ -280,16 +280,16 @@ def test_11_fourier_transform_normalization_and_split():
     selection = forced_pair_law(base, 0.3)
     sample = sample_measure(selection.law, 40, 20240811)
 
-    at_zero = fourier_mu(sample, system, 1, (0.0, 0.0), 12)
+    at_zero = fourier_mu(sample, system, (0.0, 0.0), 12)
     zero_ok = at_zero.value == (1.0 + 0.0j) and at_zero.tail_bound == 0.0
 
     gen = np.random.Generator(np.random.PCG64(20240812))
     xis = gen.uniform(-40.0, 40.0, size=(50, 2))
     moduli_ok = True
-    split = convolution_split(sample, system, 1, 3, 12)
+    split = convolution_split(sample, system, 3, 12)
     split_err = 0.0
     for xi in xis:
-        point = fourier_mu(sample, system, 1, xi, 12)
+        point = fourier_mu(sample, system, xi, 12)
         moduli_ok = moduli_ok and abs(point.value) <= 1.0 + 1e-12
         split_err = max(
             split_err,
@@ -300,8 +300,8 @@ def test_11_fourier_transform_normalization_and_split():
     for xi in gen.uniform(-10.0, 10.0, size=(10, 2)):
         if math.hypot(*xi) > 10.0:
             xi = xi * (10.0 / math.hypot(*xi))
-        coarse = fourier_mu(sample, system, 1, xi, 20)
-        fine = fourier_mu(sample, system, 1, xi, 40)
+        coarse = fourier_mu(sample, system, xi, 20)
+        fine = fourier_mu(sample, system, xi, 40)
         trunc_ok = trunc_ok and (
             abs(coarse.value - fine.value) <= coarse.tail_bound + 1e-15
         )

@@ -401,6 +401,47 @@ def test_scenario_params_that_leave_nothing_to_run_exit_2(runner, tmp_path, scen
     assert res.stdout == ""
 
 
+_LINE = {"maps": [{"ratio": 1 / 3, "translation": [t]} for t in (0.0, 2 / 3)]}
+_OVERLAP = {
+    "separation": "SSC-verified",
+    "maps": [{"ratio": 0.6, "translation": [t, 0.0]} for t in (0.0, 0.4)],
+}
+
+
+@pytest.mark.parametrize(
+    "args, params, named",
+    [
+        (["projection-positivity"],
+         {"d": 3, "depth": 2, "samples": 1, "directions": 2, "rho": 0.5},
+         "direction dimension mismatch"),
+        (["mandelbrot-slices"],
+         {"d": 1, "depth": 4, "samples": 1, "betas": [0.0], "grid": 16},
+         "direction dimension mismatch"),
+        (["sections", "--ifs", "{line}", "--scales", "3:-2:-4", "--grid", "16"], None,
+         "direction dimension mismatch"),
+        (["probe", "--alpha", "0.2", "--ifs", "{line}", "--trials", "2", "--depth", "3",
+          "--grid", "16", "--seed", "1"], None, "direction dimension mismatch"),
+        (["sections", "--ifs", "{overlap}", "--scales", "2:-2:-4", "--grid", "16"], None,
+         "SSC-verified"),
+    ],
+    ids=["projection-d3", "slices-d1", "sections-1d", "probe-1d", "sections-ssc-overlap"],
+)
+def test_systems_that_do_not_fit_the_command_exit_2(runner, tmp_path, args, params, named):
+    # the first four died in numpy's matmul (exit 1); the last loaded silently
+    paths = {"line": tmp_path / "line.json", "overlap": tmp_path / "overlap.json"}
+    paths["line"].write_text(json.dumps(_LINE))
+    paths["overlap"].write_text(json.dumps(_OVERLAP))
+    args = [a.format(**paths) for a in args]
+    if params is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": params, "seed": 1}))
+        args += ["--config", str(cfg)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: ") and named in res.stderr
+    assert res.stdout == ""
+
+
 def test_mandelbrot_supercritical_echoes_dimension(runner):
     res = runner.invoke(
         main,

@@ -11,6 +11,7 @@ import dimlab as dl
 from dimlab import IDENTITY, IFS, Similarity
 from dimlab.errors import (
     BudgetExceededError,
+    ConfigError,
     InvalidWordError,
     OutOfRangeError,
     ParameterError,
@@ -140,8 +141,6 @@ def test_from_maps_rejects_single_map_by_default():
     lone = Similarity(ratio=0.5, angle=0.0, translation=np.array([0.0, 0.0]))
     with pytest.raises(ParameterError):
         IFS.from_maps((lone,))
-    solo = IFS.from_maps((lone,), allow_single=True)
-    assert solo.m == 1
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +480,16 @@ def test_verify_ssc(gasket_1d, square):
     assert dl.verify_ssc(gasket_1d) is True
     # adjacent grid cells touch, so their enclosing disks overlap
     assert dl.verify_ssc(square) is False
+
+
+def test_a_config_tagged_ssc_verified_must_pass_verify_ssc():
+    # depth-1 disks of ratio 0.6 at 0 and 0.4 overlap; this loaded silently
+    maps = [{"ratio": 0.6, "translation": [t, 0.0]} for t in (0.0, 0.4)]
+    with pytest.raises(ConfigError, match="SSC-verified"):
+        dl.ifs_from_config({"separation": "SSC-verified", "maps": maps})
+    assert dl.ifs_from_config({"separation": "OSC-assumed", "maps": maps}).m == 2
+    tagged = [n for n in dl.catalog_names() if dl.load_ifs(n).separation == "SSC-verified"]
+    assert tagged == ["sierpinski_1d"]
 
 
 def test_verify_ssc_budget_bounds_the_pairs_it_reports():

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -168,28 +169,34 @@ def test_measure_dimension_needs_forced_pair():
 # Fourier factors
 
 
-def test_block_weights_are_level_products(rot3):
-    sel = dl.forced_pair_law(rot3, 0.3)
-    base_law = dl.fixed_vector_law([0.5, 0.25, 0.25])
-    sample = dl.sample_measure(base_law, depth=6, seed=2)
-    w = dl.block_weights(sample, q=2, n=1)
-    # block (i, j) weight = levels[2][i] * levels[3][j], first symbol slowest
-    for i in range(3):
-        for j in range(3):
-            want = sample.levels[2][i] * sample.levels[3][j]
-            assert w[3 * i + j] == pytest.approx(want, rel=1e-12)
-    with pytest.raises(DepthMismatchError):
-        dl.block_weights(sample, q=2, n=3)
-
-
-def test_block_translations_match_scalar_composition(rot3):
-    t = dl.block_translations(rot3, 2)
-    k = 0
-    for i in range(1, 4):
-        for j in range(1, 4):
-            g = oracles.compose_word(rot3, (i, j))
-            assert np.allclose(t[k], g.translation, atol=1e-14)
-            k += 1
+def test_iterated_system_factor_is_the_block_factor(rot3, rng_np):
+    """A block of two base maps is one map of iterate_system(rot3, 2).  At
+    an arity-9 level that is the Kronecker product of two arity-3 levels,
+    that system's factor is the q = 2 block factor: a sum over the words
+    (i, j) of W_i W'_j exp(i pi <T^n a_ij, xi>), with a_ij the composed
+    word's translation and T = r^2 R(2 angle), written out here alone."""
+    levels3 = rng_np.dirichlet(np.ones(3), size=8)
+    levels9 = np.array([np.kron(levels3[2 * n], levels3[2 * n + 1]) for n in range(4)])
+    law9 = dl.fixed_vector_law(np.full(9, 1.0 / 9.0))
+    sample = dl.MeasureSample(law=law9, seed=0, depth=4, levels=levels9)
+    system = dl.iterate_system(rot3, 2)
+    r, th = rot3.maps[0].ratio ** 2, 2.0 * rot3.maps[0].angle
+    words = list(itertools.product(range(1, 4), repeat=2))
+    a = {w: oracles.compose_word(rot3, w).translation for w in words}
+    for _ in range(20):
+        xi = rng_np.uniform(-30.0, 30.0, size=2)
+        for n in range(4):
+            c, s = math.cos(n * th), math.sin(n * th)
+            t_n = r ** n * np.array([[c, -s], [s, c]])
+            want = sum(
+                levels3[2 * n][i - 1] * levels3[2 * n + 1][j - 1]
+                * cmath.exp(1j * math.pi * float(t_n @ a[i, j] @ xi))
+                for i, j in words
+            )
+            assert abs(dl.fourier_psi(sample, system, n, xi) - want) <= 1e-12
+    for n in (4, -1):  # -1 would read the last level
+        with pytest.raises(DepthMismatchError):
+            dl.fourier_psi(sample, system, n, (1.0, 0.0))
 
 
 def test_two_point_phase_cancellation():
@@ -197,24 +204,28 @@ def test_two_point_phase_cancellation():
     law = dl.fixed_vector_law([0.5, 0.5])
     sample = dl.sample_measure(law, depth=4, seed=0)
     # <a2 - a1, xi> = 1 is an odd integer: the two phases cancel exactly
-    val = dl.fourier_psi(sample, ifs, q=1, n=0, xi=(2.0, 0.0))
+    val = dl.fourier_psi(sample, ifs, n=0, xi=(2.0, 0.0))
     assert abs(val) < 1e-15
 
 
 def test_factor_moduli_never_exceed_one(rot3, rng_np):
-    law2 = dl.fixed_vector_law([0.5, 0.2, 0.3])
-    sample = dl.sample_measure(law2, depth=12, seed=8)
-    for _ in range(100):
-        xi = rng_np.uniform(-50.0, 50.0, size=2)
-        n = int(rng_np.integers(0, 6))
-        assert abs(dl.fourier_psi(sample, rot3, 2, n, xi)) <= 1.0 + 1e-12
+    weights = [0.5, 0.2, 0.3]
+    for system, law in (
+        (rot3, dl.fixed_vector_law(weights)),
+        (dl.iterate_system(rot3, 2), dl.fixed_vector_law(np.kron(weights, weights))),
+    ):
+        sample = dl.sample_measure(law, depth=6, seed=8)
+        for _ in range(100):
+            xi = rng_np.uniform(-50.0, 50.0, size=2)
+            n = int(rng_np.integers(0, 6))
+            assert abs(dl.fourier_psi(sample, system, n, xi)) <= 1.0 + 1e-12
 
 
 def test_transform_at_zero_is_exactly_one(rot3):
     sel = dl.forced_pair_law(rot3, 0.3)
     for seed in (1, 2, 3, 11):
         sample = dl.sample_measure(sel.law, depth=24, seed=seed)
-        pt = dl.fourier_mu(sample, dl.iterate_system(rot3, 2), 1, (0.0, 0.0), 12)
+        pt = dl.fourier_mu(sample, dl.iterate_system(rot3, 2), (0.0, 0.0), 12)
         assert pt.value == 1.0 + 0.0j
         assert pt.tail_bound == 0.0
 
@@ -226,8 +237,8 @@ def test_truncation_tail_bound_self_consistent():
     for xi in [(0.3, 0.0), (2.7, 1.4), (-9.0, 4.0), (10.0, 0.0)]:
         if math.hypot(*xi) > 10.0:
             continue
-        a = dl.fourier_mu(sample, ifs, 1, xi, 20)
-        b = dl.fourier_mu(sample, ifs, 1, xi, 40)
+        a = dl.fourier_mu(sample, ifs, xi, 20)
+        b = dl.fourier_mu(sample, ifs, xi, 40)
         assert abs(a.value - b.value) <= a.tail_bound + 1e-15
 
 
@@ -235,7 +246,7 @@ def test_split_product_reconstructs_whole(rot3, rng_np):
     sel = dl.forced_pair_law(rot3, 0.3)
     sample = dl.sample_measure(sel.law, depth=24, seed=13)
     system = dl.iterate_system(rot3, 2)
-    split = dl.convolution_split(sample, system, q=1, k=3, truncation=12)
+    split = dl.convolution_split(sample, system, k=3, truncation=12)
     assert set(split.sparse_indices) | set(split.dense_indices) == set(range(12))
     assert not set(split.sparse_indices) & set(split.dense_indices)
     assert all((n + 1) % 3 == 0 for n in split.sparse_indices)
@@ -251,7 +262,7 @@ def test_decay_estimate_positive_for_spread_out_blocks(rot3):
     system = dl.iterate_system(rot3, sel.q)
     depth = 3 * (4 + 2)
     sample = dl.sample_measure(sel.law, depth=depth, seed=21)
-    est = dl.fourier_decay(sample, system, 1, 3, 0.7, [2, 3, 4])
+    est = dl.fourier_decay(sample, system, 3, 0.7, [2, 3, 4])
     assert est.slope > 0.0
     assert est.exact_zeros == 0
     assert np.all(est.ts == 0.5 ** (-2 * 3 * est.ns.astype(float)))
@@ -261,7 +272,7 @@ def test_decay_estimate_flat_for_coincident_translations():
     ifs = dl.load_ifs("degenerate_pair")
     law = dl.fixed_vector_law([0.5, 0.5])
     sample = dl.sample_measure(law, depth=18, seed=2)
-    est = dl.fourier_decay(sample, ifs, 1, 3, 0.7, [2, 3, 4])
+    est = dl.fourier_decay(sample, ifs, 3, 0.7, [2, 3, 4])
     # both maps share one translation: |Psi| = 1 identically
     assert abs(est.slope) <= 1e-12
 
@@ -270,4 +281,7 @@ def test_fourier_decay_depth_guard(rot3):
     law = dl.fixed_vector_law(np.full(3, 1.0 / 3.0))
     sample = dl.sample_measure(law, depth=10, seed=1)
     with pytest.raises(DepthMismatchError):
-        dl.fourier_decay(sample, rot3, 1, 3, 0.0, [2, 3, 4])
+        dl.fourier_decay(sample, rot3, 3, 0.0, [2, 3, 4])
+    # k = 0 asks for depth 0 and would read the factor Psi_{-1}
+    with pytest.raises(ParameterError, match="k must be >= 1"):
+        dl.fourier_decay(sample, rot3, 0, 0.0, [2, 3, 4])

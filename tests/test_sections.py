@@ -52,6 +52,40 @@ def test_count_slice_dimension_mismatch(square):
         dl.count_slice(square, Direction(vector=np.array([1.0])), 0.5, rho=0.5)
 
 
+def test_every_entry_point_rejects_a_direction_of_another_dimension():
+    # each of these died in numpy's matmul with a ValueError
+    line = dl.IFS.from_maps(
+        [dl.Similarity(ratio=1 / 3, angle=0.0, translation=np.array([t])) for t in (0.0, 2 / 3)]
+    )
+    cube = dl.mandelbrot_config(2, 3, 0.9)
+    sample = dl.sample_tree(cube.law, 2, seed=1)
+    flat = Direction.from_angle(0.0)
+    calls = [
+        lambda: dl.conservation_profile(line, flat, 0.1, [0.2, 0.1, 0.05], grid=8),
+        lambda: dl.conservation_profile_sample(
+            sample, cube.ifs, 2.8, [flat], 0.1, [0.9, 0.45], grid=8
+        ),
+        lambda: dl.probe_sections(line, 0.2, flat, depth=3, trials=1, seed=1, grid=8),
+        lambda: dl.projection_measure(line, flat, 0.1),
+        lambda: dl.projection_measure(sample, flat, 0.9, ifs=cube.ifs),
+        lambda: CellCloud(np.zeros((2, 3)), np.ones(2)).projected_length(flat),
+        lambda: dl.slice_counts(CellCloud(np.zeros((2, 3)), np.ones(2)), flat, [0.0]),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="direction dimension mismatch"):
+            call()
+
+
+def test_cloud_projection_is_the_slice_counts_projection(carpet):
+    # one row goes through the same rule as a block of many
+    cloud = CellCloud.from_stopping_set(dl.stopping_set(carpet, 3.0 ** -3))
+    d = Direction.from_angle(0.7)
+    whole = cloud.project(d)
+    for i in range(len(cloud.centers)):
+        one = CellCloud(cloud.centers[i:i + 1], cloud.radii[i:i + 1])
+        assert one.project(d).tobytes() == whole[i:i + 1].tobytes()
+
+
 def test_slice_counts_match_scalar_enumeration(carpet, rot3, triangle, mixed):
     cases = [
         (carpet, 0.0, 0.37, 0.06),
@@ -514,7 +548,7 @@ def test_projection_measure_is_the_union_of_the_projected_disks(carpet):
         if ifs is None:
             cloud = CellCloud.from_stopping_set(dl.stopping_set(source, rho))
         else:
-            cloud = CellCloud.from_sample(source, ifs, rho, persistent=True)
+            cloud = CellCloud.from_sample(source, ifs, rho)
         p, r = cloud.project(d), cloud.radii
         want = dl.interval_union_length(p - r, p + r)
         assert dl.projection_measure(source, d, rho, ifs=ifs) == want > 0.0

@@ -1,6 +1,8 @@
 """Source-level checks that hold for every supported interpreter."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,17 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.leftovers() == []
+
+
+def test_every_name_in_a_modules_all_exists():
+    # a name deleted from a module but left in its __all__ breaks `import *`
+    import dimlab
+
+    modules = [
+        importlib.import_module(f"dimlab.{info.name}")
+        for info in pkgutil.iter_modules(dimlab.__path__)
+    ]
+    assert len([m for m in modules if hasattr(m, "__all__")]) >= 5
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
