@@ -23,9 +23,13 @@ class BudgetExceededError(DimlabError, RuntimeError):
     def __init__(self, required, budget, what="words"):
         self.required = required
         self.budget = budget
-        super().__init__(
-            f"operation needs about {required:.3g} {what}, budget is {budget:.3g}"
-        )
+        try:
+            need = f"{required:.3g}"
+        except OverflowError:  # an int beyond the float range
+            from decimal import Decimal
+
+            need = f"{Decimal(required):.3g}"
+        super().__init__(f"operation needs about {need} {what}, budget is {budget:.3g}")
 
 
 class SubcriticalLawError(DimlabError, ValueError):

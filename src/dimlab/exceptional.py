@@ -82,6 +82,10 @@ class AlignmentParams:
             raise ParameterError("big_n must be >= 1")
         if self.tau_grid < 1:
             raise ParameterError("tau_grid must be >= 1")
+        try:
+            self.r ** (-self.q * self.k)
+        except OverflowError:
+            raise ParameterError("r^-qk must be finite") from None
 
     @property
     def threshold(self) -> float:

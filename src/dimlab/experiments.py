@@ -104,7 +104,10 @@ def parse_scales(text: str) -> list:
         raise ConfigError(f"scales {text!r} must look like base:hi:lo") from None
     if base <= 1.0 or hi < lo:
         raise ConfigError(f"scales {text!r}: need base > 1 and hi >= lo")
-    return [base ** e for e in range(hi, lo - 1, -1)]
+    try:
+        return [base ** e for e in range(hi, lo - 1, -1)]
+    except OverflowError:
+        raise ConfigError(f"scales {text!r}: a power of the base overflows") from None
 
 
 def parse_ladder(text: str) -> list:

@@ -843,7 +843,8 @@ def equal_rotation_subsystem(
 
 
 def verify_ssc(ifs: IFS, depth: int = 1, budget: int = DEFAULT_BUDGET) -> bool:
-    """Check pairwise disjointness of depth-n cylinder disks."""
+    """Check pairwise disjointness of depth-n cylinder disks, a block of
+    rows against all n disks at a time: about `_BLOCK_ROWS` pairs each."""
     if depth < 1:
         raise ParameterError("depth must be >= 1")
     n = ifs.m ** depth
@@ -851,8 +852,13 @@ def verify_ssc(ifs: IFS, depth: int = 1, budget: int = DEFAULT_BUDGET) -> bool:
     if pairs > budget:
         raise BudgetExceededError(pairs, budget, what="disk pairs")
     centers, radii = _cell_disks(ifs, *_all_compositions(ifs, depth), in_place=True)
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt(np.sum(diff ** 2, axis=2))
-    need = radii[:, None] + radii[None, :]
-    np.fill_diagonal(dist, np.inf)
-    return bool(np.all(dist > need))
+    rows = max(1, _BLOCK_ROWS // n)
+    for start in range(0, n, rows):
+        b = slice(start, start + rows)
+        diff = centers[b, None, :] - centers[None, :, :]
+        dist = np.sqrt(np.sum(diff ** 2, axis=2))
+        own = np.arange(len(dist))
+        dist[own, start + own] = np.inf
+        if not np.all(dist > radii[b, None] + radii[None, :]):
+            return False
+    return True

@@ -16,11 +16,12 @@ import numpy as np
 
 from . import rng
 from .errors import (
+    BudgetExceededError,
     DepthMismatchError,
     ParameterError,
     UnsupportedLawError,
 )
-from .geometry import IFS
+from .geometry import DEFAULT_BUDGET, IFS
 from .sections import Direction, _line_fit
 
 __all__ = [
@@ -129,6 +130,8 @@ def forced_pair_law(ifs: IFS, epsilon: float, q: int | None = None) -> ForcedPai
     if q is not None:
         if q < 1:
             raise ParameterError("q must be >= 1")
+        if m ** q > DEFAULT_BUDGET:
+            raise BudgetExceededError(m ** q, DEFAULT_BUDGET)
         mq, target, p = build(q)
         if r ** (-q) <= 2.0:
             raise ParameterError(f"need r^-q > 2, got {r ** (-q):.4g}")
@@ -397,7 +400,10 @@ def fourier_decay(
     if need > sample.depth:
         raise DepthMismatchError(f"ladder needs sample depth {need}, have {sample.depth}")
     w = Direction.from_angle(beta).vector
-    ts = tau * r ** (-k * ns.astype(np.float64))
+    with np.errstate(over="ignore"):
+        ts = tau * r ** (-k * ns.astype(np.float64))
+    if not np.all(np.isfinite(ts)):
+        raise ParameterError("ladder scales t = tau r^-kN must be finite")
     amax = float(np.max(np.linalg.norm(ifs.translations, axis=1)))
     values = np.zeros(len(ns), dtype=np.complex128)
     tail_bounds = np.zeros(len(ns))

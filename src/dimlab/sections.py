@@ -9,11 +9,9 @@ A slice through offset x in direction w is the affine (d-1)-flat
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import (
     DepthMismatchError,
@@ -38,9 +36,6 @@ from .geometry import (
 )
 from .percolation import PercolationSample, _Blocks, _Growth, sample_tree, standard_law
 from . import rng
-
-# np.polyfit's warning class (np.RankWarning before numpy 1.25)
-_RankWarning = getattr(np, "exceptions", np).RankWarning
 
 __all__ = [
     "Direction",
@@ -321,8 +316,8 @@ class DimEstimate:
 def fit_loglog(scales, counts) -> DimEstimate:
     """Least-squares slope of log(count) against log(1/scale).
 
-    Zero counts are dropped; fewer than three surviving scales raise
-    InsufficientDataError.
+    Zero counts are dropped; fewer than three distinct surviving scales
+    raise InsufficientDataError.
     """
     scales = np.asarray(scales, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.float64)
@@ -331,12 +326,12 @@ def fit_loglog(scales, counts) -> DimEstimate:
     keep = counts > 0
     n_dropped = int(np.count_nonzero(~keep))
     scales, counts = scales[keep], counts[keep]
-    if len(scales) < 3:
-        raise InsufficientDataError(
-            f"only {len(scales)} non-empty scales; need at least 3"
-        )
+    x = np.log(1.0 / scales)
+    n = int(_distinct_kept(x, np.ones((1, len(x)), dtype=bool))[0])
+    if n < 3:
+        raise InsufficientDataError(f"only {n} distinct non-empty scales; need at least 3")
     y = np.log(counts)
-    slope, intercept, r2 = _line_fit(np.log(1.0 / scales), y[None])
+    slope, intercept, r2 = _line_fit(x, y[None])
     return DimEstimate(
         slope=float(slope[0]),
         intercept=float(intercept[0]),
@@ -347,62 +342,41 @@ def fit_loglog(scales, counts) -> DimEstimate:
     )
 
 
-def _line_fit(x, ys):
+def _distinct_kept(x, keep):
+    """How many distinct values of x (n,) each row of the mask keep (k, n)
+    keeps: a kept point counts unless an earlier kept point has its x."""
+    earlier = np.triu(x[:, None] == x, k=1)
+    return np.count_nonzero(keep & ~(keep @ earlier), axis=1)
+
+
+def _line_fit(x, ys, keep=None):
     """Least-squares lines ys[i] ~ slope * x + intercept over one x.
 
-    ys is a stack of series (k, n); returns (slope, intercept, r2) as
-    arrays of k.  The design is built once, as np.polyfit builds it: the
-    Vandermonde columns scaled to unit norm, and rcond = n * eps.  Each
-    series is then solved on its own (`_lstsq`, one LAPACK solve per
-    series) and divided by the column scale, so each line is bitwise
-    polyfit's; LAPACK solves a stacked right-hand side in another order
-    and moves last bits.  The sums run along the contiguous last axis, so
-    each series of a stack is summed exactly as on its own.  Series with
-    the same bits have the same solution, so each distinct one is solved
-    once and its line shared.
+    ys is a stack of series (k, n) and keep an optional (k, n) mask of the
+    points each line goes through; returns (slope, intercept, r2) as
+    arrays of k.  The line is the centred closed form, slope =
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2, so a row with no
+    spread in x has a NaN slope.  Each sum adds a row's terms left to
+    right, a dropped point's term zero, so a masked row's line is bitwise
+    the fit of its kept points alone (numpy's pairwise sum would regroup
+    the terms by position).
     """
-    x = np.asarray(x, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    lhs = np.vander(x, 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    rcond = len(x) * np.finfo(np.float64).eps
-    # bit patterns, not values: -0.0 and 0.0 may solve to different bits
-    distinct, inverse = np.unique(ys.view(np.uint64), axis=0, return_inverse=True)
-    series = distinct.view(np.float64)
-    c, rank = _lstsq(np.broadcast_to(lhs, (len(series),) + lhs.shape), series[..., None], rcond)
-    if np.any(rank < 2):
-        warnings.warn("Polyfit may be poorly conditioned", _RankWarning, stacklevel=2)
-    coef = c[..., 0] / scale
-    slope, intercept = coef[inverse.reshape(-1)].T
-    resid = ys - (slope[:, None] * x + intercept[:, None])
-    ss_res = np.sum(resid ** 2, axis=1)
-    ss_tot = np.sum((ys - ys.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    ys = np.asarray(ys, dtype=np.float64)
+    keep = np.ones(ys.shape, dtype=bool) if keep is None else keep
+
+    def kept_sum(a):
+        return np.add.accumulate(np.where(keep, a, 0.0), axis=-1)[:, -1]
+
     with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.count_nonzero(keep, axis=1)
+        x_mean, y_mean = kept_sum(x) / n, kept_sum(ys) / n
+        dx, dy = x - x_mean[:, None], ys - y_mean[:, None]
+        slope = kept_sum(dx * dy) / kept_sum(dx * dx)
+        intercept = y_mean - slope * x_mean
+        ss_res = kept_sum((ys - (slope[:, None] * x + intercept[:, None])) ** 2)
+        ss_tot = kept_sum(dy * dy)
         r2 = np.where(ss_tot <= 1e-30, 1.0 * (ss_res <= 1e-30), 1.0 - ss_res / ss_tot)
     return slope, intercept, r2
-
-
-def _lstsq(a, b, rcond):
-    """np.linalg.lstsq of each design a[i] (m, n) against its right-hand
-    sides b[i] (m, r), in one call of the LAPACK gufunc that lstsq itself
-    calls per pair: (solutions (k, n, r), ranks (k,)), each bitwise a
-    separate lstsq's.  numpy 1.x splits that gufunc by the design's shape,
-    as lstsq there does.  A solve that fails raises LinAlgError, as in
-    lstsq."""
-    m, n = a.shape[-2:]
-    solve = getattr(_umath_linalg, "lstsq", None)
-    if solve is None:
-        solve = _umath_linalg.lstsq_m if m <= n else _umath_linalg.lstsq_n
-    with np.errstate(
-        call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
-    ):
-        c, _, rank, _ = solve(a, b, rcond, signature="ddd->ddid")
-    return c, rank
-
-
-def _lstsq_failed(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +441,8 @@ class ConservationProfile:
     """Slice-dimension slopes across a grid of offsets in one direction.
 
     `qualifying_fraction` is taken over offsets with a valid fit (at least
-    three non-empty scales); offsets whose flats miss the covering entirely
-    never enter the denominator.
+    three distinct non-empty scales); offsets whose flats miss the covering
+    entirely never enter the denominator.
     """
 
     direction: Direction
@@ -518,23 +492,15 @@ def _profile_from_counts(
     counts, direction, epsilon, threshold_dim, x_grid, scales
 ) -> ConservationProfile:
     """The profile of (scales, offsets) slice counts in one direction."""
-    scales = np.asarray(scales, dtype=np.float64)
-    n_x = len(x_grid)
-    slopes = np.full(n_x, np.nan)
-    r2 = np.full(n_x, np.nan)
-    valid = np.zeros(n_x, dtype=bool)
-    # offsets with the same non-empty scales share their x: each such group
-    # with at least three is fitted in one call, doing per offset exactly
-    # the arithmetic of fit_loglog on that offset's column
-    by_offset = np.ascontiguousarray(counts.T, dtype=np.float64)
-    patterns, group = np.unique(by_offset > 0, axis=0, return_inverse=True)
-    for g, keep in enumerate(patterns):
-        if np.count_nonzero(keep) < 3:
-            continue
-        cols = np.flatnonzero(group.ravel() == g)
-        y = np.log(by_offset[np.ix_(cols, keep)])
-        slopes[cols], _, r2[cols] = _line_fit(np.log(1.0 / scales[keep]), y)
-        valid[cols] = True
+    x = np.log(1.0 / np.asarray(scales, dtype=np.float64))
+    keep = counts.T > 0
+    # every offset with three distinct non-empty scales is fitted in one
+    # masked call, its line bitwise fit_loglog's on that offset's column
+    valid = _distinct_kept(x, keep) >= 3
+    y = np.log(np.where(keep, counts.T, 1.0))
+    slopes = np.full(len(x_grid), np.nan)
+    r2 = np.full(len(x_grid), np.nan)
+    slopes[valid], _, r2[valid] = _line_fit(x, y[valid], keep[valid])
     threshold = threshold_dim - 1.0 - epsilon
     qualifying = valid & (slopes > threshold)
     return ConservationProfile(
@@ -765,6 +731,8 @@ def box_count_estimate(sample: PercolationSample, ifs: IFS, min_depth: int = 1) 
     surviving descendants at the deepest generation (ancestor counts), i.e.
     the k-th level covering of the depth-n approximant.
     """
+    if min_depth < 0:
+        raise ParameterError(f"min_depth must be >= 0, got {min_depth}")
     counts = sample.persistent_counts()
     rmax = float(ifs.ratios.max())
     depths = np.arange(min_depth, sample.depth + 1)

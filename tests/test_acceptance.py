@@ -443,13 +443,13 @@ def test_15_reports_thread_count_invariant(monkeypatch):
 # a numerical change and has to be re-pinned here on purpose.
 GOLDEN_DIGESTS = {
     "moran": "9306396baa8282f179b9fe33a616309423cdf065ed81a166c66e8d7680c5f0af",
-    "percolate-dim": "14e8843dc6390cb57cc357ddaf21dafa363847baa7f82945c379aea0e9b2ef56",
+    "percolate-dim": "3aeafbf0cd29858a289fed8e46d20ba5ea4ed5c7088915387092cee496f38965",
     "projection-positivity": "e465002f6ad653b320cda1d0a62a03eacf3164990955837f71ca4e414f4567f6",
-    "sections-conservation": "f30387e2351a898d3b9d031c3ce330c90eab3059a144dba689e785073dff0b35",
+    "sections-conservation": "681a88b498b2a32d3aa780dc4a03e89db98df8dd6ab5ec42563ed1c354b3e700",
     "mandelbrot-slices": "90e9fb146bfdf713d2d0e25ea894e754cf624be6b7d62dd2d545ef7d381bf756",
     "probe": "87226093f4682d8f56377acba3d3609252d91538e66679a9ffbe68822a3216a0",
     "exceptional-scan": "8b61ed33b50ea8f334d738d66478cbbe7b39353f6534bb51df48b84a0a4ef76f",
-    "fourier-decay": "a9d5253c62d7b3a6358fcf1d734c619fcd9c3eb93380a45b065866fc6a5a714b",
+    "fourier-decay": "0b0e03118bf6a0bcaf41a43fb9c64f87c3da6c6c92ddb2bc173aafbddec0c35d",
 }
 
 

@@ -442,6 +442,41 @@ def test_systems_that_do_not_fit_the_command_exit_2(runner, tmp_path, args, para
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args, params, named",
+    [
+        (["exceptional", "--q", "100", "--k", "100", "--beta-grid", "4", "--tau-grid", "4"],
+         None, "r^-qk"),
+        (["exceptional", "--r", "1e-300", "--beta-grid", "4", "--tau-grid", "4"], None, "r^-qk"),
+        (["exceptional-scan"], {"r": 1e-300, "beta_grid": 4, "tau_grid": 4}, "r^-qk"),
+        (["sections", "--ifs", "sierpinski_carpet", "--scales", "1e308:2:1"], None, "overflows"),
+        (["sections-conservation"], {"scales": "1e308:2:1"}, "overflows"),
+        (["fourier", "--seed", "1", "--q", "40"], None, "budget"),
+        (["fourier", "--seed", "1", "--q", "1000"], None, "budget"),
+        (["measure-dim", "--seed", "1", "--trials", "3", "--q", "40"], None, "budget"),
+        (["measure-dim", "--seed", "1", "--trials", "3", "--q", "1000"], None, "budget"),
+        (["fourier", "--seed", "1", "--ladder", "2:400"], None, "finite"),
+        (["percolate-dim"], {"samples": 2, "depth": 5, "min_depth": -2}, "min_depth"),
+    ],
+    ids=[
+        "exceptional-qk", "exceptional-r", "exceptional-scan", "sections",
+        "sections-conservation", "fourier-q40", "fourier-q1000", "measure-dim-q40",
+        "measure-dim-q1000", "fourier-ladder", "percolate-dim-min-depth",
+    ],
+)
+def test_powers_out_of_range_exit_2(runner, tmp_path, args, params, named):
+    # each of these raised OverflowError (exit 1), or read a negative
+    # min_depth or an infinite ladder scale silently (exit 0)
+    if params is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": params, "seed": 1}))
+        args = args + ["--config", str(cfg)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: ") and named in res.stderr
+    assert res.stdout == ""
+
+
 def test_mandelbrot_supercritical_echoes_dimension(runner):
     res = runner.invoke(
         main,

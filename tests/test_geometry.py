@@ -505,5 +505,56 @@ def test_verify_ssc_budget_bounds_the_pairs_it_reports():
     assert err.value.required == 6
 
 
+def _grid_system(side, ratio, jitter, rng_np):
+    """side^2 maps of one ratio, translated to a jittered grid of step 1/side."""
+    ij = np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
+    ts = (ij + jitter * rng_np.uniform(-1.0, 1.0, ij.shape)) / side
+    return IFS.from_maps([Similarity(ratio=ratio, angle=0.0, translation=t) for t in ts])
+
+
+def _all_pairs_ssc(ifs):
+    """verify_ssc's test at depth 1 with every pair held at once."""
+    centers, radii = dl.geometry._cell_disks(ifs, *dl.geometry._all_compositions(ifs, 1))
+    diff = centers[:, None, :] - centers[None, :, :]
+    dist = np.sqrt(np.sum(diff ** 2, axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return bool(np.all(dist > radii[:, None] + radii[None, :]))
+
+
+@pytest.mark.parametrize("side", [3, 10])
+@pytest.mark.parametrize(
+    "case, ratio, jitter, want",
+    [
+        ("disjoint", 0.2, 0.1, True),
+        # cells tile the unit square: neighbours touch, so their disks overlap
+        ("touching", 1.0, 0.0, False),
+        ("overlapping", 0.9, 0.45, False),
+    ],
+)
+def test_verify_ssc_in_row_blocks_is_the_all_pairs_test(
+    side, case, ratio, jitter, want, rng_np, monkeypatch
+):
+    ifs = _grid_system(side, ratio / side, jitter, rng_np)
+    assert _all_pairs_ssc(ifs) is want
+    assert dl.verify_ssc(ifs) is want
+    # blocks of one row, and blocks of two rows with a ragged last one
+    for block in (1, 2 * side * side):
+        monkeypatch.setattr(dl.geometry, "_BLOCK_ROWS", block)
+        assert dl.verify_ssc(ifs) is want
+
+
+def test_verify_ssc_memory_is_bounded(rng_np):
+    ifs = _grid_system(32, 0.2 / 32, 0.1, rng_np)
+    assert ifs.m == 1024
+    tracemalloc.start()
+    try:
+        assert dl.verify_ssc(ifs) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every pair at once held about 40 bytes each, 42 MB here
+    assert peak < 8 * 2 ** 20
+
+
 def test_diameter_proxy_is_twice_ball_radius(carpet):
     assert carpet.diameter_proxy == 2.0 * carpet.ball_radius

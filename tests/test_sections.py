@@ -422,41 +422,52 @@ def test_fit_loglog_needs_three_points():
 
 
 @pytest.mark.parametrize("n", [3, 10])
-def test_line_fit_is_polyfit_per_series(n, rng_np, monkeypatch):
+def test_line_fit_agrees_with_polyfit(n, rng_np):
     x = np.log(1.0 / (3.0 ** -np.arange(2.0, 2.0 + n)))
     series = np.log(rng_np.integers(1, 10 ** 6, (300, n)).astype(np.float64))
-    # repeated rows, and rows equal in value but not in bits (0.0 and -0.0)
+    # repeated rows, and all-zero rows of either sign
     zero = np.zeros((1, n))
     ys = np.vstack([series, series[rng_np.integers(0, 300, 200)], zero, -zero, zero])
-    calls, solves = [], []
-    lstsq = dl.sections._lstsq
-
-    def counted(a, b, rcond):
-        calls.append(len(b))
-        solves.extend(np.ascontiguousarray(rhs[:, 0]).tobytes() for rhs in b)
-        return lstsq(a, b, rcond)
-
-    monkeypatch.setattr(dl.sections, "_lstsq", counted)
     slope, intercept, _ = dl.sections._line_fit(x, ys)
-    monkeypatch.undo()
-    # one batched call, one solve in it per distinct series
-    assert len(calls) == 1
-    assert sorted(solves) == sorted({y.tobytes() for y in ys})
-    # bitwise polyfit: compared as bits, so that -0.0 is not 0.0
-    want = np.array([np.polyfit(x, y, 1) for y in ys]).view(np.uint64)
-    assert np.array_equal(slope.view(np.uint64), want[:, 0])
-    assert np.array_equal(intercept.view(np.uint64), want[:, 1])
+    want = np.array([np.polyfit(x, y, 1) for y in ys])
+    assert np.allclose(slope, want[:, 0], rtol=0.0, atol=1e-12)
+    assert np.allclose(intercept, want[:, 1], rtol=0.0, atol=1e-12)
 
 
-def test_line_fit_warns_as_polyfit_on_a_rank_deficient_design():
-    x = np.full(4, 2.0)
+@pytest.mark.parametrize("n", [3, 10])
+def test_masked_line_fit_is_the_fit_of_the_kept_points(n, rng_np):
+    x = np.log(1.0 / (3.0 ** -np.arange(2.0, 2.0 + n)))
+    ys = np.log(rng_np.integers(1, 10 ** 6, (200, n)).astype(np.float64))
+    keep = rng_np.random((200, n)) < 0.7
+    keep[:, :3] = True
+    got = np.array(dl.sections._line_fit(x, ys, keep))
+    want = np.array([
+        np.concatenate(dl.sections._line_fit(x[k], y[k][None])) for y, k in zip(ys, keep)
+    ])
+    # bitwise, not just within 1e-12: a dropped point adds zeros to each sum
+    assert np.array_equal(got.T, want)
+
+
+def test_line_fit_recovers_an_exact_line_at_integer_x():
+    x = np.arange(7.0)
+    ys = np.array([3.0 * x + 2.0, -0.5 * x + 11.0, np.full(7, 4.0)])
+    slope, intercept, r2 = dl.sections._line_fit(x, ys)
+    assert slope.tolist() == [3.0, -0.5, 0.0]
+    assert intercept.tolist() == [2.0, 11.0, 4.0]
+    assert r2.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_a_line_without_spread_in_x_has_no_slope():
     ys = np.array([[1.0, 2.0, 3.0, 4.0]])
-    with pytest.warns(dl.sections._RankWarning) as got:
-        slope, intercept, _ = dl.sections._line_fit(x, ys)
-    with pytest.warns(dl.sections._RankWarning):
-        want = np.polyfit(x, ys[0], 1)
-    assert len(got) == 1
-    assert np.array_equal([slope[0], intercept[0]], want)
+    slope, intercept, _ = dl.sections._line_fit(np.full(4, 2.0), ys)
+    assert np.isnan(slope[0]) and np.isnan(intercept[0])
+    # fit_loglog needs three distinct non-empty scales, whatever their count
+    with pytest.raises(InsufficientDataError):
+        dl.fit_loglog([0.1] * 4, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(InsufficientDataError):
+        dl.fit_loglog([0.1, 0.1, 0.05, 0.05, 0.025], [1.0, 2.0, 3.0, 4.0, 0.0])
+    est = dl.fit_loglog([0.1, 0.1, 0.05, 0.025], [1.0, 2.0, 3.0, 4.0])
+    assert np.isfinite(est.slope)
 
 
 def _section_fit(ifs, beta, x, scales):
@@ -581,6 +592,21 @@ def test_generation_for_scale_rejects_non_positive_rho(carpet, rho):
     sample = dl.sample_tree(dl.deterministic_law(carpet.m), 3, seed=0)
     with pytest.raises(OutOfRangeError, match="rho must be > 0"):
         dl.sections.generation_for_scale(sample, carpet, rho)
+
+
+def test_box_count_rejects_a_negative_min_depth(carpet):
+    sample = dl.sample_tree(dl.deterministic_law(carpet.m), 4, seed=0)
+    # min_depth = -2 read counts[-2] and counts[-1], the deepest generations,
+    # at scales above the diameter
+    with pytest.raises(ParameterError, match="min_depth"):
+        dl.box_count_estimate(sample, carpet, min_depth=-2)
+    assert dl.box_count_estimate(sample, carpet, min_depth=0).slope == pytest.approx(
+        math.log(8.0) / math.log(3.0), abs=1e-12
+    )
+    with pytest.raises(ParameterError, match="min_depth"):
+        dl.run_scenario(
+            "percolate-dim", params={"samples": 2, "depth": 5, "min_depth": -2}, seed=7
+        )
 
 
 def test_box_count_slope_of_full_carpet_tree(carpet):
@@ -836,6 +862,17 @@ def _sparse_sample_profile(request):
     )[0]
 
 
+def _repeated_scale_profile(request):
+    # the coarsest scale twice: three non-empty scales may be two distinct ones
+    cfg = dl.mandelbrot_config(3, 2, 0.45)
+    sample, _ = dl.sample_surviving_tree(cfg.law, 7, seed=5)
+    scales = [cfg.ifs.diameter_proxy * 3.0 ** -k for k in (2, 2, 3, 4, 5, 6, 7)]
+    return scales, dl.conservation_profile_sample(
+        sample, cfg.ifs, cfg.dimension, [Direction.from_angle(1.0)], 0.25, scales,
+        grid=256,
+    )[0]
+
+
 def _long_ladder_profile(request):
     # ten scales: each sum runs past numpy's 8-element pairwise block
     ifs = request.getfixturevalue("square")
@@ -848,7 +885,8 @@ def _long_ladder_profile(request):
 
 
 @pytest.mark.parametrize(
-    "build", [_carpet_profile, _sparse_sample_profile, _long_ladder_profile]
+    "build",
+    [_carpet_profile, _sparse_sample_profile, _repeated_scale_profile, _long_ladder_profile],
 )
 def test_grouped_profile_fits_are_the_per_offset_fits(build, request):
     scales, profile = build(request)
@@ -857,6 +895,8 @@ def test_grouped_profile_fits_are_the_per_offset_fits(build, request):
     if build is _sparse_sample_profile:
         assert np.any((nonempty >= 3) & (nonempty < len(scales)))
         assert np.any(nonempty < 3)
+    if build is _repeated_scale_profile:
+        assert np.any((nonempty >= 3) & ~profile.valid)
     if build is _long_ladder_profile:
         assert np.count_nonzero(nonempty >= 9) > 10
     slopes, r2, valid = _per_offset_fits(profile, scales)
