@@ -33,7 +33,6 @@ from .geometry import (
     compose,
     cylinder,
     enclosing_ball,
-    equal_rotation_subsystem,
     iterate_system,
     moran_dimension,
     stopping_set,

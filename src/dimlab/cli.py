@@ -362,7 +362,7 @@ def measure_dim_command(ifs_path, eps, q, trials, seed):
 @click.option("--k", type=int, default=2)
 @click.option("--delta", type=float, default=1.0 / 3.0)
 @click.option("--N", "big_n", type=int, default=100)
-@click.option("--beta-grid", type=int, default=2048)
+@click.option("--beta-grid", type=click.IntRange(min=1), default=2048)
 @click.option("--tau-grid", type=int, default=4096)
 @click.option("--out", default=None)
 @_guarded

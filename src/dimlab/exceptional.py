@@ -11,17 +11,23 @@ distance degenerates to 0.  Terms that large are therefore counted as not
 aligned rather than trivially aligned.
 
 Only the columns that can be decided are evaluated.  The value at (tau, n)
-is (b tau) c_n with c_n = r^{q-qk(N-n)} cos(beta + gamma - nqk theta),
-b >= 0, and tau >= tau_0, the first point of the grid.  Rounding is
-monotone, so |(b tau) c_n| >= |(b tau_0) c_n| at every tau: a column whose
-tau_0 value is 2^53 or more, infinite or NaN is not aligned at any tau and
-adds 0 to every fraction.  Such columns are dropped; the rest form a
-term-major (terms, taus) block of the same products (b tau) c_n, which is
-rounded and tested in place and counted per tau by adding its contiguous
-bool rows.  A per-tau count over ~15 strided values, as a tau x N layout
-needs, is a slow numpy reduction.  Every value is the product a dense
-matrix would hold, so the fractions are bit for bit those of the dense
-scan.  At the catalog defaults only the last ~13-16 of the N terms survive.
+is (b tau) c_n with c_n = r^{q-qk(N-n)} cos(beta + gamma - nqk theta) and
+b >= 0.  Rounding is monotone, so |(b tau) c_n| lies between its values at
+the first and the largest tau of the grid.  A column whose first value is
+2^53 or more, infinite or NaN is not aligned at any tau and adds 0 to every
+fraction; such columns are dropped.  A column whose largest value is below
+2^53 is representable at every tau, so only the one or two columns between
+the two bounds get the per-value 2^53 test.
+
+The rest form term-major (terms, taus) blocks of at most 255 columns, held
+in scratch that every block and direction reuses.  Each value costs five
+elementwise passes: the product (b tau) c_n, its rounding, the difference,
+its absolute value and the threshold test.  A block's bool rows are then
+added per tau as bytes, which cannot wrap below 256 rows, into an integer
+count; that is far cheaper than a per-tau count_nonzero.  Every value is
+the product a dense matrix would hold, so the fractions are bit for bit
+those of the dense scan.  At the catalog defaults only the last ~13-16 of
+the N terms survive.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ __all__ = [
 ]
 
 _REPRESENTABLE = float(2 ** 53)
+# the most bool rows a uint8 per-tau sum can add without wrapping
+_BYTE_ROWS = 255
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,13 @@ def _decidable_columns(bt: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.abs(bt[0] * c) < _REPRESENTABLE)
 
 
+def _crossing_rows(top: float, c: np.ndarray) -> np.ndarray:
+    """Indices i whose value (b tau_max) c_i is not below 2^53, top being
+    b tau_max; only there can some tau's value fail the representability
+    test (see the module docstring)."""
+    return np.flatnonzero(~(np.abs(top * c) < _REPRESENTABLE))
+
+
 def _alignment_fractions(params: AlignmentParams, bt: np.ndarray, betas):
     """Per beta, the aligned fraction of the N terms at each tau of the grid
     (bt is b tau over the grid, smallest tau first)."""
@@ -124,26 +139,29 @@ def _alignment_fractions(params: AlignmentParams, bt: np.ndarray, betas):
         scales = params.r ** exponents
     phase = params.gamma - n * qk * params.theta
     threshold = params.threshold
-    # the block and its rounding live in two rows of scratch that only grow,
-    # so a scan does not return ~0.5 MB to the allocator per direction;
-    # whether that memory went back to the OS, to fault in again, depended
-    # on the heap's layout left by unrelated code and moved the scan's
-    # time by up to 28%
-    scratch = np.empty((2, 0))
+    top = bt.max()
+    # one block's values, distances and tests, reused by every block and
+    # direction and grown only when a block has more rows: a fresh block per
+    # direction costs more in page faults than the arithmetic on it
+    vals = dist = ok = np.empty((0, len(bt)))
     for beta in betas:
+        count = np.zeros(len(bt), dtype=np.intp)
         with np.errstate(over="ignore", invalid="ignore"):
             c = scales * np.cos(beta + phase)
             cols = _decidable_columns(bt, c)
-            size = len(cols) * len(bt)
-            if scratch.shape[1] < size:
-                scratch = np.empty((2, size))
-            vals, rounded = (row[:size].reshape(len(cols), len(bt)) for row in scratch)
-            np.multiply(c[cols][:, None], bt[None, :], out=vals)
-            ok = np.abs(vals, out=rounded) < _REPRESENTABLE
-            np.subtract(vals, np.round(vals, out=rounded), out=vals)
-            np.abs(vals, out=vals)
-            ok &= vals <= threshold
-        yield np.count_nonzero(ok, axis=0) / params.big_n
+            for start in range(0, len(cols), _BYTE_ROWS):
+                cb = c[cols[start : start + _BYTE_ROWS]]
+                if len(vals) < len(cb):
+                    vals, dist = np.empty((2, len(cb), len(bt)))
+                    ok = np.empty((len(cb), len(bt)), dtype=bool)
+                v, d, o = vals[: len(cb)], dist[: len(cb)], ok[: len(cb)]
+                np.multiply(cb[:, None], bt, out=v)
+                np.subtract(v, np.rint(v, out=d), out=d)
+                np.less_equal(np.abs(d, out=d), threshold, out=o)
+                for i in _crossing_rows(top, cb):
+                    o[i] &= np.abs(v[i]) < _REPRESENTABLE
+                count += np.add.reduce(o.view(np.uint8), axis=0, dtype=np.uint8)
+        yield count / params.big_n
 
 
 def membership_fraction(params: AlignmentParams, beta: float) -> MembershipResult:

@@ -583,6 +583,11 @@ def _run_probe(params, seed):
 )
 def _run_exceptional_scan(params, seed):
     """Phase-alignment membership scan over directions."""
+    for key in ("beta_grid", "chunk"):
+        value = params[key]
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"exceptional-scan.{key}: need an integer, got {value!r}")
+        _nonempty("exceptional-scan", key, value)
     betas = np.linspace(0.0, math.pi, params["beta_grid"], endpoint=False)
     chunks = [
         betas[i : i + params["chunk"]] for i in range(0, len(betas), params["chunk"])

@@ -766,82 +766,6 @@ def iterate_system(ifs: IFS, q: int, budget: int = DEFAULT_BUDGET) -> IFS:
     )
 
 
-def _distinct_permutations(items):
-    """Distinct orderings of a multiset as tuples, in lexicographic order.
-
-    Walks the next-permutation successor from the sorted order, so each
-    ordering is produced once however many repeated items there are.
-    """
-    seq = sorted(items)
-    while True:
-        yield tuple(seq)
-        i = len(seq) - 2
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(seq) - 1
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1 :] = seq[:i:-1]
-
-
-@dataclass(eq=False)
-class SubsystemResult:
-    ifs: IFS
-    moran_dim: float
-    word_count: int
-    words: list
-
-
-def equal_rotation_subsystem(
-    ifs: IFS, counts, budget: int = DEFAULT_BUDGET
-) -> SubsystemResult:
-    """All distinct orderings of a multiset of maps, as one subsystem.
-
-    With counts = (n_1, ..., n_m), every ordering composes to the same
-    contraction ratio prod r_i^{n_i} and rotation sum n_i angle_i, so the
-    subsystem is an equal-ratio, equal-rotation IFS.  Ratio and angle are
-    canonicalized to one shared float so the equality is exact.
-    """
-    counts = [int(c) for c in counts]
-    if len(counts) != ifs.m or any(c < 0 for c in counts) or sum(counts) < 1:
-        raise ParameterError("counts must be non-negative with positive sum")
-    total = sum(counts)
-    n_words = math.factorial(total)
-    for c in counts:
-        n_words //= math.factorial(c)
-    if n_words > budget:
-        raise BudgetExceededError(n_words, budget)
-
-    ratio = 1.0
-    angle = 0.0
-    for i, c in enumerate(counts):
-        ratio *= ifs.maps[i].ratio ** c
-        angle += ifs.maps[i].angle * c
-
-    multiset = []
-    for i, c in enumerate(counts):
-        multiset.extend([i + 1] * c)
-    words = list(_distinct_permutations(multiset))
-    maps = []
-    for w in words:
-        comp = compose(ifs, w)
-        maps.append(Similarity(ratio=ratio, angle=angle, translation=comp.translation))
-    sub = IFS(
-        maps=tuple(maps),
-        ambient_dim=ifs.ambient_dim,
-        ball_center=ifs.ball_center.copy(),
-        ball_radius=ifs.ball_radius,
-        separation=ifs.separation,
-        label=f"{ifs.label}|counts={tuple(counts)}" if ifs.label else "subsystem",
-        dense_rotations=ifs.dense_rotations,
-    )
-    dim = moran_dimension(np.full(n_words, ratio))
-    return SubsystemResult(ifs=sub, moran_dim=dim, word_count=n_words, words=words)
-
-
 def verify_ssc(ifs: IFS, depth: int = 1, budget: int = DEFAULT_BUDGET) -> bool:
     """Check pairwise disjointness of depth-n cylinder disks, a block of
     rows against all n disks at a time: about `_BLOCK_ROWS` pairs each."""

@@ -709,3 +709,36 @@ def test_exceptional_scan_csv(runner):
 def test_exceptional_rejects_bad_params(runner):
     res = runner.invoke(main, ["exceptional", "--r", "1.5"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "params, named",
+    [
+        ({"chunk": 0}, "exceptional-scan.chunk"),
+        ({"chunk": 1.5}, "exceptional-scan.chunk"),
+        ({"chunk": -3}, "exceptional-scan.chunk"),
+        ({"beta_grid": 0}, "exceptional-scan.beta_grid"),
+        ({"beta_grid": -1}, "exceptional-scan.beta_grid"),
+        ({"beta_grid": 8.0}, "exceptional-scan.beta_grid"),
+        ({"beta_grid": True}, "exceptional-scan.beta_grid"),
+    ],
+    ids=["chunk-0", "chunk-1.5", "chunk-neg", "beta-grid-0", "beta-grid-neg",
+         "beta-grid-float", "beta-grid-bool"],
+)
+def test_exceptional_scan_counts_must_be_positive_integers(runner, tmp_path, params, named):
+    # these died with ValueError, TypeError or ZeroDivisionError (exit 1), or
+    # with a negative chunk scanned no direction and passed the gate (exit 0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {**params, "tau_grid": 4}, "seed": 1}))
+    res = runner.invoke(main, ["exceptional-scan", "--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: ") and named in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_exceptional_beta_grid_must_be_positive(runner, grid):
+    res = runner.invoke(main, ["exceptional", "--beta-grid", grid, "--tau-grid", "4"])
+    assert res.exit_code == 2, res.output
+    assert "--beta-grid" in res.stderr
+    assert res.stdout == ""

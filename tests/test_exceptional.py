@@ -132,18 +132,27 @@ DENSE_CASES = {
         r=0.5, theta=1.0, b=1e300, gamma=0.0, q=2, k=2, delta=0.99,
         big_n=40, tau_grid=8,
     ),
-    # b = 0 with r^exponent overflowing: 0 * inf columns are NaN, never aligned
+    # b = 0 with r^exponent overflowing: 0 * inf columns are NaN, never
+    # aligned, and the other 257 columns are 0, aligned at every tau: a
+    # per-tau byte count over all of them at once would wrap
     "nan_columns": dict(
         r=0.5, theta=1.0, b=0.0, gamma=0.0, q=2, k=2, delta=1.0 / 3.0,
         big_n=300, tau_grid=32,
     ),
     # exact powers of two 2^(59-n) at beta = 0: the n = 6 term is exactly
-    # 2^53 at tau_0, which the strict < 2^53 test rejects at every tau
+    # 2^53 at tau_0, which the strict < 2^53 test rejects at every tau, and
+    # the n = 7 term reaches exactly 2^53 at the last tau, tau = 2
     "powers_of_two": dict(
         r=0.5, theta=0.0, b=1.0, gamma=math.pi, q=1, k=1, delta=1.0 / 3.0,
         big_n=60, tau_grid=32,
     ),
     "single_tau": dict(**CATALOG, big_n=60, tau_grid=1),
+    # r^-598 ~ 405 at most: all 600 columns are decidable, more than one
+    # block of 255 rows, so the per-tau byte counts add over three blocks
+    "many_columns": dict(
+        r=0.99, theta=1.0, b=1.0, gamma=0.0, q=1, k=1, delta=1.0 / 3.0,
+        big_n=600, tau_grid=64,
+    ),
     # the exceptional-scan scenario's grid and horizons
     **{f"scenario_N{n}": dict(**CATALOG, big_n=n, tau_grid=4096) for n in (50, 100, 200)},
 }
@@ -179,3 +188,16 @@ def test_dense_reference_catches_pruning_at_largest_tau(monkeypatch):
     monkeypatch.setattr(exceptional, "_decidable_columns", prune_at_tau_max)
     with pytest.raises(AssertionError):
         _assert_matches_dense(AlignmentParams(**DENSE_CASES["catalog"]), DENSE_BETAS)
+
+
+def test_dense_reference_catches_a_skipped_crossing_test(monkeypatch):
+    """The n = 7 power of two is 2^52 at tau_0 and exactly 2^53 at the last
+    tau, where it rounds to itself; without the per-value 2^53 test on
+    columns that cross it, that value counts as aligned."""
+    from dimlab import exceptional
+
+    params = AlignmentParams(**DENSE_CASES["powers_of_two"])
+    _assert_matches_dense(params, DENSE_BETAS)
+    monkeypatch.setattr(exceptional, "_crossing_rows", lambda top, c: np.zeros(0, int))
+    with pytest.raises(AssertionError):
+        _assert_matches_dense(params, DENSE_BETAS)

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -443,37 +442,6 @@ def test_iterate_system_orders_words_lexicographically(rot3):
             assert np.allclose(it2.maps[k].translation, g.translation, atol=1e-14)
             k += 1
     assert it2.ball_radius == rot3.ball_radius
-
-
-def test_equal_rotation_subsystem_counts_and_canonical_maps(triangle, rot3):
-    sub = dl.equal_rotation_subsystem(triangle, (1, 1, 1))
-    assert sub.word_count == 6
-    assert sub.ifs.m == 6
-    assert np.all(sub.ifs.ratios == 0.125)
-    assert sub.moran_dim == pytest.approx(math.log(6.0) / math.log(8.0), abs=1e-12)
-
-    sub2 = dl.equal_rotation_subsystem(rot3, (2, 1, 0))
-    assert sorted(sub2.words) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
-    assert np.all(sub2.ifs.ratios == 0.125)
-    assert np.all(sub2.ifs.angles == 3.0)
-    for w, f in zip(sub2.words, sub2.ifs.maps):
-        g = oracles.compose_word(rot3, w)
-        assert np.allclose(f.translation, g.translation, atol=1e-14)
-
-
-@pytest.mark.parametrize(
-    "items", [[], [2], [1, 1, 1], [1, 1, 2, 3], [3, 1, 2, 1], [1, 2, 2, 3, 3, 3]]
-)
-def test_distinct_permutations_are_lexicographic_and_unique(items):
-    got = list(dl.geometry._distinct_permutations(items))
-    assert got == sorted(set(itertools.permutations(items)))
-
-
-def test_equal_rotation_subsystem_rejects_bad_counts(triangle):
-    with pytest.raises(ParameterError):
-        dl.equal_rotation_subsystem(triangle, (0, 0, 0))
-    with pytest.raises(ParameterError):
-        dl.equal_rotation_subsystem(triangle, (1, 1))
 
 
 def test_verify_ssc(gasket_1d, square):
