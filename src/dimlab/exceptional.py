@@ -16,8 +16,8 @@ b >= 0.  Rounding is monotone, so |(b tau) c_n| lies between its values at
 the first and the largest tau of the grid.  A column whose first value is
 2^53 or more, infinite or NaN is not aligned at any tau and adds 0 to every
 fraction; such columns are dropped.  A column whose largest value is below
-2^53 is representable at every tau, so only the one or two columns between
-the two bounds get the per-value 2^53 test.
+2^53 is representable at every tau, so only the columns between the two
+bounds (one or two at the catalog defaults) get the per-value 2^53 test.
 
 The rest form term-major (terms, taus) blocks of at most 255 columns, held
 in scratch that every block and direction reuses.  Each value costs five

@@ -252,8 +252,11 @@ def _sub_seed(seed: int, index: int) -> int:
     return int(rng.derive_seed(np.uint64(seed), np.uint64(index)))
 
 
-def _nonempty(name: str, key: str, count: int) -> None:
-    """A count parameter that leaves scenario `name` nothing to run."""
+def _nonempty(name: str, key: str, count) -> None:
+    """A count parameter of scenario `name` that is not an integer, or that
+    leaves it nothing to run."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ConfigError(f"{name}.{key}: need an integer, got {count!r}")
     if count < 1:
         raise ConfigError(f"{name}.{key}: need at least 1, got {count}")
 
@@ -584,10 +587,7 @@ def _run_probe(params, seed):
 def _run_exceptional_scan(params, seed):
     """Phase-alignment membership scan over directions."""
     for key in ("beta_grid", "chunk"):
-        value = params[key]
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"exceptional-scan.{key}: need an integer, got {value!r}")
-        _nonempty("exceptional-scan", key, value)
+        _nonempty("exceptional-scan", key, params[key])
     betas = np.linspace(0.0, math.pi, params["beta_grid"], endpoint=False)
     chunks = [
         betas[i : i + params["chunk"]] for i in range(0, len(betas), params["chunk"])

@@ -712,25 +712,33 @@ def test_exceptional_rejects_bad_params(runner):
 
 
 @pytest.mark.parametrize(
-    "params, named",
+    "scenario, params, named",
     [
-        ({"chunk": 0}, "exceptional-scan.chunk"),
-        ({"chunk": 1.5}, "exceptional-scan.chunk"),
-        ({"chunk": -3}, "exceptional-scan.chunk"),
-        ({"beta_grid": 0}, "exceptional-scan.beta_grid"),
-        ({"beta_grid": -1}, "exceptional-scan.beta_grid"),
-        ({"beta_grid": 8.0}, "exceptional-scan.beta_grid"),
-        ({"beta_grid": True}, "exceptional-scan.beta_grid"),
+        ("exceptional-scan", {"chunk": 0}, "exceptional-scan.chunk"),
+        ("exceptional-scan", {"chunk": 1.5}, "exceptional-scan.chunk"),
+        ("exceptional-scan", {"chunk": -3}, "exceptional-scan.chunk"),
+        ("exceptional-scan", {"beta_grid": 0}, "exceptional-scan.beta_grid"),
+        ("exceptional-scan", {"beta_grid": -1}, "exceptional-scan.beta_grid"),
+        ("exceptional-scan", {"beta_grid": 8.0}, "exceptional-scan.beta_grid"),
+        ("exceptional-scan", {"beta_grid": True}, "exceptional-scan.beta_grid"),
+        ("percolate-dim", {"samples": 1.5, "depth": 3}, "percolate-dim.samples"),
+        ("mandelbrot-slices", {"samples": True, "depth": 3}, "mandelbrot-slices.samples"),
+        ("projection-positivity", {"samples": 2, "depth": 3, "directions": 2.5},
+         "projection-positivity.directions"),
     ],
-    ids=["chunk-0", "chunk-1.5", "chunk-neg", "beta-grid-0", "beta-grid-neg",
-         "beta-grid-float", "beta-grid-bool"],
+    ids=["scan-chunk-0", "scan-chunk-1.5", "scan-chunk-neg", "scan-beta-grid-0",
+         "scan-beta-grid-neg", "scan-beta-grid-float", "scan-beta-grid-bool",
+         "percolate-samples-float", "slices-samples-bool", "positivity-directions-float"],
 )
-def test_exceptional_scan_counts_must_be_positive_integers(runner, tmp_path, params, named):
+def test_scenario_counts_must_be_positive_integers(runner, tmp_path, scenario, params, named):
     # these died with ValueError, TypeError or ZeroDivisionError (exit 1), or
-    # with a negative chunk scanned no direction and passed the gate (exit 0)
+    # ran as if given another count: a negative chunk scanned no direction
+    # and passed the gate, and samples true drew one sample
+    if scenario == "exceptional-scan":
+        params = {**params, "tau_grid": 4}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"params": {**params, "tau_grid": 4}, "seed": 1}))
-    res = runner.invoke(main, ["exceptional-scan", "--config", str(cfg)])
+    cfg.write_text(json.dumps({"params": params, "seed": 1}))
+    res = runner.invoke(main, [scenario, "--config", str(cfg)])
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("error: ") and named in res.stderr
     assert res.stdout == ""
