@@ -282,8 +282,8 @@ def sections_command(ifs_path, beta, eps, scales, grid, out, budget):
     """Slice-count profile of a deterministic attractor over an offset grid."""
     ifs = load_ifs(ifs_path)
     ladder = parse_scales(scales)
-    profile = conservation_profile(
-        ifs, Direction.from_angle(beta), eps, ladder, grid=grid, budget=budget
+    (profile,) = conservation_profile(
+        ifs, [Direction.from_angle(beta)], eps, ladder, grid=grid, budget=budget
     )
     rows = []
     for j, x in enumerate(profile.x_grid):

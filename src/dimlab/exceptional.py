@@ -82,14 +82,12 @@ class AlignmentParams:
             raise ParameterError("r must lie in (0, 1)")
         if self.b < 0.0:
             raise ParameterError("b must be >= 0")
-        if self.q < 1 or self.k < 1:
-            raise ParameterError("q and k must be >= 1")
+        for name in ("q", "k", "big_n", "tau_grid"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ParameterError(f"{name} must be an integer >= 1, got {n!r}")
         if not 0.0 < self.delta < 1.0:
             raise ParameterError("delta must lie in (0, 1)")
-        if self.big_n < 1:
-            raise ParameterError("big_n must be >= 1")
-        if self.tau_grid < 1:
-            raise ParameterError("tau_grid must be >= 1")
         try:
             self.r ** (-self.q * self.k)
         except OverflowError:

@@ -252,11 +252,15 @@ def _sub_seed(seed: int, index: int) -> int:
     return int(rng.derive_seed(np.uint64(seed), np.uint64(index)))
 
 
+def _need_integer(name: str, key: str, value) -> None:
+    """Parameter `key` of scenario `name` must be an integer: int() would
+    truncate 1.5 and read True as 1, so two configs would run as one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name}.{key}: need an integer, got {value!r}")
+
+
 def _nonempty(name: str, key: str, count) -> None:
-    """A count parameter of scenario `name` that is not an integer, or that
-    leaves it nothing to run."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ConfigError(f"{name}.{key}: need an integer, got {count!r}")
+    """A count parameter of scenario `name` that leaves it nothing to run."""
     if count < 1:
         raise ConfigError(f"{name}.{key}: need at least 1, got {count}")
 
@@ -412,9 +416,9 @@ def _run_sections_conservation(params, seed):
     """Slice-dimension profile of a deterministic attractor."""
     ifs = load_ifs(params["ifs"])
     scales = parse_scales(params["scales"])
-    profile = conservation_profile(
+    (profile,) = conservation_profile(
         ifs,
-        Direction.from_angle(params["beta"]),
+        [Direction.from_angle(params["beta"])],
         params["epsilon"],
         scales,
         grid=params["grid"],
@@ -523,9 +527,9 @@ def _run_probe(params, seed):
     if alpha is None:
         alpha = s - 1.0 - params["alpha_margin"]
     direction = Direction.from_angle(params["beta"])
-    profile = conservation_profile(
+    (profile,) = conservation_profile(
         ifs,
-        direction,
+        [direction],
         params["epsilon"],
         parse_scales(params["scales"]),
         grid=params["grid"],
@@ -592,7 +596,7 @@ def _run_exceptional_scan(params, seed):
     chunks = [
         betas[i : i + params["chunk"]] for i in range(0, len(betas), params["chunk"])
     ]
-    n_values = sorted(int(n) for n in params["N_values"])
+    n_values = sorted(params["N_values"])
     if len(set(n_values)) < 2:
         # the gate reads the increases between horizons: one would pass it
         raise ConfigError(f"exceptional-scan.N_values: need 2 distinct horizons, got {n_values}")
@@ -652,6 +656,8 @@ def _run_exceptional_scan(params, seed):
 )
 def _run_fourier_decay(params, seed):
     """Decay of the sparse Fourier factor product along a ladder."""
+    if params["q"] is not None:
+        _need_integer("fourier-decay", "q", params["q"])
     base = load_ifs(params["ifs"])
     selection = forced_pair_law(base, params["epsilon"], q=params["q"])
     system = iterate_system(base, selection.q)
@@ -714,6 +720,15 @@ def _merge_params(spec: ScenarioSpec, params) -> dict:
     for key, value in params.items():
         if key not in merged:
             raise ConfigError(f"{spec.name}.{key}: unknown parameter")
+        # a param whose default is an int or a list of ints takes the same
+        default = merged[key]
+        if isinstance(default, int):
+            _need_integer(spec.name, key, value)
+        elif isinstance(default, list) and default and isinstance(default[0], int):
+            if not isinstance(value, list):
+                raise ConfigError(f"{spec.name}.{key}: need a list, got {value!r}")
+            for v in value:
+                _need_integer(spec.name, key, v)
         merged[key] = value
     return merged
 

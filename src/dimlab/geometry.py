@@ -7,6 +7,10 @@ f_i(B) inside B for every map is fixed, the cylinder [i1..ik] is represented
 by the image disk, whose diameter is exactly 2 R0 r_{i1}...r_{ik}.  All
 coverings, slice counts and projections in the other modules are computed
 against these disks, never against convex hulls.
+
+Stopping sets come from one top-down walk (`_ladder_cuts`) that cuts
+every scale of a ladder from one frontier: `stopping_set` assembles one
+scale's cells, and a slice profile counts every scale's cells as cut.
 """
 
 from __future__ import annotations
@@ -580,30 +584,36 @@ def _mask_symbols(masks: list) -> np.ndarray:
 
 
 def stopping_set(ifs: IFS, rho: float, budget: int = DEFAULT_BUDGET) -> StoppingSet:
-    """Enumerate the stopping set at scale rho: a ladder of one scale."""
-    return stopping_sets(ifs, [rho], budget=budget)[0]
-
-
-def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
-    """The stopping sets of every scale of a ladder, from one top-down pass.
+    """Enumerate the stopping set at scale rho: the cells of a ladder of
+    one scale (`_ladder_cuts`), assembled in lexicographic order.
 
     c1 is fixed to 1 / min_i r_i, which guarantees every chain of nested
-    cylinders crosses [rho, c1 rho) exactly once, so each family is both
+    cylinders crosses [rho, c1 rho) exactly once, so the family is both
     prefix-free and complete.
+    """
+    (cells,), frontier = _ladder_cuts(ifs, [rho], budget)
+    return _assemble(ifs, float(rho), 1.0 / float(ifs.ratios.min()), cells, frontier)
 
-    One frontier, the words whose diameter c0 r is at least the finest cut
-    c1 rho, is extended a level at a time by `_extend`.  A scale's
-    cells are the children below its cut whose parent is not (or the root,
-    when c0 is below the cut); a scale is assembled once no frontier word
-    is at or above its cut.  Scales can share their cells' maps, so only
-    the last one assembled, after the frontier is spent and the others
-    have copied theirs, turns its translations into centers in place.
+
+def _ladder_cuts(ifs: IFS, scales, budget: int = DEFAULT_BUDGET):
+    """The cells of every scale of a ladder, from one top-down walk:
+    (cells, frontier).
+
+    cells[i] maps each level at which scale i has cells (the root is level
+    0) to their keep mask among that level's children and their composed
+    maps.  frontier[j] is the keep mask of the level-j frontier words, whose
+    diameter c0 r is at least the finest cut c1 rho; it is extended a level
+    at a time by `_extend`.  A scale's cells are the children below its cut
+    whose parent is not (or the root, when c0 is below the cut).  Scales cut
+    at the same words share their cells' maps, as cells that are all of a
+    level's children share them with the frontier (`_rows_of`): a caller
+    that writes over maps must be their last reader.
 
     The budget check is the single-scale one, emitted + active * m before
     every level, made for the finest scale.  At every level each coarser
     scale's cells and active children are cells, ancestors of cells or
     active children of the finest scale, so its count is never the larger:
-    the ladder raises exactly when one of its scales would on its own.
+    the ladder raises exactly when its finest scale would on its own.
     """
     c0 = ifs.diameter_proxy
     rhos = [float(rho) for rho in scales]
@@ -613,45 +623,33 @@ def stopping_sets(ifs: IFS, scales, budget: int = DEFAULT_BUDGET) -> list:
     c1 = 1.0 / float(ifs.ratios.min())
     cuts = [c1 * rho for rho in rhos]
     finest = cuts.index(min(cuts))
-    m = ifs.m
-
     maps = _identity_maps(ifs)
-    frontier = [_root()]  # per level, the keep mask of the frontier words
-    # per scale, level -> (keep mask, composed maps) of its cells
+    frontier = [_root()]
     cells = [{0: (frontier[0], maps)} if c0 < cut else {} for cut in cuts]
     emitted = len(cells[finest])
-    out = [None] * len(rhos)
-    level = 0
+    live = range(len(cuts))
     while True:
         diam = np.broadcast_to(c0 * maps[0], (len(maps[2]),))
-        active = {}
-        for i, cut in enumerate(cuts):
-            if out[i] is None:
-                act = diam >= cut
-                if act.any():
-                    active[i] = act
-                else:
-                    last = out.count(None) == 1
-                    out[i] = _assemble(ifs, rhos[i], c1, cells[i], frontier, last)
-                    cells[i] = None
-        # while any scale is active the finest is, on the whole frontier
-        need = emitted + len(diam) * m if active else emitted
+        active = {i: diam >= cuts[i] for i in live}
+        live = [i for i, act in active.items() if act.any()]
+        # while any scale is live the finest is, on the whole frontier
+        need = emitted + len(diam) * ifs.m if live else emitted
         if need > budget:
             raise BudgetExceededError(need, budget)
-        if not active:
-            return out
+        if not live:
+            return cells, frontier
         children = _extend(*maps, ifs)
         ch_diam = np.broadcast_to(c0 * children[0], (len(children[2]),))
-        level += 1
-        for i, act in active.items():
-            done = (ch_diam < cuts[i]).reshape(-1, m)
-            done &= act[:, None]
+        level = len(frontier)
+        for i in live:
+            done = (ch_diam < cuts[i]).reshape(-1, ifs.m)
+            done &= active[i][:, None]
             count = np.count_nonzero(done)
             if count:
                 cells[i][level] = (done, _rows_of(children, done))
                 if i == finest:
                     emitted += count
-        keep = (ch_diam >= cuts[finest]).reshape(-1, m)
+        keep = (ch_diam >= cuts[finest]).reshape(-1, ifs.m)
         frontier.append(keep)
         maps = _rows_of(children, keep)
         del children
@@ -668,16 +666,14 @@ def _rows_of(maps, keep):
     return tuple(np.take(a, rows, axis=0) if a.ndim else a for a in maps)
 
 
-def _assemble(
-    ifs: IFS, rho: float, c1: float, cells: dict, frontier: list, in_place: bool
-) -> StoppingSet:
+def _assemble(ifs: IFS, rho: float, c1: float, cells: dict, frontier: list) -> StoppingSet:
     """One scale's stopping set from its cells, in lexicographic order.
 
     Within a level, children come in (parent, symbol) order, which is
     lexicographic, so cells cut at one level (always so for equal ratios)
     are in order as they stand; cells of several levels are placed by
-    `_lex_rows`.  With in_place the centers are written over the cells'
-    translations, which nothing may read afterwards.
+    `_lex_rows`.  The centers are written over the cells' translations,
+    which the walk of one scale leaves to this set alone.
     """
     masks = {level: keep for level, (keep, _) in cells.items()}
     if len(cells) == 1:
@@ -689,7 +685,7 @@ def _assemble(
         for level, (_, part) in cells.items():
             for a, b in zip(maps, part):
                 a[rows[level]] = b
-    centers, radii = _cell_disks(ifs, *maps, in_place=in_place)
+    centers, radii = _cell_disks(ifs, *maps, in_place=True)
     return StoppingSet(
         ifs=ifs,
         rho=rho,

@@ -4,6 +4,9 @@ A slice through offset x in direction w is the affine (d-1)-flat
 {y : <y, w> = x}.  Counting is always against cylinder disks, so the test
 "cylinder meets the flat" is the exact one-dimensional check
 |<center, w> - x| <= radius.
+
+Slice profiles count the stopping sets one walk cuts (`geometry._ladder_cuts`)
+or a sample's generations through one counter, `_ladder_counts`.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from .geometry import (
     _extend,
     _extend_blocks,
     _identity_maps,
+    _ladder_cuts,
     _row_blocks,
     _rows_of,
     moran_dimension,
     stopping_set,
-    stopping_sets,
 )
 from .percolation import PercolationSample, _Blocks, _Growth, sample_tree, standard_law
 from . import rng
@@ -488,60 +491,53 @@ def _default_grid(ifs: IFS, direction: Direction, scales, grid: int) -> np.ndarr
     return np.linspace(lo, hi, grid)
 
 
-def _profile_from_counts(
-    counts, direction, epsilon, threshold_dim, x_grid, scales
-) -> ConservationProfile:
-    """The profile of (scales, offsets) slice counts in one direction."""
+def _profiles_from_counts(counts, directions, epsilon, threshold_dim, grids, scales) -> list:
+    """The profile of each direction's (scales, offsets) slice counts."""
     x = np.log(1.0 / np.asarray(scales, dtype=np.float64))
-    keep = counts.T > 0
-    # every offset with three distinct non-empty scales is fitted in one
-    # masked call, its line bitwise fit_loglog's on that offset's column
-    valid = _distinct_kept(x, keep) >= 3
-    y = np.log(np.where(keep, counts.T, 1.0))
-    slopes = np.full(len(x_grid), np.nan)
-    r2 = np.full(len(x_grid), np.nan)
-    slopes[valid], _, r2[valid] = _line_fit(x, y[valid], keep[valid])
     threshold = threshold_dim - 1.0 - epsilon
-    qualifying = valid & (slopes > threshold)
-    return ConservationProfile(
-        direction=direction,
-        epsilon=epsilon,
-        threshold=threshold,
-        x_grid=x_grid,
-        slopes=slopes,
-        r2=r2,
-        valid=valid,
-        qualifying=qualifying,
-        counts=counts,
-    )
+    profiles = []
+    for c, direction, x_grid in zip(counts, directions, grids):
+        keep = c.T > 0
+        # every offset with three distinct non-empty scales is fitted in one
+        # masked call, its line bitwise fit_loglog's on that offset's column
+        valid = _distinct_kept(x, keep) >= 3
+        y = np.log(np.where(keep, c.T, 1.0))
+        slopes = np.full(len(x_grid), np.nan)
+        r2 = np.full(len(x_grid), np.nan)
+        slopes[valid], _, r2[valid] = _line_fit(x, y[valid], keep[valid])
+        profiles.append(ConservationProfile(
+            direction=direction, epsilon=epsilon, threshold=threshold, x_grid=x_grid,
+            slopes=slopes, r2=r2, valid=valid, qualifying=valid & (slopes > threshold), counts=c,
+        ))
+    return profiles
 
 
 def conservation_profile(
     ifs: IFS,
-    direction: Direction,
+    directions,
     epsilon: float,
     scales,
     grid: int = 512,
     x_grid=None,
     budget: int = DEFAULT_BUDGET,
-) -> ConservationProfile:
-    """Profile of slice slopes for the deterministic attractor.
+) -> list:
+    """Profiles of slice slopes for the deterministic attractor, one per
+    direction, counted from one walk of the ladder (`_ladder_cuts`).
 
-    Qualifying offsets have slope above moran_dimension - 1 - epsilon.
+    Qualifying offsets have slope above moran_dimension - 1 - epsilon.  A
+    given x_grid serves every direction; otherwise each direction gets its
+    default grid.  The counts are `slice_counts` of each scale's stopping
+    set, whose cells are counted at the levels they were cut at.
     """
-    _check_direction(direction, ifs.ambient_dim)
-    if not 0.0 < epsilon < math.inf:
-        raise ParameterError("epsilon must be positive and finite")
-    if x_grid is None:
-        x_grid = _default_grid(ifs, direction, scales, grid)
-    x_grid = np.asarray(x_grid)
-    counts = [
-        slice_counts(CellCloud.from_stopping_set(ss), direction, x_grid)
-        for ss in stopping_sets(ifs, scales, budget=budget)
-    ]
-    return _profile_from_counts(
-        np.stack(counts), direction, epsilon, moran_dimension(ifs), x_grid, scales
-    )
+    grids = _profile_grids(ifs, directions, epsilon, scales, grid, x_grid)
+    cells, _ = _ladder_cuts(ifs, scales, budget)
+    cuts = [(i, maps) for i, cut in enumerate(cells) for _, maps in cut.values()]
+    # scales cut at the same words share their maps: a block's last reader
+    # turns it into disks in place, and the others copy it
+    last = {id(maps[2]): n for n, (_, maps) in enumerate(cuts)}
+    blocks = ((i, maps, last[id(maps[2])] == n) for n, (i, maps) in enumerate(cuts))
+    counts = _ladder_counts(ifs, range(len(scales)), blocks, directions, grids)
+    return _profiles_from_counts(counts, directions, epsilon, moran_dimension(ifs), grids, scales)
 
 
 def conservation_profile_sample(
@@ -554,70 +550,63 @@ def conservation_profile_sample(
     grid: int = 512,
     x_grid=None,
 ) -> list:
-    """Same profile against the surviving cells of a percolation sample,
-    one per direction, all counted from one ladder of generations.
+    """Same profiles against the surviving cells of a percolation sample,
+    counted from one top-down fold of its generations (`_generation_blocks`).
 
     dim_formula is the almost-sure dimension of the surviving set (from
     percolation_dimension); qualifying means slope > dim_formula - 1 - eps.
-    A given x_grid serves every direction; otherwise each direction gets
-    its default grid.  The counts are `slice_counts` of each scale's
-    generation (`_ladder_counts`), but the finest generation is never
-    held whole.
+    The counts are `slice_counts` of each scale's generation, and the
+    finest generation is never held whole.
     """
+    grids = _profile_grids(ifs, directions, epsilon, scales, grid, x_grid)
+    ks = [generation_for_scale(sample, ifs, rho) for rho in scales]
+    counts = _ladder_counts(ifs, ks, _generation_blocks(sample, ifs, set(ks)), directions, grids)
+    return _profiles_from_counts(counts, directions, epsilon, dim_formula, grids, scales)
+
+
+def _profile_grids(ifs, directions, epsilon, scales, grid, x_grid) -> list:
+    """A profile's x grid per direction, once its inputs are checked: the
+    given x_grid for every direction, or each direction's default grid."""
     for w in directions:
         _check_direction(w, ifs.ambient_dim)
     if not 0.0 < epsilon < math.inf:
         raise ParameterError("epsilon must be positive and finite")
     if x_grid is None:
-        grids = [_default_grid(ifs, w, scales, grid) for w in directions]
-    else:
-        grids = [np.asarray(x_grid)] * len(directions)
-    ks = [generation_for_scale(sample, ifs, rho) for rho in scales]
-    counts = _ladder_counts(sample, ifs, set(ks), directions, grids)
-    return [
-        _profile_from_counts(
-            np.stack([counts[k][i] for k in ks]), w, epsilon, dim_formula, xs, scales
-        )
-        for i, (w, xs) in enumerate(zip(directions, grids))
-    ]
+        return [_default_grid(ifs, w, scales, grid) for w in directions]
+    return [np.asarray(x_grid)] * len(directions)
 
 
-def _ladder_counts(sample, ifs, ks, directions, grids) -> dict:
-    """Slice counts of the sample's generations ks against each direction
-    and its grid: {k: [counts per direction]}, from one top-down fold.
-
-    The coarser generations are folded by the sample (`_folds`), and each
-    one asked for is made into disks, counted and dropped.  The finest,
-    which holds most of the disks, is folded from its parent's maps a
-    block of parent rows at a time (`_extend_blocks`); each block's disks
-    are made in place and fed to one `_Tally` per direction, which adds
-    each disk its reach test keeps at its one nearest flat (the lemma in
-    `slice_counts`) and holds nothing but its G counts.  Its centers never
-    exist whole, and its counts are `slice_counts` of its whole cloud:
-    each disk is bitwise the whole fold's, projects to the same bits in
-    any block, and meets no flat but its nearest.
-    """
+def _generation_blocks(sample, ifs, ks):
+    """`_ladder_counts`' blocks for the sample's generations ks: each
+    coarser one whole, as the sample folds it, and the finest, which holds
+    most of the disks, a block of parent rows' children at a time."""
     top = max(ks)
-    counts = {}
     maps = _identity_maps(ifs)  # the root's, when the finest is the root
     for k, maps in sample._folds(ifs, top - 1):
         if k in ks:
-            counts[k] = _cloud_counts(ifs, maps, directions, grids)
-    keep = sample.generations[top]
-    blocks = _extend_blocks(*maps, ifs, keep) if top else [maps]
-    tallies = [_Tally(w, xs) for w, xs in zip(directions, grids)]
+            yield k, maps, False
+    blocks = _extend_blocks(*maps, ifs, sample.generations[top]) if top else [maps]
     for block in blocks:
-        centers, radii = _cell_disks(ifs, *block, in_place=True)
-        for tally in tallies:
-            tally.add(centers, radii)
-    counts[top] = [tally.counts for tally in tallies]
-    return counts
+        yield top, block, True
 
 
-def _cloud_counts(ifs, maps, directions, grids) -> list:
-    """`slice_counts` of the disks of composed maps per direction."""
-    cloud = CellCloud(*_cell_disks(ifs, *maps))
-    return [slice_counts(cloud, w, xs) for w, xs in zip(directions, grids)]
+def _ladder_counts(ifs, keys, blocks, directions, grids) -> list:
+    """Slice counts of cells fed a block at a time: one (len(keys), G)
+    array per direction and its grid, row r the counts of keys[r].
+
+    blocks yields (key, maps, owned): composed maps of some of key's cells,
+    made into disks (over the maps when owned) and fed a row block at a
+    time to one `_Tally` per key and direction.  A key's counts are
+    `slice_counts` of all its cells, in any blocks (`_Tally`, `_project`).
+    """
+    tallies = {key: [_Tally(w, xs) for w, xs in zip(directions, grids)] for key in keys}
+    for key, maps, owned in blocks:
+        centers, radii = _cell_disks(ifs, *maps, in_place=owned)
+        for tally in tallies[key]:
+            for b in _row_blocks(len(centers)):
+                tally.add(centers[b], radii[b])
+        del centers, radii  # a copy is not held while the next block is folded
+    return [np.stack([tallies[k][i].counts for k in keys]) for i in range(len(directions))]
 
 
 # ---------------------------------------------------------------------------

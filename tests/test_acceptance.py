@@ -219,7 +219,7 @@ def test_08_carpet_axis_slices_conserve_dimension():
     carpet = load_ifs("sierpinski_carpet")
     axis = Direction.from_angle(0.0)
     scales = [3.0**-j for j in range(2, 8)]
-    profile = conservation_profile(carpet, axis, 0.15, scales, grid=512)
+    (profile,) = conservation_profile(carpet, [axis], 0.15, scales, grid=512)
 
     clouds = [CellCloud.from_stopping_set(stopping_set(carpet, s)) for s in scales]
     exact_ok = True

@@ -725,17 +725,41 @@ def test_exceptional_rejects_bad_params(runner):
         ("mandelbrot-slices", {"samples": True, "depth": 3}, "mandelbrot-slices.samples"),
         ("projection-positivity", {"samples": 2, "depth": 3, "directions": 2.5},
          "projection-positivity.directions"),
+        ("probe", {"trials": 1.5}, "probe.trials"),
+        ("probe", {"trials": True}, "probe.trials"),
+        ("probe", {"grid": 1.5}, "probe.grid"),
+        ("mandelbrot-slices", {"depth": 5.5}, "mandelbrot-slices.depth"),
+        ("mandelbrot-slices", {"grid": 2.5}, "mandelbrot-slices.grid"),
+        ("mandelbrot-slices", {"min_depth": 1.5}, "mandelbrot-slices.min_depth"),
+        ("percolate-dim", {"M": 2.5}, "percolate-dim.M"),
+        ("percolate-dim", {"d": 1.5}, "percolate-dim.d"),
+        ("percolate-dim", {"max_tries": 0.5}, "percolate-dim.max_tries"),
+        ("percolate-dim", {"budget": 2e7}, "percolate-dim.budget"),
+        ("sections-conservation", {"grid": 2.5}, "sections-conservation.grid"),
+        ("fourier-decay", {"k": 2.5}, "fourier-decay.k"),
+        ("fourier-decay", {"pad": 1.5}, "fourier-decay.pad"),
+        ("fourier-decay", {"q": 1.5}, "fourier-decay.q"),
+        ("exceptional-scan", {"q": 1.5}, "exceptional-scan.q"),
+        ("exceptional-scan", {"tau_grid": 1.5}, "exceptional-scan.tau_grid"),
+        ("exceptional-scan", {"N_values": [10.7, 20]}, "exceptional-scan.N_values"),
+        ("exceptional-scan", {"N_values": [True, 20]}, "exceptional-scan.N_values"),
     ],
     ids=["scan-chunk-0", "scan-chunk-1.5", "scan-chunk-neg", "scan-beta-grid-0",
          "scan-beta-grid-neg", "scan-beta-grid-float", "scan-beta-grid-bool",
-         "percolate-samples-float", "slices-samples-bool", "positivity-directions-float"],
+         "percolate-samples-float", "slices-samples-bool", "positivity-directions-float",
+         "probe-trials-float", "probe-trials-bool", "probe-grid-float", "slices-depth-float",
+         "slices-grid-float", "slices-min-depth-float", "percolate-M-float",
+         "percolate-d-float", "percolate-max-tries-float", "percolate-budget-float",
+         "sections-grid-float", "fourier-k-float", "fourier-pad-float", "fourier-q-float",
+         "scan-q-float", "scan-tau-grid-float", "scan-N-values-float", "scan-N-values-bool"],
 )
 def test_scenario_counts_must_be_positive_integers(runner, tmp_path, scenario, params, named):
     # these died with ValueError, TypeError or ZeroDivisionError (exit 1), or
     # ran as if given another count: a negative chunk scanned no direction
-    # and passed the gate, and samples true drew one sample
+    # and passed the gate, samples true drew one sample, q 1.5 scanned blocks
+    # of 1.5 maps, and N_values 10.7 scanned horizon 10
     if scenario == "exceptional-scan":
-        params = {**params, "tau_grid": 4}
+        params = {"tau_grid": 4, **params}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": params, "seed": 1}))
     res = runner.invoke(main, [scenario, "--config", str(cfg)])

@@ -22,6 +22,10 @@ def test_params_validation():
         AlignmentParams(**CATALOG, big_n=0)
     with pytest.raises(ParameterError):
         AlignmentParams(**{**CATALOG, "b": -1.0}, big_n=10)
+    # a block size, stride, horizon or grid size of 1.5 (or true) means nothing
+    for bad in ({"q": 1.5}, {"k": True}, {"big_n": 10.7}, {"tau_grid": 16.0}):
+        with pytest.raises(ParameterError, match=f"{next(iter(bad))} must be an integer"):
+            AlignmentParams(**{**CATALOG, "big_n": 10, **bad})
 
 
 def test_threshold_and_tau_grid():

@@ -232,14 +232,15 @@ def test_mandelbrot_slices_scenario_reduced():
     assert rep["metrics"]["theory_dim"] == pytest.approx(1.8520, abs=2e-4)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-def test_sections_conservation_peak_rss_in_a_fresh_process():
-    # the carpet ladder 3^-2 .. 3^-7 is the largest peak of any scenario;
-    # a fresh process measures it alone, with BLAS and dimlab on one thread,
-    # and reads its own VmHWM (see the percolate-dim test below)
+def _fresh_peak_mb(scenario, params):
+    """VmHWM (MB) of a fresh process that runs one scenario at seed 7, with
+    BLAS and dimlab on one thread.  The child reads its own VmHWM, the
+    peak of its own address space: Linux carries ru_maxrss over an exec,
+    so a child started from this test process would read at least this
+    process's own peak there."""
     code = (
         "from dimlab.experiments import run_scenario\n"
-        "run_scenario('sections-conservation', seed=7)\n"
+        f"run_scenario({scenario!r}, params={params!r}, seed=7)\n"
         "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
     )
     src = os.path.dirname(os.path.dirname(dl.__file__))
@@ -249,31 +250,33 @@ def test_sections_conservation_peak_rss_in_a_fresh_process():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=300,
     )
-    peak_mb = int(done.stdout.split()[-1]) / 1024
-    # 81.5 MB here; per-cell lengths and indices with intp links peaked at
-    # 104.3 MB, and per-row ratios and angles, stored ratios, full radii
-    # and fresh centers before them at 206.8 MB
-    assert peak_mb <= 95, peak_mb
+    return int(done.stdout.split()[-1]) / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_sections_conservation_peak_rss_in_a_fresh_process():
+    # the carpet ladder 3^-2 .. 3^-7 is the largest peak of any scenario
+    peak_mb = _fresh_peak_mb("sections-conservation", {})
+    # 78.7 MB here: the finest level's 2,097,152 children are made once and
+    # turned into disks in place.  Assembling every scale's stopping set
+    # before counting peaked at 80.6 MB, per-cell lengths and indices with
+    # intp links at 104.3 MB, and per-row ratios and angles, stored ratios,
+    # full radii and fresh centers before them at 206.8 MB
+    assert peak_mb <= 87, peak_mb
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_probe_peak_rss_in_a_fresh_process():
+    # the carpet profile at 3^-2 .. 3^-6 (grid 2048), then 15 pruned trials
+    peak_mb = _fresh_peak_mb("probe", {"trials": 15})
+    # 42.2 MB here, 34.7 MB of it the imports
+    assert peak_mb <= 50, peak_mb
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_mandelbrot_slices_peak_rss_in_a_fresh_process():
-    # one p=0.85 depth-7 sample profiled in three directions, with BLAS and
-    # dimlab on one thread; the child reads its own VmHWM (see the
-    # percolate-dim test below)
-    code = (
-        "from dimlab.experiments import run_scenario\n"
-        "run_scenario('mandelbrot-slices', params={'samples': 1}, seed=7)\n"
-        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
-    )
-    src = os.path.dirname(os.path.dirname(dl.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", DIMLAB_THREADS="1")
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=300,
-    )
-    peak_mb = int(done.stdout.split()[-1]) / 1024
+    # one p=0.85 depth-7 sample profiled in three directions
+    peak_mb = _fresh_peak_mb("mandelbrot-slices", {"samples": 1})
     # 46.4 MB here, 34.7 MB of it the imports: each disk of the finest
     # generation (1.39M disks) is counted at its nearest flat as it is
     # folded.  Buffering the disks its reach test kept peaked at 57.9 MB,
@@ -283,24 +286,8 @@ def test_mandelbrot_slices_peak_rss_in_a_fresh_process():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_percolate_dim_peak_rss_in_a_fresh_process():
-    # four depth-8 trees grown and box-counted one after another, with BLAS
-    # and dimlab on one thread.  The child reads its VmHWM (KiB), the peak
-    # of its own address space: Linux carries ru_maxrss over an exec, so a
-    # child started from this test process would read at least this
-    # process's own peak there.
-    code = (
-        "from dimlab.experiments import run_scenario\n"
-        "run_scenario('percolate-dim', params={'samples': 4}, seed=7)\n"
-        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
-    )
-    src = os.path.dirname(os.path.dirname(dl.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", DIMLAB_THREADS="1")
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=300,
-    )
-    peak_mb = int(done.stdout.split()[-1]) / 1024
+    # four depth-8 trees grown and box-counted one after another
+    peak_mb = _fresh_peak_mb("percolate-dim", {"samples": 4})
     # 48.1 MB here, 34.7 MB of it the imports; trees stored as parent rows
     # and symbols, 5 bytes per kept node, peaked at 60.0 MB
     assert peak_mb <= 56, peak_mb

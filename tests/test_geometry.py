@@ -282,6 +282,22 @@ def test_stopping_set_budget_guard(carpet):
 LADDER = (0.05, 0.6, 0.001, 0.2, 0.012)
 
 
+def _walk_sets(ifs, scales):
+    """Each scale's stopping set, assembled from one walk of the whole
+    ladder.  Scales may share their cells' maps, and assembling writes
+    centers over them, so each set assembles a copy."""
+    cells, frontier = dl.geometry._ladder_cuts(ifs, scales)
+    c1 = 1.0 / float(ifs.ratios.min())
+    return [
+        dl.geometry._assemble(
+            ifs, rho, c1,
+            {level: (keep, tuple(a.copy() for a in maps)) for level, (keep, maps) in cut.items()},
+            frontier,
+        )
+        for rho, cut in zip(scales, cells)
+    ]
+
+
 @pytest.mark.parametrize("name", ["mixed", "rot3", "carpet"])
 def test_stopping_ladder_is_the_single_scale_sets(name, request):
     ifs = request.getfixturevalue(name)
@@ -289,12 +305,14 @@ def test_stopping_ladder_is_the_single_scale_sets(name, request):
     if name == "carpet":
         scales = scales[:2] + scales[3:]  # 8^7 cells at the finest
     # the finest scale again, and a coarser scale cut at the same words
-    # (equal ratios): scales whose cells share one level's maps, which
-    # only the last scale assembled may turn into centers in place
+    # (equal ratios): scales whose cells share one level's maps
     fine = min(scales)
     scales += [fine, 1.02 * fine]
-    ladder = dl.geometry.stopping_sets(ifs, scales)
-    assert len(ladder) == len(scales)
+    cells, _ = dl.geometry._ladder_cuts(ifs, scales)
+    assert len(cells) == len(scales)
+    shared = [a[1] is b[1] for a, b in zip(cells[-2].values(), cells[-1].values())]
+    assert all(shared) == ifs.equal_ratio
+    ladder = _walk_sets(ifs, scales)
     if ifs.equal_ratio:
         assert ladder[-1].words() == ladder[-2].words()
     for rho, ss in zip(scales, ladder):
@@ -323,6 +341,12 @@ def test_stopping_ladder_raises_exactly_when_one_scale_would(name, request):
     checks = [oracles.stopping_words(ifs, rho)[1] for rho in scales]
     need = [max(c) for c in checks]
     assert len(set(need)) == len(need)
+
+    def profile(budget):
+        return dl.conservation_profile(
+            ifs, [dl.Direction.from_angle(0.3)], 0.1, scales, x_grid=[0.4], budget=budget
+        )
+
     for budget in sorted({b + d for b in need for d in (-1, 0, 1)}):
         # the first count over budget is what a scale raises with on its own
         first = [next((c for c in cs if c > budget), None) for cs in checks]
@@ -335,26 +359,34 @@ def test_stopping_ladder_raises_exactly_when_one_scale_would(name, request):
             assert err.value.required == want
         failing = [c for c in first if c is not None]
         if failing:
-            with pytest.raises(BudgetExceededError) as err:
-                dl.geometry.stopping_sets(ifs, scales, budget=budget)
             # the finest scale (last here) fails first and with the largest count
-            assert err.value.required == first[-1] == max(failing)
+            walks = (lambda: dl.geometry._ladder_cuts(ifs, scales, budget), lambda: profile(budget))
+            for walk in walks:
+                with pytest.raises(BudgetExceededError) as err:
+                    walk()
+                assert err.value.required == first[-1] == max(failing)
         else:
-            assert len(dl.geometry.stopping_sets(ifs, scales, budget=budget)) == 4
+            assert len(dl.geometry._ladder_cuts(ifs, scales, budget)[0]) == 4
+            assert len(profile(budget)) == 1
 
 
 def test_stopping_ladder_of_a_shared_ratio_stays_lean(carpet):
     scales = [3.0 ** -k for k in range(2, 7)]
     tracemalloc.start()
     try:
-        ladder = dl.geometry.stopping_sets(carpet, scales)
-        peak = tracemalloc.get_traced_memory()[1]
+        dl.conservation_profile(carpet, [dl.Direction.from_angle(0.0)], 0.15, scales, grid=512)
+        counted = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cells, _ = dl.geometry._ladder_cuts(carpet, scales)
+        walked = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(ladder[-1]) == 8 ** 6 and ladder[-1].radii.strides == (0,)
-    # per-row ratios, angles, radii and stored ratios, with intp rows and
-    # symbols per child, peaked at 21.1 MB here
-    assert peak < 12 * 2 ** 20
+    ((keep, (ratios, _, trans)),) = cells[-1].values()
+    assert keep.all() and len(trans) == 8 ** 6 and ratios.ndim == 0
+    # 7.1 MB for the walk and its count here.  Per-row ratios, angles,
+    # radii and stored ratios, with intp rows and symbols per child,
+    # peaked at 21.1 MB for the walk alone
+    assert walked < 12 * 2 ** 20 and counted < 12 * 2 ** 20
 
 
 def test_a_stopping_set_holds_its_centers_and_keep_masks(carpet):

@@ -624,7 +624,7 @@ def test_shared_inputs_are_never_written():
         dl.path_survival(law, (2, 5, 1), seeds)
         sample.cell_cloud(ifs, 3, persistent=True)
     dl.conservation_profile(
-        ifs, dl.Direction.from_angle(0.0), 0.15, [3.0**-k for k in range(2, 5)], grid=64
+        ifs, [dl.Direction.from_angle(0.0)], 0.15, [3.0**-k for k in range(2, 5)], grid=64
     )
     for obj, snap in zip(shared, before):
         now = _by_identity(obj)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import dimlab as dl
 from dimlab import CellCloud, Direction
+from dimlab.experiments import parse_scales
 from dimlab.errors import (
     BudgetExceededError,
     DepthMismatchError,
@@ -61,7 +62,7 @@ def test_every_entry_point_rejects_a_direction_of_another_dimension():
     sample = dl.sample_tree(cube.law, 2, seed=1)
     flat = Direction.from_angle(0.0)
     calls = [
-        lambda: dl.conservation_profile(line, flat, 0.1, [0.2, 0.1, 0.05], grid=8),
+        lambda: dl.conservation_profile(line, [flat], 0.1, [0.2, 0.1, 0.05], grid=8),
         lambda: dl.conservation_profile_sample(
             sample, cube.ifs, 2.8, [flat], 0.1, [0.9, 0.45], grid=8
         ),
@@ -472,8 +473,8 @@ def test_a_line_without_spread_in_x_has_no_slope():
 
 def _section_fit(ifs, beta, x, scales):
     """(slope, r2) of the box counts of the one slice through x."""
-    profile = dl.conservation_profile(
-        ifs, Direction.from_angle(beta), 0.1, scales, x_grid=[x]
+    (profile,) = dl.conservation_profile(
+        ifs, [Direction.from_angle(beta)], 0.1, scales, x_grid=[x]
     )
     assert profile.valid.tolist() == [True]
     return profile.slopes[0], profile.r2[0]
@@ -624,8 +625,8 @@ def test_box_count_slope_of_full_carpet_tree(carpet):
 
 def test_conservation_profile_carpet_axis(carpet):
     scales = [3.0 ** -k for k in range(2, 6)]
-    profile = dl.conservation_profile(
-        carpet, Direction.from_angle(0.0), 0.15, scales, grid=128
+    (profile,) = dl.conservation_profile(
+        carpet, [Direction.from_angle(0.0)], 0.15, scales, grid=128
     )
     s = dl.moran_dimension(carpet)
     assert profile.threshold == pytest.approx(s - 1.0 - 0.15)
@@ -633,6 +634,62 @@ def test_conservation_profile_carpet_axis(carpet):
     assert np.all(profile.qualifying <= profile.valid)
     assert profile.qualifying_fraction >= 0.4
     assert 0.0 < profile.qualifying_length <= profile.x_grid[-1] - profile.x_grid[0]
+
+
+# system, beta, scales, grid, and x grid (None for the default grid)
+_WALKS = {
+    # probe's profile: disks wider than half a step, counted by sorting
+    "carpet": ("carpet", 0.0, parse_scales("3:-2:-6"), 2048, None),
+    "rotational_m3": ("rot3", 0.7, parse_scales("2:-3:-9"), 512, None),
+    # several scales cut at one level, some sharing one block of maps
+    "mixed, dense ladder": ("mixed", 0.7, parse_scales("1.1:-20:-60"), 256, None),
+    # the 16 coarsest scales all cut the root
+    "mixed, root cut": ("mixed", 0.7, parse_scales("1.1:-1:-40"), None,
+                        np.linspace(-0.1, 0.9, 128)),
+}
+
+
+@pytest.mark.parametrize("case", list(_WALKS))
+def test_a_walked_profile_counts_each_stopping_set_alone(case, request):
+    name, beta, scales, grid, x_grid = _WALKS[case]
+    ifs = request.getfixturevalue(name)
+    d = Direction.from_angle(beta)
+    cells, _ = dl.geometry._ladder_cuts(ifs, scales)
+    blocks = [id(maps[2]) for cut in cells for _, maps in cut.values()]
+    assert (len(set(blocks)) < len(blocks)) == (name == "mixed")
+    if case == "mixed, root cut":
+        assert sum(0 in cut for cut in cells) == 16
+    (profile,) = dl.conservation_profile(
+        ifs, [d], 0.15, scales, grid=grid or 512, x_grid=x_grid
+    )
+    xs = profile.x_grid
+    held = [CellCloud.from_stopping_set(dl.stopping_set(ifs, rho)) for rho in scales]
+    want = np.stack([dl.slice_counts(cloud, d, xs) for cloud in held])
+    assert profile.counts.dtype == want.dtype and np.array_equal(profile.counts, want)
+    assert _same_profile(
+        profile,
+        dl.sections._profiles_from_counts(
+            [want], [d], 0.15, dl.moran_dimension(ifs), [xs], scales
+        )[0],
+    )
+    if name == "carpet":
+        radii = held[-1].radii
+        step = dl.sections._grid_step(xs)
+        assert dl.sections._grid_reach(step, *dl.sections._radius_range(radii)) is None
+
+
+@pytest.mark.parametrize("x_grid", [None, np.linspace(0.1, 0.9, 48)])
+def test_a_multi_direction_walked_profile_is_the_single_direction_profiles(x_grid, rot3):
+    scales = parse_scales("2:-3:-8")
+    directions = [Direction.from_angle(b) for b in (0.0, 0.7, 2.2)]
+    profiles = dl.conservation_profile(rot3, directions, 0.15, scales, grid=96, x_grid=x_grid)
+    assert len(profiles) == len(directions)
+    for w, got in zip(directions, profiles):
+        (want,) = dl.conservation_profile(rot3, [w], 0.15, scales, grid=96, x_grid=x_grid)
+        assert _same_profile(got, want)
+        assert got.valid.any()
+    same_grid = np.array_equal(profiles[0].x_grid, profiles[1].x_grid)
+    assert same_grid == (x_grid is not None)
 
 
 def test_profile_sample_masks_are_consistent():
@@ -732,12 +789,10 @@ def _held_profiles(sample, ifs, dim, directions, epsilon, scales, grids):
     by `cell_cloud`, and counted by `slice_counts`."""
     ks = [dl.sections.generation_for_scale(sample, ifs, rho) for rho in scales]
     clouds = [CellCloud(*sample.cell_cloud(ifs, k)) for k in ks]
-    return [
-        dl.sections._profile_from_counts(
-            np.stack([dl.slice_counts(c, w, xs) for c in clouds]), w, epsilon, dim, xs, scales
-        )
-        for w, xs in zip(directions, grids)
+    counts = [
+        np.stack([dl.slice_counts(c, w, xs) for c in clouds]) for w, xs in zip(directions, grids)
     ]
+    return dl.sections._profiles_from_counts(counts, directions, epsilon, dim, grids, scales)
 
 
 def _mandelbrot(p):
@@ -848,8 +903,8 @@ def _carpet_profile(request):
     scales = [3.0 ** -k for k in range(2, 7)]
     ifs = request.getfixturevalue("carpet")
     return scales, dl.conservation_profile(
-        ifs, Direction.from_angle(0.4), 0.15, scales, grid=256
-    )
+        ifs, [Direction.from_angle(0.4)], 0.15, scales, grid=256
+    )[0]
 
 
 def _sparse_sample_profile(request):
